@@ -1,17 +1,29 @@
 """Expansion of pattern instantiations into flat ontologies.
 
 An ExpansionEnv holds every top-level pattern and ontology definition from a
-set of documents.  Expanding a named ontology walks its spec tree: basic
-fragments are stratified and unioned, instantiations are bound, substituted,
-and expanded recursively, and references to other named ontologies reuse a
+set of documents.  Expanding a named ontology walks its spec tree and adds
+what every node contributes to one OntologyBuilder, frozen once at the end:
+basic fragments are stratified, instantiations are bound, substituted, and
+expanded recursively, and references to other named ontologies reuse a
 memoized expansion.  Verification obligations are collected per named
 ontology as instantiations are encountered.
 
+List recursion consumes one element per frame and hands its tail on as the
+very tuple it bound, so a frame recognises tails an earlier frame of the same
+expansion has seen: their items are declared once, and a frame whose
+obligations provably repeat an earlier frame's is not asked for them again.
+That keeps the work per frame proportional to what the frame adds.
+
+A kind clash is reported as the first one a fold of per-node values with
+`Ontology.union` would meet.  The single accumulator finds a clash no later
+than that fold does, but not always the same one, so on a clash the
+expansion is rerun with one builder per node, which reproduces the fold.
+
 Recursion depth is bounded by a budget counted in nested instantiation
-frames.  Deeply recursive patterns are legitimate (list recursion consumes
-one element per frame), so the public entry points run the walk on a worker
-thread with a large stack; CPython's default main-thread stack cannot take
-the recursion a ten-thousand-frame budget implies.
+frames.  Deeply recursive patterns are legitimate, so the public entry points
+run the walk on a worker thread with a large stack; CPython's default
+main-thread stack cannot take the recursion a ten-thousand-frame budget
+implies.
 """
 
 from __future__ import annotations
@@ -24,14 +36,15 @@ from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import (
     ArityMismatch, CyclicImport, DepthExceeded, EmptyForRequired, GdolError,
-    KindMismatch, ListLengthMismatch, SubstitutionError, UnknownPattern,
+    KindClash, KindMismatch, ListLengthMismatch, SubstitutionError,
+    UnknownPattern,
 )
 from .model import (
-    Argument, BasicSpec, ConsArg, Document, EmptyArg, EmptySpec,
+    Argument, Axiom, BasicSpec, ConsArg, Decl, Document, EmptyArg, EmptySpec,
     ExtensionSpec, InstSpec, LetSpec, ListArg, Name, Obligation, Ontology,
-    OntologyDef, Parameter, PatternDef, Spec, SymbolArg, TopDecl, UnionSpec,
-    EMPTY_ONTOLOGY, canon_axiom, map_axiom, map_ontology, stratify,
-    subst_axiom, substitute,
+    OntologyBuilder, OntologyDef, Parameter, PatternDef, Spec, SymbolArg,
+    SymbolKind, TopDecl, UnionSpec, axiom_names, canon_axiom, map_axiom,
+    map_ontology, stratify, subst_axiom, substitute,
 )
 
 DEFAULT_DEPTH_BUDGET = 10000
@@ -139,6 +152,57 @@ class _Closure:
     scope: Mapping[str, object]
 
 
+def _bases(n: Name):
+    yield n.base
+    for a in n.args:
+        yield from _bases(a)
+
+
+def _mentions(axioms: Iterable[Axiom], names: set[str]) -> bool:
+    return any(not names.isdisjoint(_bases(n)) for a in axioms for n in axiom_names(a))
+
+
+class _Run:
+    """State of one named-ontology or standalone-spec expansion.
+
+    `declared` and `frames` remember list tails by identity; each entry keeps
+    the tuples it is keyed by alive, so no other object can take their ids.
+    """
+
+    def __init__(self, exact: bool) -> None:
+        self.exact = exact  # one builder per spec node: the kind-clash rerun
+        self.sink: list[Obligation] = []
+        self.declared: dict[tuple[int, SymbolKind], tuple[Argument, ...]] = {}
+        self.frames: dict[tuple[int, ...], tuple] = {}
+
+    def undeclared(self, kind: SymbolKind, items: tuple[Argument, ...],
+                   tail: tuple[Argument, ...]) -> bool:
+        """Whether a frame still has to declare items as kind: not when they
+        are the tail of a list an earlier frame declared.  Marks tail."""
+        self.declared[id(tail), kind] = tail
+        return self.exact or (id(items), kind) not in self.declared
+
+    def repeats(self, pdef: PatternDef, binding: Binding) -> bool:
+        """Whether every obligation of this frame was already raised by an
+        earlier frame of the same pattern that bound each list to one more
+        element and every other parameter alike.  Element i here then sees
+        what element i + 1 saw there, unless a constraint mentions a tail,
+        or a scalar parameter's constraint mentions a list head."""
+        lists = [p for p in pdef.params if p.is_list]
+        if not lists:
+            return False
+        scalars = tuple(binding.mapping[p.name] for p in pdef.params if not p.is_list)
+        tails = tuple(binding.mapping[p.list_tail].items for p in lists)
+        seen = self.frames.get((id(pdef), *(id(binding.lists[p.name]) for p in lists)))
+        self.frames[(id(pdef), *map(id, tails))] = (pdef, tails, scalars)
+        if seen is None or seen[2] != scalars:
+            return False
+        tail_names = {p.list_tail for p in lists}
+        head_names = {p.name for p in lists}
+        return not any(_mentions(p.constraints, tail_names if p.is_list else tail_names | head_names)
+                       for p in pdef.params)
+
+
 class ExpansionEnv:
     """Shared state for expanding one set of documents."""
 
@@ -150,7 +214,8 @@ class ExpansionEnv:
         self._cache_obs: dict[str, tuple[Obligation, ...]] = {}
         self._stack: list[str] = []
         self._depth = 0
-        self._sink: list[Obligation] | None = None
+        self._run = _Run(exact=False)  # replaced for the length of each expansion
+        self._reported: KindClash | None = None  # raised by an exact rerun
         self._stratified: set[str] = set()
         self._plain: set[str] = set()
         self._warned: set[str] = set()
@@ -204,14 +269,9 @@ class ExpansionEnv:
         if not isinstance(decl, OntologyDef):
             raise GdolError(f"{name!r} is a pattern; a reference must name an ontology")
         self._stack.append(name)
-        outer_sink, self._sink = self._sink, []
         try:
-            result = self._expand_spec(decl.spec, self._global_scope)
-            for imp in decl.imports:
-                result = result.union(self.expand_named(imp))
-            sink = self._sink
+            result, sink = self._expand_root(decl.spec, decl.imports)
         finally:
-            self._sink = outer_sink
             self._stack.pop()
         self._cache[name] = result
         self._cache_obs[name] = self._finalize(sink, name, result)
@@ -234,34 +294,72 @@ class ExpansionEnv:
 
     # --- spec walking ---
 
-    def _expand_spec(self, spec: Spec, scope: Mapping[str, object]) -> Ontology:
+    def _expand_root(self, spec: Spec, imports: tuple[str, ...] = ()) -> tuple[Ontology, list[Obligation]]:
+        """Expand spec, then unite the given named imports, in one run.  A
+        kind clash is confirmed by an exact rerun, which reports the clash
+        a per-node fold meets first."""
+        try:
+            return self._expand_run(spec, imports, exact=False)
+        except KindClash as clash:
+            if clash is not self._reported:  # else a nested expansion reran
+                try:
+                    self._expand_run(spec, imports, exact=True)
+                except KindClash as exact:
+                    self._reported = exact
+                    raise
+            raise
+
+    def _expand_run(self, spec: Spec, imports: tuple[str, ...],
+                    exact: bool) -> tuple[Ontology, list[Obligation]]:
+        outer, self._run = self._run, _Run(exact)
+        try:
+            out = OntologyBuilder()
+            self._expand_spec(spec, self._global_scope, out)
+            for imp in imports:
+                out.add(self.expand_named(imp))
+            return out.freeze(), self._run.sink
+        finally:
+            self._run = outer
+
+    def _expand_part(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder) -> None:
+        """Expand one operand of a union.  An exact run gives it a builder
+        of its own, checked against its siblings only once complete."""
+        if not self._run.exact:
+            self._expand_spec(spec, scope, out)
+            return
+        part = OntologyBuilder()
+        self._expand_spec(spec, scope, part)
+        out.add(part.freeze())
+
+    def _expand_spec(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder) -> None:
         match spec:
             case BasicSpec(ontology):
-                return map_ontology(ontology, self._strat)
-            case UnionSpec(left, right):
-                return self._expand_spec(left, scope).union(self._expand_spec(right, scope))
-            case ExtensionSpec(base, ext):
-                return self._expand_spec(base, scope).union(self._expand_spec(ext, scope))
+                out.add(map_ontology(ontology, self._strat))
+            case UnionSpec(left, right) | ExtensionSpec(left, right):
+                self._expand_part(left, scope, out)
+                self._expand_part(right, scope, out)
             case InstSpec():
-                return self._expand_inst(spec, scope)
+                self._expand_inst(spec, scope, out)
             case LetSpec(locals_, body):
                 inner: dict[str, object] = {}
                 chained: Mapping[str, object] = ChainMap(inner, scope)
                 for p in locals_:
                     inner[p.name] = _Closure(p, chained)
-                return self._expand_spec(body, chained)
+                self._expand_spec(body, chained, out)
             case EmptySpec():
-                return EMPTY_ONTOLOGY
-        raise TypeError(f"not a spec: {spec!r}")
+                pass
+            case _:
+                raise TypeError(f"not a spec: {spec!r}")
 
-    def _expand_inst(self, spec: InstSpec, scope: Mapping[str, object]) -> Ontology:
+    def _expand_inst(self, spec: InstSpec, scope: Mapping[str, object], out: OntologyBuilder) -> None:
         target = scope.get(spec.pattern)
         if target is None:
             raise UnknownPattern(spec.pattern)
         if isinstance(target, OntologyDef):
             if spec.bracketed:
                 raise GdolError(f"{spec.pattern!r} names an ontology and takes no arguments")
-            return self.expand_named(spec.pattern)
+            out.add(self.expand_named(spec.pattern))
+            return
         assert isinstance(target, _Closure)
         pdef = target.pdef
         self._depth += 1
@@ -270,30 +368,35 @@ class ExpansionEnv:
                 raise DepthExceeded(self.depth_budget, pdef.name)
             binding = bind_arguments(pdef, spec.args)
             if binding.exhausted:
-                return EMPTY_ONTOLOGY
+                return
             self._collect_obligations(pdef, binding)
-            decls = []
-            for param in pdef.params:
-                if param.is_list:
-                    for item in binding.lists[param.name]:
-                        if isinstance(item, SymbolArg):
-                            decls.append((param.kind, item.name))
-                else:
-                    bound = binding.mapping[param.name]
-                    if isinstance(bound, SymbolArg):
-                        decls.append((param.kind, bound.name))
-            result = map_ontology(Ontology.of(decls), self._strat)
+            out.add(map_ontology(Ontology.of(self._param_decls(pdef, binding)), self._strat))
             for imp in pdef.imports:
-                result = result.union(self.expand_named(imp))
-            body = substitute(pdef.body, binding.mapping)
-            return result.union(self._expand_spec(body, target.scope))
+                out.add(self.expand_named(imp))
+            self._expand_part(substitute(pdef.body, binding.mapping), target.scope, out)
         finally:
             self._depth -= 1
+
+    def _param_decls(self, pdef: PatternDef, binding: Binding) -> list[Decl]:
+        decls: list[Decl] = []
+        for param in pdef.params:
+            if param.is_list:
+                items = binding.lists[param.name]
+                tail = binding.mapping[param.list_tail]
+                assert isinstance(tail, ListArg)
+                if self._run.undeclared(param.kind, items, tail.items):
+                    decls.extend((param.kind, item.name) for item in items
+                                 if isinstance(item, SymbolArg))
+            else:
+                bound = binding.mapping[param.name]
+                if isinstance(bound, SymbolArg):
+                    decls.append((param.kind, bound.name))
+        return decls
 
     # --- obligations ---
 
     def _collect_obligations(self, pdef: PatternDef, binding: Binding) -> None:
-        if self._sink is None:
+        if not any(param.constraints for param in pdef.params) or self._run.repeats(pdef, binding):
             return
         for param in pdef.params:
             if not param.constraints:
@@ -312,13 +415,12 @@ class ExpansionEnv:
 
     def _emit_obligations(self, pattern: str, param: Parameter, index: int,
                           view: Mapping[str, Argument]) -> None:
-        assert self._sink is not None
         for constraint in param.constraints:
             ax = subst_axiom(constraint, view)
             if ax is None:
                 continue
             ax = canon_axiom(map_axiom(ax, self._strat))
-            self._sink.append(Obligation(ax, "", pattern, param.name, index))
+            self._run.sink.append(Obligation(ax, "", pattern, param.name, index))
 
 
 # --- public entry points -----------------------------------------------------
@@ -351,12 +453,7 @@ def expand_spec_standalone(env: ExpansionEnv, spec: Spec) -> tuple[Ontology, tup
     with the expansion itself as context."""
 
     def work() -> tuple[Ontology, tuple[Obligation, ...]]:
-        sink: list[Obligation] = []
-        outer, env._sink = env._sink, sink
-        try:
-            result = env._expand_spec(spec, env._global_scope)
-        finally:
-            env._sink = outer
+        result, sink = env._expand_root(spec)
         return result, env._finalize(sink, "", result)
 
     return run_deep(work, env.depth_budget)

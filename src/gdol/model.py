@@ -1,9 +1,11 @@
 """Core data model: names, axioms, ontologies, patterns, specs.
 
-Everything here is an immutable value.  The three primitive operations the
-rest of the compiler builds on live here too: stratification of parameterized
-names, ontology union under Same-Name-Same-Thing, and simultaneous
-substitution of arguments for parameter names inside a spec tree.
+Everything here is an immutable value except `OntologyBuilder`, the mutable
+accumulator an expansion collects its ontology in before freezing it.  The
+three primitive operations the rest of the compiler builds on live here too:
+stratification of parameterized names, ontology union under
+Same-Name-Same-Thing, and simultaneous substitution of arguments for
+parameter names inside a spec tree.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import KindClash, ShadowWarning, SubstitutionError
@@ -325,18 +329,27 @@ def canon_axiom(a: Axiom) -> Axiom:
 Decl = tuple[SymbolKind, Name]
 
 
+def _kind_clash(decls: Iterable[Decl]) -> KindClash:
+    """The clash a scan of decls in (name, kind keyword) order meets first.
+    Only called once a clash is known to exist."""
+    kinds: dict[Name, SymbolKind] = {}
+    for kind, name in sorted(decls, key=lambda d: (name_key(d[1]), d[0].value)):
+        prev = kinds.setdefault(name, kind)
+        if prev is not kind:
+            return KindClash(str(name), (prev.value, kind.value))
+    raise AssertionError("no kind clash among the declarations")
+
+
 @dataclass(frozen=True)
 class Ontology:
     decls: frozenset[Decl] = frozenset()
     axioms: frozenset[Axiom] = frozenset()
 
     def __post_init__(self) -> None:
-        kinds: dict = {}
-        for kind, name in sorted(self.decls, key=lambda d: (name_key(d[1]), d[0].value)):
-            prev = kinds.get(name)
-            if prev is not None and prev is not kind:
-                raise KindClash(str(name), (prev.value, kind.value))
-            kinds[name] = kind
+        # decls is a set of (kind, name) pairs: fewer names than pairs
+        # means some name has two kinds
+        if len({name for _, name in self.decls}) != len(self.decls):
+            raise _kind_clash(self.decls)
 
     @classmethod
     def of(cls, decls: Iterable[Decl] = (), axioms: Iterable[Axiom] = ()) -> "Ontology":
@@ -345,11 +358,12 @@ class Ontology:
     def union(self, other: "Ontology") -> "Ontology":
         return Ontology(self.decls | other.decls, self.axioms | other.axioms)
 
+    @cached_property
+    def _kinds(self) -> dict[Name, SymbolKind]:
+        return {name: kind for kind, name in self.decls}
+
     def kind_of(self, name: Name) -> SymbolKind | None:
-        for kind, n in self.decls:
-            if n == name:
-                return kind
-        return None
+        return self._kinds.get(name)
 
     @property
     def is_empty(self) -> bool:
@@ -363,11 +377,32 @@ def union(a: Ontology, b: Ontology) -> Ontology:
     return a.union(b)
 
 
-def union_all(parts: Iterable[Ontology]) -> Ontology:
-    out = EMPTY_ONTOLOGY
-    for p in parts:
-        out = out.union(p)
-    return out
+class OntologyBuilder:
+    """Mutable accumulator for the union of many ontologies.
+
+    `add` checks only the added declarations against the name->kind map
+    collected so far, so gathering n declarations costs O(n) where a chain
+    of `Ontology.union` calls re-checks everything on every step.
+    """
+
+    def __init__(self) -> None:
+        self._kinds: dict[Name, SymbolKind] = {}
+        self._axioms: set[Axiom] = set()
+
+    def _decls(self) -> Iterable[Decl]:
+        return ((kind, name) for name, kind in self._kinds.items())
+
+    def add(self, o: Ontology) -> None:
+        """Merge o in place; raises the KindClash that uniting everything
+        added so far with o would raise."""
+        kinds = self._kinds
+        for kind, name in o.decls:
+            if kinds.setdefault(name, kind) is not kind:
+                raise _kind_clash(chain(self._decls(), o.decls))
+        self._axioms |= o.axioms
+
+    def freeze(self) -> Ontology:
+        return Ontology(frozenset(self._decls()), frozenset(self._axioms))
 
 
 # --- name rewriting helpers ---------------------------------------------

@@ -144,6 +144,12 @@ class _Parser:
         t = self.peek()
         return ParseError(message, t.line, t.col)
 
+    def expect_kind(self) -> SymbolKind:
+        t = self.expect_ident()
+        if t.value not in _KIND_KEYWORDS:
+            raise ParseError(f"expected a symbol kind, found {t.value!r}", t.line, t.col)
+        return SymbolKind.from_keyword(t.value)
+
     # --- names ---
 
     def parse_name(self) -> Name:
@@ -340,7 +346,7 @@ class _Parser:
             if word in _STANDALONE_KEYWORDS:
                 axioms.extend(self._parse_standalone())
                 continue
-            kind = SymbolKind.from_keyword(self.next().value)
+            kind = self.expect_kind()
             self.next()  # ':'
             subject = self.parse_name()
             decls.append((kind, subject))
@@ -380,7 +386,7 @@ class _Parser:
         kind: SymbolKind | None = None
         t = self.peek()
         if t.type == "ident" and t.value in _KIND_KEYWORDS and self.at_sym(":", 1):
-            kind = SymbolKind.from_keyword(self.next().value)
+            kind = self.expect_kind()
             self.next()  # ':'
         arg: Argument = SymbolArg(self.parse_name(), kind)
         if self.at_sym("::"):
@@ -456,7 +462,7 @@ class _Parser:
             optional = True
         if self.at_sym("{"):
             self.next()
-            kind = SymbolKind.from_keyword(self.expect_ident().value)
+            kind = self.expect_kind()
             self.expect_sym(":")
             name = self.expect_ident().value
             constraints = self._parse_param_constraints(Name(name))
@@ -469,7 +475,7 @@ class _Parser:
         t = self.peek()
         if t.type != "ident" or t.value not in _KIND_KEYWORDS:
             raise self.error(f"expected a parameter kind, found {t.value or 'end of input'!r}")
-        kind = SymbolKind.from_keyword(self.next().value)
+        kind = self.expect_kind()
         self.expect_sym(":")
         name = self.expect_ident().value
         tail = None

@@ -1,8 +1,12 @@
 """Command-line behaviour: exit codes, output shapes, file writing."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 from gdol.cli import main
 
@@ -130,3 +134,28 @@ def test_diagnostics_go_to_stderr(tmp_path, capsys):
     assert rc == 0
     assert "warning:" in captured.err
     assert "warning:" not in captured.out
+
+
+def test_unknown_kind_keyword_is_a_located_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.gdol"
+    bad.write_text("pattern P [ Class: S; {Inand l: x Types: S} :: xs ] = Class: S\n")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: 1:") and "'Inand'" in err
+
+
+def test_kind_clash_is_the_same_under_any_hash_seed(tmp_path):
+    src = tmp_path / "clash.gdol"
+    src.write_text(
+        "pattern Q [ Class: X; ObjectProperty: r ] = Class: X SubClassOf: r some X\n"
+        "ontology O = Q[B; A] and Q[A; B] and Q[D; C] and Q[C; D]\n")
+    results = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "gdol.cli", "expand", str(src),
+                               "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=env, check=False)
+        results.add((proc.returncode, proc.stderr))
+    assert results == {(2, "error: 'A' declared both as Class and as ObjectProperty\n")}

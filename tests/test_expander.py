@@ -17,6 +17,7 @@ from gdol import (
     ExpansionEnv,
     GdolError,
     InstSpec,
+    KindClash,
     KindMismatch,
     ListArg,
     ListLengthMismatch,
@@ -282,3 +283,210 @@ def test_union_of_named_ontologies(env, expand):
     part = expand("Role_PotentialDriver_log")
     assert part.decls <= whole.decls
     assert part.axioms <= whole.axioms
+
+
+# --- obligations of list patterns ---------------------------------------------
+
+_LIST_OBLIGATIONS = """
+pattern Walk [ Class: D; {ObjectProperty: p Domain: D} :: ps ] =
+  Class: D then Walk[Next[D]; ps]
+pattern Spread [ Class: D; {Individual: v Types: {vs}} :: vs ] =
+  Class: D then Spread[D; vs]
+pattern Shared [ ] = AND_nRels[S; T; r; [q0, q1, q2]]
+ontology Walked = Walk[A; [p0, p1, p2]]
+ontology Spreads = Spread[D; [v0, v1, v2]]
+ontology First = Shared[]
+ontology Second = Shared[] and Class: Extra
+"""
+
+
+def obligation_rows(env, name):
+    from gdol.emitter import axiom_text
+
+    obs = run_deep(lambda: env.obligations(name))
+    return [(axiom_text(o.axiom), o.pattern, o.param, o.index) for o in obs]
+
+
+@pytest.fixture()
+def list_env(corpus_docs):
+    return ExpansionEnv.from_documents([*corpus_docs, parse_document(_LIST_OBLIGATIONS)])
+
+
+def test_and_nrels_emits_two_obligations_per_property_in_order(corpus_docs):
+    n = 12
+    props = [f"q{i}" for i in range(n)]
+    doc = parse_document(f"ontology Many = AND_nRels[S; T; r; [{', '.join(props)}]]\n")
+    env = ExpansionEnv.from_documents([*corpus_docs, doc])
+    rows = obligation_rows(env, "Many")
+    expected = []
+    for i, q in enumerate(props):
+        expected += [(f"{q} Domain: S", "AND_nRels", "p", i),
+                     (f"{q} Range: T", "AND_nRels", "p", i)]
+    assert rows == expected
+    obs = run_deep(lambda: env.obligations("Many"))
+    context = run_deep(lambda: env.expand_named("Many"))
+    assert all(o.ontology == "Many" and o.context is context for o in obs)
+
+
+def test_recursion_with_a_changed_argument_keeps_tail_obligations(list_env):
+    # each step moves the domain, so every frame's obligations are new
+    assert obligation_rows(list_env, "Walked") == [
+        ("p0 Domain: A", "Walk", "p", 0),
+        ("p1 Domain: A", "Walk", "p", 1),
+        ("p2 Domain: A", "Walk", "p", 2),
+        ("p1 Domain: Next_A", "Walk", "p", 0),
+        ("p2 Domain: Next_A", "Walk", "p", 1),
+        ("p2 Domain: Next_Next_A", "Walk", "p", 0),
+    ]
+
+
+def test_constraints_mentioning_the_tail_differ_per_frame(list_env):
+    assert obligation_rows(list_env, "Spreads") == [
+        ("v0 Types: {v1, v2}", "Spread", "v", 0),
+        ("v1 Types: {v1, v2}", "Spread", "v", 1),
+        ("v2 Types: {v1, v2}", "Spread", "v", 2),
+        ("v1 Types: {v2}", "Spread", "v", 0),
+        ("v2 Types: {v2}", "Spread", "v", 1),
+        ("v2 Types: {}", "Spread", "v", 0),
+    ]
+
+
+def test_named_ontologies_sharing_a_list_each_get_every_obligation(list_env):
+    expected = []
+    for i in range(3):
+        expected += [(f"q{i} Domain: S", "AND_nRels", "p", i),
+                     (f"q{i} Range: T", "AND_nRels", "p", i)]
+    assert obligation_rows(list_env, "First") == expected
+    assert obligation_rows(list_env, "Second") == expected
+
+
+# --- expansion work -------------------------------------------------------------
+
+def _expansion_work(corpus_docs, monkeypatch, n):
+    counts = {"strat": 0, "construct": 0, "checked_decls": 0}
+    strat, init = ExpansionEnv._strat, Ontology.__init__
+
+    def counting_strat(self, name):
+        counts["strat"] += 1
+        return strat(self, name)
+
+    def counting_init(self, *args, **kwargs):
+        counts["construct"] += 1
+        init(self, *args, **kwargs)
+        counts["checked_decls"] += len(self.decls)
+
+    values = ", ".join(f"g{i}" for i in range(n))
+    doc = parse_document(f"ontology Deep = OrdGRADE[Top; Grade; [{values}]]\n")
+    env = ExpansionEnv.from_documents([*corpus_docs, doc])
+    with monkeypatch.context() as m:
+        m.setattr(ExpansionEnv, "_strat", counting_strat)
+        m.setattr(Ontology, "__init__", counting_init)
+        run_deep(lambda: env.expand_named("Deep"))
+    return counts
+
+
+def test_list_recursion_work_grows_linearly(corpus_docs, monkeypatch):
+    small = _expansion_work(corpus_docs, monkeypatch, 40)
+    large = _expansion_work(corpus_docs, monkeypatch, 160)
+    for what in ("strat", "construct", "checked_decls"):
+        assert large[what] <= 4.5 * small[what], (what, small, large)
+
+
+# --- kind clashes through expansion ---------------------------------------------
+
+@pytest.mark.parametrize("source, name, kinds", [
+    # the deepest frame's union meets the clash first
+    ("pattern P [ Class: x :: xs ] = ObjectProperty: x then P[xs]\n"
+     "ontology O = P[[a, b, c]]\n", "c", ("Class", "ObjectProperty")),
+    ("pattern Q [ Class: X; ObjectProperty: r ] = Class: X SubClassOf: r some X\n"
+     "ontology O = Q[B; A] and Q[A; B]\n", "A", ("Class", "ObjectProperty")),
+    ("pattern R [ Individual: i :: is ] = Class: i then R[is]\n"
+     "ontology O = R[[m, n]] and Class: z\n", "n", ("Class", "Individual")),
+])
+def test_kind_clash_through_expansion_names_the_first_clash(source, name, kinds):
+    env = ExpansionEnv.from_documents([parse_document(source)])
+    with pytest.raises(KindClash) as info:
+        run_deep(lambda: env.expand_named("O"))
+    assert (info.value.name, info.value.kinds) == (name, kinds)
+
+
+# --- shortcuts against the plain fold --------------------------------------------
+
+_FUZZ_PATTERNS = """
+pattern Clash [ Class: x :: xs ] = ObjectProperty: x then Clash[xs]
+pattern Walk [ Class: D; {ObjectProperty: p Domain: D} :: ps ] =
+  Class: D then Walk[Next[D]; ps]
+pattern Stay [ Class: D; {ObjectProperty: p Domain: D Range: D} :: ps ] =
+  Class: D then Stay[D; ps]
+pattern Spread [ Class: D; {Individual: v Types: {vs}} :: vs ] =
+  Class: D then Spread[D; vs]
+pattern Head [ {ObjectProperty: r Domain: h}; Class: h :: hs ] =
+  ObjectProperty: r then Head[r; hs]
+pattern Hand [ Class: x :: xs ] = Hand2[xs]
+pattern Hand2 [ Individual: y :: ys ] = Individual: y then Hand[ys]
+pattern Dup [ Class: S; {ObjectProperty: p Domain: S} :: ps ] =
+  AND_nRels[S; S; r[S]; p :: ps] and Dup[S; ps] and Stay[S; p :: ps]
+"""
+
+
+def _fuzz_document(seed: int) -> str:
+    import random
+
+    rng = random.Random(seed)
+    pool = ["a", "b", "c", "f_a", "Top"] if rng.random() < 0.4 else \
+        [f"{n}{k}" for n in "abcdefg" for k in range(3)]
+
+    def name():
+        return rng.choice(["f[a]", "n[b]"]) if rng.random() < 0.1 else rng.choice(pool)
+
+    def items():
+        return "[" + ", ".join("{}" if rng.random() < 0.05 else name()
+                               for _ in range(rng.randint(0, 5))) + "]"
+
+    shapes = [
+        lambda: f"Clash[{items()}]",
+        lambda: f"Walk[{name()}; {items()}]",
+        lambda: f"Stay[{name()}; {items()}]",
+        lambda: f"Spread[{name()}; [{', '.join(name() for _ in range(rng.randint(0, 4)))}]]",
+        lambda: f"Head[{name()}; {items()}]",
+        lambda: f"Hand[{items()}]",
+        lambda: f"Dup[{name()}; {items()}]",
+        lambda: f"AND_nRels[{name()}; {name()}; {name()}; {items()}]",
+        lambda: f"{rng.choice(['Class', 'ObjectProperty', 'Individual'])}: {name()}",
+    ]
+    lines = [_FUZZ_PATTERNS]
+    for j in range(rng.randint(1, 4)):
+        parts = [rng.choice(shapes)() for _ in range(rng.randint(1, 3))]
+        if j and rng.random() < 0.3:
+            parts.append(f"O{rng.randrange(j)}")
+        lines.append(f"ontology O{j} = " + " and ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def _expand_all(corpus_docs, doc):
+    env = ExpansionEnv.from_documents([*corpus_docs, doc])
+    out = []
+    for name in doc.ontology_defs():
+        try:
+            out.append(run_deep(lambda: (env.expand_named(name), env.obligations(name))))
+        except GdolError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out, env.diagnostics
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_shortcuts_match_one_union_per_spec_node(corpus_docs, monkeypatch, seed):
+    """Declaring list items once, skipping repeated obligations and the
+    single accumulator change nothing: not the ontologies, the obligations,
+    the diagnostics, nor which kind clash is reported."""
+    from gdol.expander import _Run
+
+    doc = parse_document(_fuzz_document(seed))
+    fast = _expand_all(corpus_docs, doc)
+    with monkeypatch.context() as m:
+        m.setattr(_Run, "undeclared", lambda self, kind, items, tail: True)
+        m.setattr(_Run, "repeats", lambda self, pdef, binding: False)
+        m.setattr(ExpansionEnv, "_expand_root",
+                  lambda self, spec, imports=(): self._expand_run(spec, imports, exact=True))
+        reference = _expand_all(corpus_docs, doc)
+    assert fast == reference
