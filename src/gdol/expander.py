@@ -425,29 +425,6 @@ class ExpansionEnv:
 
 # --- public entry points -----------------------------------------------------
 
-def expand_document(doc: Document, library: Iterable[Document] = (),
-                    depth_budget: int = DEFAULT_DEPTH_BUDGET) -> dict[str, Ontology]:
-    """Expand every ontology declared in doc, in document order."""
-    env = ExpansionEnv.from_documents([doc, *library], depth_budget)
-    names = [d.name for d in doc.decls if isinstance(d, OntologyDef)]
-    return run_deep(lambda: {n: env.expand_named(n) for n in names}, depth_budget)
-
-
-def document_obligations(doc: Document, library: Iterable[Document] = (),
-                         depth_budget: int = DEFAULT_DEPTH_BUDGET) -> tuple[Obligation, ...]:
-    """Obligations for the ontologies declared in doc, in document order."""
-    env = ExpansionEnv.from_documents([doc, *library], depth_budget)
-    names = [d.name for d in doc.decls if isinstance(d, OntologyDef)]
-
-    def work() -> tuple[Obligation, ...]:
-        out: list[Obligation] = []
-        for n in names:
-            out.extend(env.obligations(n))
-        return tuple(out)
-
-    return run_deep(work, depth_budget)
-
-
 def expand_spec_standalone(env: ExpansionEnv, spec: Spec) -> tuple[Ontology, tuple[Obligation, ...]]:
     """Expand a bare spec against an environment; the obligations come back
     with the expansion itself as context."""

@@ -11,10 +11,21 @@ contribute nothing to global domain or range goals.
 Every verdict is per goal axiom, monotone in the theory, and bounded by a
 step limit counted in visited nodes and traversed edges; hitting the limit
 reports the goal unproven and flags the result rather than failing.
+
+What a context says (its graphs, domains, facts and And-nodes) is built once
+and shared by every goal checked against it in a batch: consecutive
+obligations with one context, or all sentences of a refinement.  A goal
+whose And-nodes the context lacks gets a view that adds them.  Reach sets
+are cached with the steps they took, and a goal is charged that cost the
+first time it uses one, so each goal pays exactly the steps a fresh engine
+would spend on it alone, and no verdict depends on the order goals are
+checked in.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
+from copy import copy
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -52,14 +63,17 @@ class _StepLimit(Exception):
 
 
 class _Counter:
-    __slots__ = ("n", "limit")
+    """Steps spent on one goal, and the cached reach sets it has paid for."""
+
+    __slots__ = ("n", "limit", "charged")
 
     def __init__(self, limit: int) -> None:
         self.n = 0
         self.limit = limit
+        self.charged: set[tuple[str, object]] = set()
 
-    def tick(self) -> None:
-        self.n += 1
+    def tick(self, steps: int = 1) -> None:
+        self.n += steps
         if self.n > self.limit:
             raise _StepLimit
 
@@ -93,10 +107,14 @@ def _axiom_exprs(a: Axiom):
 
 
 class _Theory:
-    def __init__(self, ont: Ontology, goal: Axiom, config: RuleEngineConfig) -> None:
+    """The told part of one context under one config, with reach caches
+    that every goal checked against it shares."""
+
+    def __init__(self, ont: Ontology, config: RuleEngineConfig) -> None:
         r = config.rules
         self.config = config
         self.axioms = ont.axioms
+        self.declared = {n for _, n in ont.decls}
         self.class_edges: dict[ClassExpr, set[ClassExpr]] = {}
         self.and_nodes: set[And] = set()
         self.prop_edges: dict[_PropNode, set[_PropNode]] = {}
@@ -107,12 +125,10 @@ class _Theory:
         self.types: dict[Name, set[ClassExpr]] = {}
         self.diffs: list[frozenset[Name]] = []
         self.disjoints: list[tuple[ClassExpr, ClassExpr]] = []
-        self._reach_cache: dict[ClassExpr, set[ClassExpr]] = {}
-        self._prop_reach_cache: dict[_PropNode, set[_PropNode]] = {}
+        # start -> (reach set, steps its walk took)
+        self._class_cache: dict[ClassExpr, tuple[set[ClassExpr], int]] = {}
+        self._prop_cache: dict[_PropNode, tuple[set[_PropNode], int]] = {}
 
-        for e in _axiom_exprs(goal):
-            if isinstance(e, And):
-                self.and_nodes.add(e)
         for a in self.axioms:
             if "R3" in r:
                 for e in _axiom_exprs(a):
@@ -170,12 +186,43 @@ class _Theory:
         self.prop_edges.setdefault(a, set()).add(b)
         self.prop_redges.setdefault(b, set()).add(a)
 
+    def for_goal(self, goal: Axiom) -> "_Theory":
+        """The theory a fresh engine would build for goal: this one plus the
+        goal's And-nodes it lacks (added even without R3), which then needs
+        its own class-reach cache.  Property reach never depends on goal.
+        Canonical And-nodes never have And operands, so the step count of
+        a class walk does not depend on the order of and_nodes."""
+        new = {e for e in _axiom_exprs(goal) if isinstance(e, And)} - self.and_nodes
+        if not new:
+            return self
+        view = copy(self)
+        view.and_nodes = self.and_nodes | new
+        if "R3" in self.config.rules:
+            # with R3 every told And-node is in and_nodes, so a new one has no told edges
+            view.class_edges = ChainMap({an: set(an.operands) for an in new}, self.class_edges)
+        view._class_cache = {}
+        return view
+
     # --- reachability ---
 
+    @staticmethod
+    def _cached(cache: dict, tag: str, start, walk, counter: _Counter):
+        """walk(start), computed once per cache; a goal that finds it cached
+        is charged the steps it took on first use, as if it had walked."""
+        hit = cache.get(start)
+        if hit is None:
+            before = counter.n
+            reached = walk(start, counter)
+            hit = cache[start] = (reached, counter.n - before)
+        elif (tag, start) not in counter.charged:
+            counter.tick(hit[1])
+        counter.charged.add((tag, start))
+        return hit[0]
+
     def class_reach(self, start: ClassExpr, counter: _Counter) -> set[ClassExpr]:
-        cached = self._reach_cache.get(start)
-        if cached is not None:
-            return cached
+        return self._cached(self._class_cache, "class", start, self._walk_classes, counter)
+
+    def _walk_classes(self, start: ClassExpr, counter: _Counter) -> set[ClassExpr]:
         reached = {start}
         frontier = [start]
         while True:
@@ -196,7 +243,6 @@ class _Theory:
                     grew = True
             if not grew:
                 break
-        self._reach_cache[start] = reached
         return reached
 
     def _walk_props(self, start: _PropNode, edges: dict, counter: _Counter) -> set[_PropNode]:
@@ -213,11 +259,8 @@ class _Theory:
         return reached
 
     def prop_reach(self, start: _PropNode, counter: _Counter) -> set[_PropNode]:
-        cached = self._prop_reach_cache.get(start)
-        if cached is None:
-            cached = self._walk_props(start, self.prop_edges, counter)
-            self._prop_reach_cache[start] = cached
-        return cached
+        return self._cached(self._prop_cache, "prop", start,
+                            lambda s, c: self._walk_props(s, self.prop_edges, c), counter)
 
     def prop_reach_back(self, start: _PropNode, counter: _Counter) -> set[_PropNode]:
         return self._walk_props(start, self.prop_redges, counter)
@@ -289,18 +332,40 @@ class _Theory:
         raise TypeError(f"not an axiom: {goal!r}")
 
 
-def entails(theory: Ontology, goal: Axiom, config: RuleEngineConfig = DEFAULT_CONFIG) -> EntailmentResult:
-    """Decide whether the rule engine can derive goal from theory."""
+class _Slot:
+    """The told part of the last context a batch checked: consecutive goals
+    over one context share it, and it is dropped when the context changes."""
+
+    __slots__ = ("theory", "config", "told")
+
+    def __init__(self) -> None:
+        self.theory: Ontology | None = None
+        self.config: RuleEngineConfig | None = None
+        self.told: _Theory | None = None
+
+    def get(self, theory: Ontology, config: RuleEngineConfig) -> _Theory:
+        if theory is not self.theory or config != self.config:
+            self.told = None  # free the last context's part before building the next
+            self.told = _Theory(theory, config)
+            self.theory, self.config = theory, config
+        return self.told
+
+
+def entails(theory: Ontology, goal: Axiom, config: RuleEngineConfig = DEFAULT_CONFIG,
+            *, _slot: _Slot | None = None) -> EntailmentResult:
+    """Decide whether the rule engine can derive goal from theory.
+
+    Batch callers pass one `_slot` for all their goals so that goals over
+    the same context share its told part."""
     goal = canon_axiom(goal)
-    declared = {n for _, n in theory.decls}
-    missing = axiom_names(goal) - declared
+    told = (_slot or _Slot()).get(theory, config)
+    missing = axiom_names(goal) - told.declared
     if missing:
         names = ", ".join(sorted(str(n) for n in missing))
         return EntailmentResult(False, False, f"goal mentions undeclared names: {names}")
-    engine = _Theory(theory, goal, config)
     counter = _Counter(config.step_limit)
     try:
-        proven = engine.prove(goal, counter)
+        proven = told.for_goal(goal).prove(goal, counter)
     except _StepLimit:
         return EntailmentResult(False, True, f"step limit {config.step_limit} reached")
     return EntailmentResult(proven, False, "" if proven else "not derivable")
@@ -308,10 +373,13 @@ def entails(theory: Ontology, goal: Axiom, config: RuleEngineConfig = DEFAULT_CO
 
 def check_obligations(obligations: Iterable[Obligation],
                       config: RuleEngineConfig = DEFAULT_CONFIG) -> tuple[Obligation, ...]:
-    """Run the engine over each obligation, filling in status and diagnostic."""
+    """Run the engine over each obligation, filling in status and diagnostic.
+    Consecutive obligations with the same context object (the expander hands
+    one to all obligations of an ontology) share one theory."""
+    slot = _Slot()
     out = []
     for ob in obligations:
-        res = entails(ob.context, ob.axiom, config)
+        res = entails(ob.context, ob.axiom, config, _slot=slot)
         status = "proven" if res.proven else "unproven"
         out.append(replace(ob, status=status, diagnostic=res.reason))
     return tuple(out)
@@ -347,9 +415,10 @@ def check_refinement(refdef: RefinementDef, env, config: RuleEngineConfig = DEFA
         if ka is not None and kb is not None and ka is not kb:
             raise MapKindMismatch(str(a), str(b), (ka.value, kb.value))
     renamed = map_ontology(source, lambda n: mapping.get(n, n))
+    slot = _Slot()
     results = []
     for axiom in sorted(renamed.axioms, key=axiom_key):
-        results.append((axiom, entails(target, axiom, config)))
+        results.append((axiom, entails(target, axiom, config, _slot=slot)))
     return RefinementReport(refdef.name, tuple(results))
 
 

@@ -1,6 +1,8 @@
 """Entailment rules, obligation checking, refinement, and export."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from gdol import (
@@ -16,13 +18,18 @@ from gdol import (
     MapKindMismatch,
     Name,
     Named,
+    Obligation,
+    OneOf,
+    Ontology,
     PropAssertion,
     PropExpr,
     Range,
     RuleEngineConfig,
     SubClassOf,
     SubPropertyChain,
+    Some,
     SubPropertyOf,
+    SymbolKind,
     Transitive,
     check_obligations,
     check_refinement,
@@ -32,7 +39,9 @@ from gdol import (
     parse_manchester_fragment,
     run_deep,
 )
+from gdol import verifier
 from gdol.model import union
+from gdol.verifier import ALL_RULES
 
 
 def N(s: str) -> Named:
@@ -73,6 +82,8 @@ def test_intersection_introduction_and_elimination():
     elim = "Class: A SubClassOf: B and (C)\nClass: B\nClass: C\n"
     assert proven(elim, SubClassOf(N("A"), N("B")))
     assert proven(elim, SubClassOf(N("A"), N("C")))
+    # an intersection only the goal mentions is eliminated too
+    assert proven(intro, SubClassOf(And((N("B"), N("C"))), N("C")))
 
 
 def test_disjointness_lifts_through_subclasses():
@@ -314,3 +325,228 @@ def test_export_writes_one_file_per_obligation(env, tmp_path):
     assert "%% goal:" in body and "%% from: Data_Driver_log :: DATA_Role/performs#0" in body
     # the context theory is embedded in full
     assert "ObjectProperty: licencedAs" in body
+
+
+# --- shared theories: batch checking matches goal-at-a-time checking ------------
+
+CLASS_NAMES = [N(c) for c in "ABCDE"]
+PROP_NAMES = ["p", "q", "r", "s"]
+INDIVIDUALS = ["a", "b", "c"]
+RULE_SUBSETS = [ALL_RULES] + [ALL_RULES - {r} for r in sorted(ALL_RULES)]
+STEP_LIMITS = [1, 3, 7, 20, 100, RuleEngineConfig().step_limit]
+
+
+def _random_expr(rng: random.Random, depth: int = 0):
+    roll = rng.random()
+    if depth >= 2 or roll < 0.45:
+        return rng.choice(CLASS_NAMES)
+    if roll < 0.75:
+        return And(tuple(_random_expr(rng, depth + 1) for _ in range(rng.randint(2, 3))))
+    if roll < 0.9:
+        return Some(P(rng.choice(PROP_NAMES), rng.random() < 0.3), _random_expr(rng, depth + 1))
+    return OneOf(tuple(Name(i) for i in rng.sample(INDIVIDUALS, rng.randint(1, 2))))
+
+
+def _random_axiom(rng: random.Random):
+    c, d = _random_expr(rng), _random_expr(rng)
+    p, q = (Name(x) for x in rng.choices(PROP_NAMES, k=2))
+    pe, qe = (PropExpr(n, rng.random() < 0.3) for n in (p, q))
+    i, j = (Name(x) for x in rng.choices(INDIVIDUALS, k=2))
+    return rng.choice([
+        SubClassOf(c, d), SubClassOf(c, d), EquivalentClasses(c, d), DisjointClasses(c, d),
+        SubPropertyOf(pe, qe), InverseProps(p, q), Domain(p, c), Range(p, c),
+        Functional(p), Transitive(p), SubPropertyChain(p, (pe, qe)),
+        ClassAssertion(c, i), PropAssertion(p, i, j), DifferentIndividuals((i, j)),
+    ])
+
+
+def _random_obligations(seed: int) -> list[Obligation]:
+    """Goals over two random contexts, the first checked again after the
+    second.  Many goals carry And-nodes their context lacks; each
+    subsumption goal is followed by one from the same class, so goals with
+    and without such And-nodes walk from the same start.  A few goals
+    mention an undeclared name."""
+    rng = random.Random(seed)
+    decls = ([(SymbolKind.CLASS, n.name) for n in CLASS_NAMES]
+             + [(SymbolKind.OBJECT_PROPERTY, Name(p)) for p in PROP_NAMES]
+             + [(SymbolKind.INDIVIDUAL, Name(i)) for i in INDIVIDUALS])
+    contexts = [Ontology.of(decls, (_random_axiom(rng) for _ in range(rng.randint(4, 16))))
+                for _ in range(2)]
+    obs = []
+    for ctx in (contexts[0], contexts[1], contexts[0]):
+        for k in range(10):
+            goal = _random_axiom(rng)
+            if rng.random() < 0.05:
+                goal = SubClassOf(_random_expr(rng), N("Undeclared"))
+            obs.append(Obligation(goal, "random", "P", "x", k, ctx))
+            if isinstance(goal, SubClassOf):
+                obs.append(Obligation(SubClassOf(goal.sub, _random_expr(rng)), "random", "P", "y", k, ctx))
+    return obs
+
+
+def _generated_document(seed: int, n: int = 8) -> str:
+    """A shared context under AND_nRels, as in the benchmark, plus small
+    DATA_Role ontologies, some stating the global domain and range."""
+    rng = random.Random(seed)
+    props = [f"q{i}" for i in range(n)]
+    frames = ["Class: S0 SubClassOf: S1", "Class: S1 SubClassOf: S", "Class: S",
+              "Class: T0 SubClassOf: T", "Class: T", "Class: U",
+              "ObjectProperty: hubA Domain: S0 Range: T0",
+              "ObjectProperty: hubB Domain: S0 Range: U"]
+    frames += [f"ObjectProperty: {q} SubPropertyOf: {rng.choice(['hubA', 'hubB'])}" for q in props]
+    rng.shuffle(frames)
+    lines = ["ontology Ctx =\n  " + "\n  ".join(frames),
+             f"ontology Shared = Ctx and AND_nRels[S; T; r; [{', '.join(props)}]]"]
+    for i in range(3):
+        spec = f"DATA_Role[R{i}; P{i}; does{i}; V{i}; by{i}; perf{i}; prov{i}; rle{i}]"
+        if rng.random() < 0.5:
+            spec += f" and ObjectProperty: does{i} Domain: P{i} Range: R{i}"
+        lines.append(f"ontology Role{i} = {spec}")
+    return "\n".join(lines) + "\n"
+
+
+def _named_obligations(env, names) -> list[Obligation]:
+    return [ob for n in names for ob in run_deep(lambda: env.obligations(n))]
+
+
+@pytest.fixture(scope="module")
+def corpus_and_generated_obligations(corpus_docs) -> list[Obligation]:
+    env = ExpansionEnv.from_documents(corpus_docs)
+    names = sorted(name for d in corpus_docs for name in d.ontology_defs())
+    obs = _named_obligations(env, names)
+    for seed in range(3):
+        gen = ExpansionEnv.from_documents([*corpus_docs, parse_document(_generated_document(seed))])
+        obs += _named_obligations(gen, ["Shared", "Role0", "Role1", "Role2"])
+    return obs
+
+
+def _with_steps(monkeypatch, check):
+    """check()'s result and the steps charged to each goal that got past
+    the declared-name check, in the order the goals were checked."""
+    counters = []
+
+    class Recording(verifier._Counter):
+        def __init__(self, limit):
+            super().__init__(limit)
+            counters.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "_Counter", Recording)
+        result = check()
+    # a goal stopped at the limit may have been charged a cached walk at once
+    return result, [min(c.n, c.limit + 1) for c in counters]
+
+
+def _results(obs) -> list[tuple[str, str]]:
+    return [(ob.status, ob.diagnostic) for ob in obs]
+
+
+def _assert_batch_matches_single_goals(monkeypatch, obs, config):
+    def one_at_a_time():
+        out = []
+        for ob in obs:
+            res = entails(ob.context, ob.axiom, config)
+            out.append(("proven" if res.proven else "unproven", res.reason))
+        return out
+
+    alone, steps = _with_steps(monkeypatch, one_at_a_time)
+    batch, batch_steps = _with_steps(monkeypatch, lambda: check_obligations(obs, config))
+    assert _results(batch) == alone
+    assert batch_steps == steps
+    backwards, back_steps = _with_steps(monkeypatch, lambda: check_obligations(obs[::-1], config))
+    assert _results(backwards)[::-1] == alone
+    assert back_steps[::-1] == steps
+
+
+def _dropped(rules) -> str:
+    return "-".join(sorted(ALL_RULES - rules)) or "all"
+
+
+@pytest.mark.parametrize("rules", RULE_SUBSETS, ids=_dropped)
+@pytest.mark.parametrize("step_limit", STEP_LIMITS)
+def test_batches_over_random_theories_match_single_goals(monkeypatch, rules, step_limit):
+    config = RuleEngineConfig(rules, step_limit)
+    for seed in range(12):
+        _assert_batch_matches_single_goals(monkeypatch, _random_obligations(seed), config)
+
+
+@pytest.mark.parametrize("rules", RULE_SUBSETS, ids=_dropped)
+def test_batches_over_corpus_and_generated_contexts_match_single_goals(
+        monkeypatch, corpus_and_generated_obligations, rules):
+    obs = corpus_and_generated_obligations
+    assert len({id(ob.context) for ob in obs}) > 10
+    for step_limit in STEP_LIMITS:
+        _assert_batch_matches_single_goals(monkeypatch, obs, RuleEngineConfig(rules, step_limit))
+
+
+def test_random_goals_reach_every_verdict():
+    # the differential tests above mean little unless all outcomes occur
+    seen = set()
+    for step_limit in (20, RuleEngineConfig().step_limit):
+        for seed in range(12):
+            for ob in check_obligations(_random_obligations(seed), RuleEngineConfig(step_limit=step_limit)):
+                seen.add((ob.status, ob.diagnostic.split(" ")[0]))
+    assert seen == {("proven", ""), ("unproven", "not"), ("unproven", "step"),
+                    ("unproven", "goal")}
+
+
+def _verdicts(theory, goals, step_limit):
+    obs = [Obligation(g, "t", "P", "x", 0, theory) for g in goals]
+    return [ob.diagnostic or ob.status
+            for ob in check_obligations(obs, RuleEngineConfig(step_limit=step_limit))]
+
+
+def test_each_goal_is_charged_the_steps_a_fresh_engine_spends():
+    t = parse_manchester_fragment("Class: C DisjointWith: D\nClass: A SubClassOf: D\n"
+                                  "Class: B SubClassOf: C\nClass: D\n")
+    a_in_d, disjoint = SubClassOf(N("A"), N("D")), DisjointClasses(N("A"), N("B"))
+    # walking from A or from B takes 3 steps; the disjointness goal walks
+    # from A, fails its first disjunct, reuses that walk, then walks from B
+    assert _verdicts(t, [disjoint], 6) == ["proven"]
+    assert _verdicts(t, [disjoint], 5) == ["step limit 5 reached"]
+    # the walk from A that an earlier goal cached is charged again
+    assert _verdicts(t, [a_in_d, disjoint], 5) == ["proven", "step limit 5 reached"]
+    # the goal's own And-node lengthens the walk from A (5 -> 9 steps) for that goal only
+    intro = parse_manchester_fragment("Class: A SubClassOf: B\nClass: A SubClassOf: C\n"
+                                      "Class: B\nClass: C\n")
+    both, one = SubClassOf(N("A"), And((N("B"), N("C")))), SubClassOf(N("A"), N("B"))
+    assert _verdicts(intro, [both, one], 5) == ["step limit 5 reached", "proven"]
+    assert _verdicts(intro, [one, both], 8) == ["proven", "step limit 8 reached"]
+    assert _verdicts(intro, [both, one], 9) == ["proven", "proven"]
+
+
+def _theory_builds(monkeypatch, check):
+    builds = []
+    init = verifier._Theory.__init__
+
+    def counting_init(self, ont, config):
+        builds.append(ont)
+        init(self, ont, config)
+
+    with monkeypatch.context() as m:
+        m.setattr(verifier._Theory, "__init__", counting_init)
+        check()
+    return builds
+
+
+def test_a_context_is_built_once_per_run_of_its_obligations(corpus_docs, monkeypatch):
+    n = 20
+    props = ", ".join(f"q{i}" for i in range(n))
+    doc = parse_document(f"ontology Many = AND_nRels[S; T; r; [{props}]]\n"
+                         "ontology Other = AND_nRels[S; T; r; [z0, z1]]\n")
+    env = ExpansionEnv.from_documents([*corpus_docs, doc])
+    many, other = _named_obligations(env, ["Many"]), _named_obligations(env, ["Other"])
+    assert len(many) == 2 * n
+    assert len(_theory_builds(monkeypatch, lambda: check_obligations(many))) == 1
+    builds = _theory_builds(monkeypatch, lambda: check_obligations([*many, *other, *many]))
+    assert [b is many[0].context for b in builds] == [True, False, True]
+
+
+def test_a_refinement_target_is_built_once(corpus_docs, env, monkeypatch):
+    refs = [r for d in corpus_docs for r in d.refinement_defs().values()]
+    sentences = 0
+    for refdef in refs:
+        reports = []
+        assert len(_theory_builds(monkeypatch, lambda: reports.append(check_refinement(refdef, env)))) == 1
+        sentences += len(reports[0].results)
+    assert sentences > len(refs)
