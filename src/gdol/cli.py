@@ -82,7 +82,9 @@ def _select(names: list[str], targets: list[str], what: str) -> list[str]:
 
 
 def _print_diagnostics(env: ExpansionEnv) -> None:
-    for d in env.diagnostics:
+    # sorted: the order they were found in follows set iteration, which
+    # changes with the hash seed
+    for d in sorted(env.diagnostics):
         print(f"warning: {d}", file=sys.stderr)
 
 

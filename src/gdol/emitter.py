@@ -12,6 +12,7 @@ all frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import GdolError, UnstratifiedName
 from .model import (
@@ -140,10 +141,10 @@ def _frames_text(o: Ontology, nm) -> str:
         kinds[name] = kind
     clauses: dict[Name, list[tuple[int, object, str]]] = {n: [] for n in kinds}
     standalone: list[tuple[object, str]] = []
-    for a in sorted(o.axioms, key=axiom_key):
+    for key, a in sorted(((axiom_key(a), a) for a in o.axioms), key=itemgetter(0)):
         subject, inferred, kw, value = _placement(a, nm)
         if subject is None:
-            standalone.append((axiom_key(a), f"{kw}: {value}"))
+            standalone.append((key, f"{kw}: {value}"))
             continue
         if subject not in kinds:
             # canonical pair order may have led with an undeclared name;
@@ -154,7 +155,7 @@ def _frames_text(o: Ontology, nm) -> str:
             else:
                 kinds[subject] = inferred
                 clauses[subject] = []
-        clauses[subject].append((_CLAUSES[kw], axiom_key(a), f"{kw}: {value}"))
+        clauses[subject].append((_CLAUSES[kw], key, f"{kw}: {value}"))
     lines: list[str] = []
     for kind in _KIND_ORDER:
         for name in sorted((n for n, k in kinds.items() if k is kind), key=name_key):

@@ -2,11 +2,14 @@
 
 An ExpansionEnv holds every top-level pattern and ontology definition from a
 set of documents.  Expanding a named ontology walks its spec tree and adds
-what every node contributes to one OntologyBuilder, frozen once at the end:
-basic fragments are stratified, instantiations are bound, substituted, and
-expanded recursively, and references to other named ontologies reuse a
-memoized expansion.  Verification obligations are collected per named
-ontology as instantiations are encountered.
+what every node contributes to one OntologyBuilder, frozen once at the end.
+An instantiation walks its pattern body with its binding: basic fragments
+are substituted, stratified and canonicalized in one rebuild straight into
+the builder, nested instantiations substitute their arguments, let-bound
+patterns are substituted where they are defined, and references to other
+named ontologies reuse a memoized expansion.  Verification obligations are
+collected per named ontology as instantiations are encountered.  A name
+takes part in a merge warning only once the value it belongs to is kept.
 
 List recursion consumes one element per frame and hands its tail on as the
 very tuple it bound, so a frame recognises tails an earlier frame of the same
@@ -17,7 +20,8 @@ That keeps the work per frame proportional to what the frame adds.
 A kind clash is reported as the first one a fold of per-node values with
 `Ontology.union` would meet.  The single accumulator finds a clash no later
 than that fold does, but not always the same one, so on a clash the
-expansion is rerun with one builder per node, which reproduces the fold.
+expansion is rerun with one builder per node, which reproduces the fold;
+there each fragment and each frame's declarations are an Ontology alone.
 
 Recursion depth is bounded by a budget counted in nested instantiation
 frames.  Deeply recursive patterns are legitimate, so the public entry points
@@ -31,7 +35,7 @@ from __future__ import annotations
 import sys
 import threading
 from collections import ChainMap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import (
@@ -43,9 +47,11 @@ from .model import (
     Argument, Axiom, BasicSpec, ConsArg, Decl, Document, EmptyArg, EmptySpec,
     ExtensionSpec, InstSpec, LetSpec, ListArg, Name, Obligation, Ontology,
     OntologyBuilder, OntologyDef, Parameter, PatternDef, Spec, SymbolArg,
-    SymbolKind, TopDecl, UnionSpec, axiom_names, canon_axiom, map_axiom,
-    map_ontology, stratify, subst_axiom, substitute,
+    SymbolKind, TopDecl, UnionSpec, axiom_names, canon_axiom, stratify,
+    subst_arguments, subst_axiom, subst_decls, subst_pattern_def,
 )
+
+_Found = tuple[Axiom, str, str, int]  # an obligation's axiom, pattern, param, index
 
 DEFAULT_DEPTH_BUDGET = 10000
 
@@ -171,7 +177,7 @@ class _Run:
 
     def __init__(self, exact: bool) -> None:
         self.exact = exact  # one builder per spec node: the kind-clash rerun
-        self.sink: list[Obligation] = []
+        self.sink: list[_Found] = []
         self.declared: dict[tuple[int, SymbolKind], tuple[Argument, ...]] = {}
         self.frames: dict[tuple[int, ...], tuple] = {}
 
@@ -219,6 +225,7 @@ class ExpansionEnv:
         self._stratified: set[str] = set()
         self._plain: set[str] = set()
         self._warned: set[str] = set()
+        self._queued: list[tuple[str, bool]] = []  # (flat name, stratified) for _note
         scope: dict[str, object] = {}
         for name, decl in self.library.items():
             scope[name] = _Closure(decl, scope) if isinstance(decl, PatternDef) else decl
@@ -238,22 +245,25 @@ class ExpansionEnv:
     # --- name stratification with collision tracking ---
 
     def _strat(self, n: Name) -> Name:
+        """Stratify a name of a value under substitution; queue it for `_note`."""
         if not n.args:
-            self._plain.add(n.base)
-            if n.base in self._stratified and n.base not in self._warned:
-                self._warned.add(n.base)
-                self.diagnostics.append(
-                    f"stratified name {n.base!r} coincides with a plain name; the two merge"
-                )
+            self._queued.append((n.base, False))
             return n
         flat = stratify(n)
-        self._stratified.add(flat)
-        if flat in self._plain and flat not in self._warned:
-            self._warned.add(flat)
-            self.diagnostics.append(
-                f"stratified name {flat!r} coincides with a plain name; the two merge"
-            )
+        self._queued.append((flat, True))
         return Name(flat)
+
+    def _note(self) -> None:
+        """Record the queued names of a kept value; warn once for each flat
+        name that is both a stratified and a plain name."""
+        for flat, stratified in self._queued:
+            (self._stratified if stratified else self._plain).add(flat)
+            if flat in self._stratified and flat in self._plain and flat not in self._warned:
+                self._warned.add(flat)
+                self.diagnostics.append(
+                    f"stratified name {flat!r} coincides with a plain name; the two merge"
+                )
+        self._queued.clear()
 
     # --- named ontologies ---
 
@@ -282,19 +292,19 @@ class ExpansionEnv:
         return self._cache_obs[name]
 
     @staticmethod
-    def _finalize(sink: list[Obligation], name: str, context: Ontology) -> tuple[Obligation, ...]:
+    def _finalize(sink: list[_Found], name: str, context: Ontology) -> tuple[Obligation, ...]:
         seen = set()
         out = []
-        for ob in sink:
-            if ob.axiom in seen:
+        for axiom, pattern, param, index in sink:
+            if axiom in seen:
                 continue
-            seen.add(ob.axiom)
-            out.append(replace(ob, ontology=name, context=context))
+            seen.add(axiom)
+            out.append(Obligation(axiom, name, pattern, param, index, context))
         return tuple(out)
 
     # --- spec walking ---
 
-    def _expand_root(self, spec: Spec, imports: tuple[str, ...] = ()) -> tuple[Ontology, list[Obligation]]:
+    def _expand_root(self, spec: Spec, imports: tuple[str, ...] = ()) -> tuple[Ontology, list[_Found]]:
         """Expand spec, then unite the given named imports, in one run.  A
         kind clash is confirmed by an exact rerun, which reports the clash
         a per-node fold meets first."""
@@ -310,48 +320,85 @@ class ExpansionEnv:
             raise
 
     def _expand_run(self, spec: Spec, imports: tuple[str, ...],
-                    exact: bool) -> tuple[Ontology, list[Obligation]]:
+                    exact: bool) -> tuple[Ontology, list[_Found]]:
         outer, self._run = self._run, _Run(exact)
         try:
             out = OntologyBuilder()
-            self._expand_spec(spec, self._global_scope, out)
+            self._expand_spec(spec, self._global_scope, out, {})
             for imp in imports:
                 out.add(self.expand_named(imp))
             return out.freeze(), self._run.sink
         finally:
             self._run = outer
 
-    def _expand_part(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder) -> None:
+    def _expand_part(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder,
+                     binding: Mapping[str, Argument]) -> None:
         """Expand one operand of a union.  An exact run gives it a builder
         of its own, checked against its siblings only once complete."""
         if not self._run.exact:
-            self._expand_spec(spec, scope, out)
+            self._expand_spec(spec, scope, out, binding)
             return
         part = OntologyBuilder()
-        self._expand_spec(spec, scope, part)
+        self._expand_spec(spec, scope, part, binding)
         out.add(part.freeze())
 
-    def _expand_spec(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder) -> None:
+    def _expand_spec(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder,
+                     binding: Mapping[str, Argument]) -> None:
+        """Expand spec with binding substituted into it on the way."""
         match spec:
             case BasicSpec(ontology):
-                out.add(map_ontology(ontology, self._strat))
+                self._add(ontology.decls, ontology.axioms, binding, out)
             case UnionSpec(left, right) | ExtensionSpec(left, right):
-                self._expand_part(left, scope, out)
-                self._expand_part(right, scope, out)
+                self._expand_part(left, scope, out, binding)
+                self._expand_part(right, scope, out, binding)
             case InstSpec():
-                self._expand_inst(spec, scope, out)
+                args = subst_arguments(spec.args, binding)
+                if args is not None:  # else an argument mentions an empty-bound name
+                    self._expand_inst(spec, args, scope, out)
             case LetSpec(locals_, body):
                 inner: dict[str, object] = {}
                 chained: Mapping[str, object] = ChainMap(inner, scope)
                 for p in locals_:
+                    if binding:
+                        p = subst_pattern_def(p, binding)
                     inner[p.name] = _Closure(p, chained)
-                self._expand_spec(body, chained, out)
+                self._expand_spec(body, chained, out, binding)
             case EmptySpec():
                 pass
             case _:
                 raise TypeError(f"not a spec: {spec!r}")
 
-    def _expand_inst(self, spec: InstSpec, scope: Mapping[str, object], out: OntologyBuilder) -> None:
+    def _subst_axioms(self, axioms: Iterable[Axiom], binding: Mapping[str, Argument]) -> list[Axiom]:
+        """Substitute, stratify and canonicalize axioms.  One deleted by an
+        empty binding leaves none of its names queued."""
+        kept = []
+        for a in axioms:
+            mark = len(self._queued)
+            b = subst_axiom(a, binding, self._strat)
+            if b is None:
+                del self._queued[mark:]
+            else:
+                kept.append(canon_axiom(b))
+        return kept
+
+    def _add(self, decls: Iterable[Decl], axioms: Iterable[Axiom],
+             binding: Mapping[str, Argument], out: OntologyBuilder) -> None:
+        """Substitute, stratify and canonicalize one node into out, then
+        record its names.  An exact run checks the node as an Ontology of
+        its own, before and after stratification, as the per-node fold did."""
+        if self._run.exact:
+            Ontology(frozenset(subst_decls(decls, binding)))
+        self._queued.clear()
+        decls = subst_decls(decls, binding, self._strat)
+        axioms = self._subst_axioms(axioms, binding)
+        if self._run.exact:
+            out.add(Ontology(frozenset(decls), frozenset(axioms)))
+        else:
+            out.extend(decls, axioms)
+        self._note()
+
+    def _expand_inst(self, spec: InstSpec, args: tuple[Argument, ...],
+                     scope: Mapping[str, object], out: OntologyBuilder) -> None:
         target = scope.get(spec.pattern)
         if target is None:
             raise UnknownPattern(spec.pattern)
@@ -366,14 +413,14 @@ class ExpansionEnv:
         try:
             if self._depth > self.depth_budget:
                 raise DepthExceeded(self.depth_budget, pdef.name)
-            binding = bind_arguments(pdef, spec.args)
+            binding = bind_arguments(pdef, args)
             if binding.exhausted:
                 return
             self._collect_obligations(pdef, binding)
-            out.add(map_ontology(Ontology.of(self._param_decls(pdef, binding)), self._strat))
+            self._add(self._param_decls(pdef, binding), (), {}, out)
             for imp in pdef.imports:
                 out.add(self.expand_named(imp))
-            self._expand_part(substitute(pdef.body, binding.mapping), target.scope, out)
+            self._expand_part(pdef.body, target.scope, out, binding.mapping)
         finally:
             self._depth -= 1
 
@@ -415,12 +462,10 @@ class ExpansionEnv:
 
     def _emit_obligations(self, pattern: str, param: Parameter, index: int,
                           view: Mapping[str, Argument]) -> None:
-        for constraint in param.constraints:
-            ax = subst_axiom(constraint, view)
-            if ax is None:
-                continue
-            ax = canon_axiom(map_axiom(ax, self._strat))
-            self._run.sink.append(Obligation(ax, "", pattern, param.name, index))
+        self._queued.clear()
+        for ax in self._subst_axioms(param.constraints, view):
+            self._run.sink.append((ax, pattern, param.name, index))
+        self._note()
 
 
 # --- public entry points -----------------------------------------------------

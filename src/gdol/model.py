@@ -5,7 +5,7 @@ accumulator an expansion collects its ontology in before freezing it.  The
 three primitive operations the rest of the compiler builds on live here too:
 stratification of parameterized names, ontology union under
 Same-Name-Same-Thing, and simultaneous substitution of arguments for
-parameter names inside a spec tree.
+parameter names, which also renames every name it builds in the same pass.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Collection, Iterable, Mapping, Union
 
 from .errors import KindClash, ShadowWarning, SubstitutionError
 
@@ -395,11 +395,15 @@ class OntologyBuilder:
     def add(self, o: Ontology) -> None:
         """Merge o in place; raises the KindClash that uniting everything
         added so far with o would raise."""
+        self.extend(o.decls, o.axioms)
+
+    def extend(self, decls: Collection[Decl], axioms: Iterable[Axiom] = ()) -> None:
+        """`add` for declarations and canonical axioms not made an Ontology."""
         kinds = self._kinds
-        for kind, name in o.decls:
+        for kind, name in decls:
             if kinds.setdefault(name, kind) is not kind:
-                raise _kind_clash(chain(self._decls(), o.decls))
-        self._axioms |= o.axioms
+                raise _kind_clash(chain(self._decls(), decls))
+        self._axioms.update(axioms)
 
     def freeze(self) -> Ontology:
         return Ontology(frozenset(self._decls()), frozenset(self._axioms))
@@ -410,56 +414,9 @@ class OntologyBuilder:
 NameFn = Callable[[Name], Name]
 
 
-def map_prop(p: PropExpr, fn: NameFn) -> PropExpr:
-    return PropExpr(fn(p.name), p.inverse)
-
-
-def map_expr(e: ClassExpr, fn: NameFn) -> ClassExpr:
-    match e:
-        case Named(name):
-            return Named(fn(name))
-        case Some(prop, filler):
-            return Some(map_prop(prop, fn), map_expr(filler, fn))
-        case Only(prop, filler):
-            return Only(map_prop(prop, fn), map_expr(filler, fn))
-        case Max(n, prop, filler):
-            return Max(n, map_prop(prop, fn), map_expr(filler, fn))
-        case And(operands):
-            return And(tuple(map_expr(c, fn) for c in operands))
-        case OneOf(members):
-            return OneOf(tuple(fn(m) for m in members))
-    raise TypeError(f"not a class expression: {e!r}")
-
-
 def map_axiom(a: Axiom, fn: NameFn) -> Axiom:
-    match a:
-        case SubClassOf(sub, sup):
-            return SubClassOf(map_expr(sub, fn), map_expr(sup, fn))
-        case EquivalentClasses(x, y):
-            return EquivalentClasses(map_expr(x, fn), map_expr(y, fn))
-        case DisjointClasses(x, y):
-            return DisjointClasses(map_expr(x, fn), map_expr(y, fn))
-        case SubPropertyOf(sub, sup):
-            return SubPropertyOf(map_prop(sub, fn), map_prop(sup, fn))
-        case InverseProps(x, y):
-            return InverseProps(fn(x), fn(y))
-        case Domain(p, c):
-            return Domain(fn(p), map_expr(c, fn))
-        case Range(p, c):
-            return Range(fn(p), map_expr(c, fn))
-        case Functional(p):
-            return Functional(fn(p))
-        case Transitive(p):
-            return Transitive(fn(p))
-        case SubPropertyChain(p, chain):
-            return SubPropertyChain(fn(p), tuple(map_prop(q, fn) for q in chain))
-        case ClassAssertion(c, i):
-            return ClassAssertion(map_expr(c, fn), fn(i))
-        case PropAssertion(p, s, o):
-            return PropAssertion(fn(p), fn(s), fn(o))
-        case DifferentIndividuals(members):
-            return DifferentIndividuals(tuple(fn(m) for m in members))
-    raise TypeError(f"not an axiom: {a!r}")
+    """Apply fn to every name of an axiom: a substitution that binds nothing."""
+    return subst_axiom(a, {}, fn)  # type: ignore[return-value]  # never None
 
 
 def map_ontology(o: Ontology, fn: NameFn) -> Ontology:
@@ -625,15 +582,21 @@ class _MentionsEmpty(Exception):
     parameter.  Never escapes this module."""
 
 
-def _subst_name(n: Name, binding: Mapping[str, Argument]) -> Name:
-    new_args = tuple(_subst_name(a, binding) for a in n.args)
+def _same(n: Name) -> Name:
+    return n
+
+
+def _subst_name(n: Name, binding: Mapping[str, Argument], fn: NameFn = _same) -> Name:
+    """Substitute into one name, then apply fn to the result (not to the
+    arguments inside it)."""
+    new_args = tuple(_subst_name(a, binding) for a in n.args) if n.args else ()
     bound = binding.get(n.base)
     if bound is None:
-        return Name(n.base, new_args) if n.args else n
+        return fn(Name(n.base, new_args) if n.args else n)
     match bound:
         case SymbolArg(name=repl):
             # a parameterized replacement keeps its own arguments in front
-            return Name(repl.base, repl.args + new_args)
+            return fn(Name(repl.base, repl.args + new_args) if new_args else repl)
         case EmptyArg():
             raise _MentionsEmpty
         case ListArg(_) | ConsArg(_, _):
@@ -643,7 +606,8 @@ def _subst_name(n: Name, binding: Mapping[str, Argument]) -> Name:
     raise TypeError(f"not an argument: {bound!r}")
 
 
-def _subst_members(members: tuple[Name, ...], binding: Mapping[str, Argument]) -> tuple[Name, ...]:
+def _subst_members(members: tuple[Name, ...], binding: Mapping[str, Argument],
+                   fn: NameFn) -> tuple[Name, ...]:
     """Individual-enumeration positions: a name bound to a list splices its
     elements in place (Fig-11 style `{v0, vs}`)."""
     out: list[Name] = []
@@ -653,76 +617,89 @@ def _subst_members(members: tuple[Name, ...], binding: Mapping[str, Argument]) -
             for item in bound.items:
                 match item:
                     case SymbolArg(name=nm):
-                        out.append(nm)
+                        out.append(fn(nm))
                     case EmptyArg():
                         raise _MentionsEmpty
                     case _:
                         raise SubstitutionError("nested list in individual enumeration")
         else:
-            out.append(_subst_name(m, binding))
+            out.append(_subst_name(m, binding, fn))
     return tuple(out)
 
 
-def _subst_prop(p: PropExpr, binding: Mapping[str, Argument]) -> PropExpr:
-    return PropExpr(_subst_name(p.name, binding), p.inverse)
+def _subst_prop(p: PropExpr, binding: Mapping[str, Argument], fn: NameFn) -> PropExpr:
+    return PropExpr(_subst_name(p.name, binding, fn), p.inverse)
 
 
-def _subst_expr(e: ClassExpr, binding: Mapping[str, Argument]) -> ClassExpr:
+def _subst_expr(e: ClassExpr, binding: Mapping[str, Argument], fn: NameFn) -> ClassExpr:
     match e:
         case Named(name):
-            return Named(_subst_name(name, binding))
+            return Named(_subst_name(name, binding, fn))
         case Some(prop, filler):
-            return Some(_subst_prop(prop, binding), _subst_expr(filler, binding))
+            return Some(_subst_prop(prop, binding, fn), _subst_expr(filler, binding, fn))
         case Only(prop, filler):
-            return Only(_subst_prop(prop, binding), _subst_expr(filler, binding))
+            return Only(_subst_prop(prop, binding, fn), _subst_expr(filler, binding, fn))
         case Max(n, prop, filler):
-            return Max(n, _subst_prop(prop, binding), _subst_expr(filler, binding))
+            return Max(n, _subst_prop(prop, binding, fn), _subst_expr(filler, binding, fn))
         case And(operands):
-            return And(tuple(_subst_expr(c, binding) for c in operands))
+            return And(tuple(_subst_expr(c, binding, fn) for c in operands))
         case OneOf(members):
-            return OneOf(_subst_members(members, binding))
+            return OneOf(_subst_members(members, binding, fn))
     raise TypeError(f"not a class expression: {e!r}")
 
 
-def subst_axiom(a: Axiom, binding: Mapping[str, Argument]) -> Axiom | None:
-    """Substitute into one axiom; None when it mentions an empty-bound name
-    and is therefore deleted."""
+def subst_axiom(a: Axiom, binding: Mapping[str, Argument], fn: NameFn = _same) -> Axiom | None:
+    """Substitute into one axiom and apply fn to every name of the result,
+    in one rebuild; None when it mentions an empty-bound name and is
+    therefore deleted.  fn may already have seen some names of a deleted
+    axiom."""
+    b = binding
     try:
         match a:
             case SubClassOf(sub, sup):
-                return SubClassOf(_subst_expr(sub, binding), _subst_expr(sup, binding))
+                return SubClassOf(_subst_expr(sub, b, fn), _subst_expr(sup, b, fn))
             case EquivalentClasses(x, y):
-                return EquivalentClasses(_subst_expr(x, binding), _subst_expr(y, binding))
+                return EquivalentClasses(_subst_expr(x, b, fn), _subst_expr(y, b, fn))
             case DisjointClasses(x, y):
-                return DisjointClasses(_subst_expr(x, binding), _subst_expr(y, binding))
+                return DisjointClasses(_subst_expr(x, b, fn), _subst_expr(y, b, fn))
             case SubPropertyOf(sub, sup):
-                return SubPropertyOf(_subst_prop(sub, binding), _subst_prop(sup, binding))
+                return SubPropertyOf(_subst_prop(sub, b, fn), _subst_prop(sup, b, fn))
             case InverseProps(x, y):
-                return InverseProps(_subst_name(x, binding), _subst_name(y, binding))
+                return InverseProps(_subst_name(x, b, fn), _subst_name(y, b, fn))
             case Domain(p, c):
-                return Domain(_subst_name(p, binding), _subst_expr(c, binding))
+                return Domain(_subst_name(p, b, fn), _subst_expr(c, b, fn))
             case Range(p, c):
-                return Range(_subst_name(p, binding), _subst_expr(c, binding))
+                return Range(_subst_name(p, b, fn), _subst_expr(c, b, fn))
             case Functional(p):
-                return Functional(_subst_name(p, binding))
+                return Functional(_subst_name(p, b, fn))
             case Transitive(p):
-                return Transitive(_subst_name(p, binding))
+                return Transitive(_subst_name(p, b, fn))
             case SubPropertyChain(p, chain):
-                return SubPropertyChain(
-                    _subst_name(p, binding),
-                    tuple(_subst_prop(q, binding) for q in chain),
-                )
+                return SubPropertyChain(_subst_name(p, b, fn),
+                                        tuple(_subst_prop(q, b, fn) for q in chain))
             case ClassAssertion(c, i):
-                return ClassAssertion(_subst_expr(c, binding), _subst_name(i, binding))
+                return ClassAssertion(_subst_expr(c, b, fn), _subst_name(i, b, fn))
             case PropAssertion(p, s, o):
-                return PropAssertion(
-                    _subst_name(p, binding), _subst_name(s, binding), _subst_name(o, binding)
-                )
+                return PropAssertion(_subst_name(p, b, fn), _subst_name(s, b, fn),
+                                     _subst_name(o, b, fn))
             case DifferentIndividuals(members):
-                return DifferentIndividuals(_subst_members(members, binding))
+                return DifferentIndividuals(_subst_members(members, b, fn))
     except _MentionsEmpty:
         return None
     raise TypeError(f"not an axiom: {a!r}")
+
+
+def subst_decls(decls: Iterable[Decl], binding: Mapping[str, Argument],
+                fn: NameFn = _same) -> list[Decl]:
+    """Substitute into declarations, then apply fn to each name; those
+    naming an empty-bound parameter are dropped."""
+    out: list[Decl] = []
+    for kind, name in decls:
+        try:
+            out.append((kind, _subst_name(name, binding, fn)))
+        except _MentionsEmpty:
+            continue
+    return out
 
 
 def subst_argument(arg: Argument, binding: Mapping[str, Argument]) -> Argument:
@@ -759,18 +736,21 @@ def subst_argument(arg: Argument, binding: Mapping[str, Argument]) -> Argument:
     raise TypeError(f"not an argument: {arg!r}")
 
 
-def _subst_ontology(o: Ontology, binding: Mapping[str, Argument]) -> Ontology:
-    decls: list[Decl] = []
-    for kind, name in o.decls:
-        try:
-            decls.append((kind, _subst_name(name, binding)))
-        except _MentionsEmpty:
-            continue
-    axioms = [b for a in o.axioms if (b := subst_axiom(a, binding)) is not None]
-    return Ontology.of(decls, axioms)
+def subst_arguments(args: tuple[Argument, ...],
+                    binding: Mapping[str, Argument]) -> tuple[Argument, ...] | None:
+    """Substitute into an instantiation's arguments; None when one mentions
+    an empty-bound name, which elides the whole instantiation."""
+    if not binding:
+        return args
+    try:
+        return tuple(subst_argument(a, binding) for a in args)
+    except _MentionsEmpty:
+        return None
 
 
-def _subst_pattern_def(p: PatternDef, binding: Mapping[str, Argument]) -> PatternDef:
+def subst_pattern_def(p: PatternDef, binding: Mapping[str, Argument]) -> PatternDef:
+    """Substitute into a let-bound pattern definition; its own parameters
+    shadow the outer binding."""
     own = {q.name for q in p.params} | {q.list_tail for q in p.params if q.list_tail}
     shadowed = own & set(binding)
     if shadowed:
@@ -797,21 +777,21 @@ def substitute(spec: Spec, binding: Mapping[str, Argument]) -> Spec:
     if not binding:
         return spec
     match spec:
-        case BasicSpec(ontology):
-            return BasicSpec(_subst_ontology(ontology, binding))
+        case BasicSpec(o):
+            axioms = [b for a in o.axioms if (b := subst_axiom(a, binding)) is not None]
+            return BasicSpec(Ontology.of(subst_decls(o.decls, binding), axioms))
         case UnionSpec(left, right):
             return UnionSpec(substitute(left, binding), substitute(right, binding))
         case ExtensionSpec(base, ext):
             return ExtensionSpec(substitute(base, binding), substitute(ext, binding))
         case InstSpec(pattern, args, bracketed, loc):
-            try:
-                new_args = tuple(subst_argument(a, binding) for a in args)
-            except _MentionsEmpty:
+            new_args = subst_arguments(args, binding)
+            if new_args is None:
                 return EmptySpec()
             return InstSpec(pattern, new_args, bracketed, loc)
         case LetSpec(locals_, body):
             return LetSpec(
-                tuple(_subst_pattern_def(p, binding) for p in locals_),
+                tuple(subst_pattern_def(p, binding) for p in locals_),
                 substitute(body, binding),
             )
         case EmptySpec():

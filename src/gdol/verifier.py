@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import ChainMap
 from copy import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -381,7 +381,8 @@ def check_obligations(obligations: Iterable[Obligation],
     for ob in obligations:
         res = entails(ob.context, ob.axiom, config, _slot=slot)
         status = "proven" if res.proven else "unproven"
-        out.append(replace(ob, status=status, diagnostic=res.reason))
+        out.append(Obligation(ob.axiom, ob.ontology, ob.pattern, ob.param, ob.index,
+                              ob.context, status, res.reason))
     return tuple(out)
 
 
@@ -426,19 +427,23 @@ def check_refinement(refdef: RefinementDef, env, config: RuleEngineConfig = DEFA
 
 def export_obligations(obligations: Iterable[Obligation], directory: Path) -> list[Path]:
     """Write one Manchester file per obligation: the context theory followed
-    by a comment block naming the goal."""
+    by a comment block naming the goal.  Each distinct context is rendered
+    once."""
     from .emitter import axiom_text, emit_manchester
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     counters: dict[tuple[str, str, str], int] = {}
+    bodies: dict[Ontology, str] = {}
     for ob in obligations:
         key = (ob.ontology, ob.pattern, ob.param)
         k = counters.get(key, 0)
         counters[key] = k + 1
         name = f"{ob.ontology}__{ob.pattern}__{ob.param}__{k}.omn"
-        body = emit_manchester(ob.context)
+        body = bodies.get(ob.context)
+        if body is None:
+            body = bodies[ob.context] = emit_manchester(ob.context)
         text = (
             f"{body}"
             f"%% goal: {axiom_text(ob.axiom)}\n"

@@ -159,3 +159,53 @@ def test_kind_clash_is_the_same_under_any_hash_seed(tmp_path):
                               capture_output=True, text=True, env=env, check=False)
         results.add((proc.returncode, proc.stderr))
     assert results == {(2, "error: 'A' declared both as Class and as ObjectProperty\n")}
+
+
+def test_merge_warnings_are_the_same_under_any_hash_seed(tmp_path):
+    src = tmp_path / "merge.gdol"
+    src.write_text(
+        "pattern P [ Class: X ] =\n"
+        "  Class: f[X] Class: g[X] Class: h[X] Class: k[X]\n"
+        "  Class: f_a Class: g_a Class: h_a Class: k_a\n"
+        "ontology O = P[a]\n")
+    results = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "gdol.cli", "expand", str(src),
+                               "--out", str(tmp_path)],
+                              capture_output=True, env=env, check=False)
+        results.add((proc.returncode, proc.stderr))
+    assert results == {(0, b"".join(
+        b"warning: stratified name '%s_a' coincides with a plain name; the two merge\n" % c
+        for c in (b"f", b"g", b"h", b"k")))}
+
+
+def test_exported_obligations_render_each_context_once(tmp_path, capsys, monkeypatch):
+    from gdol import emitter
+
+    src = tmp_path / "ex.gdol"
+    src.write_text(
+        "pattern P [ Class: D; {ObjectProperty: p Domain: D} :: ps ] =\n"
+        "  Class: D SubClassOf: Top then P[D; ps]\n"
+        "ontology A = P[C; [r, s]]\n"
+        "ontology B = P[E; [t]] and ObjectProperty: t\n")
+    contexts = []
+    emit = emitter.emit_manchester
+
+    def counting_emit(o):
+        contexts.append(o)
+        return emit(o)
+
+    monkeypatch.setattr(emitter, "emit_manchester", counting_emit)
+    out_dir = tmp_path / "obligations"
+    assert main(["check", str(src), "--emit-obligations", str(out_dir)]) == 0
+    assert len(contexts) == 2  # A's two obligations share one context
+    files = {p.name: p.read_bytes() for p in out_dir.glob("*.omn")}
+    a_body = b"Class: C\n  SubClassOf: Top\nObjectProperty: r\nObjectProperty: s\n"
+    assert files == {
+        "A__P__p__0.omn": a_body + b"%% goal: r Domain: C\n%% from: A :: P/p#0\n",
+        "A__P__p__1.omn": a_body + b"%% goal: s Domain: C\n%% from: A :: P/p#1\n",
+        "B__P__p__0.omn": b"Class: E\n  SubClassOf: Top\nObjectProperty: t\n"
+                          b"%% goal: t Domain: E\n%% from: B :: P/p#0\n",
+    }

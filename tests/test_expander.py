@@ -253,6 +253,17 @@ def test_name_collision_diagnostic(env):
     assert any("licencedFor_le_BMotorVehicle" in d for d in env.diagnostics)
 
 
+def test_names_of_deleted_axioms_and_obligations_never_merge():
+    doc = parse_document(
+        "pattern P [ Class: X; ? Class: E; {ObjectProperty: p Domain: k[X] some E} ] =\n"
+        "  Class: X SubClassOf: g[X] some E\n"
+        "  Class: X SubClassOf: h[X]\n"
+        "ontology O = P[a; ; r] and Class: g_a Class: h_a Class: k_a\n")
+    env = ExpansionEnv.from_documents([doc])
+    run_deep(lambda: env.obligations("O"))
+    assert env.diagnostics == ["stratified name 'h_a' coincides with a plain name; the two merge"]
+
+
 def test_shadowing_warns_but_expands():
     doc = parse_document(
         "pattern Outer [ Class: X ] =\n"
@@ -392,6 +403,15 @@ def test_list_recursion_work_grows_linearly(corpus_docs, monkeypatch):
         assert large[what] <= 4.5 * small[what], (what, small, large)
 
 
+def test_expansion_builds_no_ontology_per_fragment(corpus_docs, monkeypatch):
+    """Fragments and parameter declarations go straight into the builder, so
+    an expansion constructs one Ontology when it freezes, plus one for the
+    fragment of the let-bound OrderStep that VAL_Set substitutes when it is
+    instantiated, however long the list."""
+    for n in (40, 160):
+        assert _expansion_work(corpus_docs, monkeypatch, n)["construct"] == 2
+
+
 # --- kind clashes through expansion ---------------------------------------------
 
 @pytest.mark.parametrize("source, name, kinds", [
@@ -402,6 +422,11 @@ def test_list_recursion_work_grows_linearly(corpus_docs, monkeypatch):
      "ontology O = Q[B; A] and Q[A; B]\n", "A", ("Class", "ObjectProperty")),
     ("pattern R [ Individual: i :: is ] = Class: i then R[is]\n"
      "ontology O = R[[m, n]] and Class: z\n", "n", ("Class", "Individual")),
+    # a node whose own names clash once substituted names them as written
+    ("pattern K [ Class: x; ObjectProperty: y ] = Class: x\n"
+     "ontology O = K[f[a]; f[a]]\n", "f[a]", ("Class", "ObjectProperty")),
+    ("pattern F [ Class: x; Class: y ] = Class: x ObjectProperty: y\n"
+     "ontology O = F[f[a]; f[a]] and Class: f_a\n", "f[a]", ("Class", "ObjectProperty")),
 ])
 def test_kind_clash_through_expansion_names_the_first_clash(source, name, kinds):
     env = ExpansionEnv.from_documents([parse_document(source)])

@@ -39,7 +39,8 @@ from gdol import (
     parse_document,
     substitute,
 )
-from gdol.model import Max, subst_argument, subst_axiom, union
+from gdol.errors import SubstitutionError
+from gdol.model import Max, map_axiom, stratify, subst_argument, subst_axiom, union
 
 A, B, C = Name("A"), Name("B"), Name("C")
 p = PropExpr(Name("p"))
@@ -219,3 +220,88 @@ def test_rename_substitutions_compose(a, b1, b2):
     for k, v in b2.items():
         composed.setdefault(k, v)
     assert subst_axiom(subst_axiom(a, b1), b2) == subst_axiom(a, composed)
+
+
+# --- substitution fused with stratification ------------------------------------
+
+_fX = Name("f", (Name("X"),))
+_fused_names = st.sampled_from([Name(s) for s in ("A", "B", "X", "Y", "vs", "f_A")] + [_fX])
+_fused_props = st.builds(PropExpr, _fused_names, st.booleans())
+_symbols = st.sampled_from([Name("A"), Name("B"), Name("f_A"), Name("g", (Name("A"),))]).map(SymbolArg)
+_fused_values = st.one_of(
+    _symbols,
+    st.just(EmptyArg()),
+    st.lists(st.one_of(_symbols, st.just(EmptyArg())), max_size=3).map(
+        lambda xs: ListArg(tuple(xs))),
+)
+_fused_bindings = st.dictionaries(st.sampled_from(["X", "Y", "vs"]), _fused_values, max_size=3)
+
+
+def _fused_exprs(depth: int):
+    leaf = st.one_of(st.builds(Named, _fused_names),
+                     st.lists(_fused_names, min_size=1, max_size=4).map(lambda xs: OneOf(tuple(xs))))
+    if depth == 0:
+        return leaf
+    sub = _fused_exprs(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Some, _fused_props, sub),
+        st.lists(sub, min_size=1, max_size=3).map(lambda xs: And(tuple(xs))),
+    )
+
+
+_fused_axioms = st.one_of(
+    st.builds(SubClassOf, _fused_exprs(2), _fused_exprs(2)),
+    st.builds(EquivalentClasses, _fused_exprs(1), _fused_exprs(1)),
+    st.builds(Domain, _fused_names, _fused_exprs(1)),
+    st.builds(ClassAssertion, _fused_exprs(1), _fused_names),
+    st.builds(PropAssertion, _fused_names, _fused_names, _fused_names),
+    st.builds(SubPropertyChain, _fused_names,
+              st.lists(_fused_props, min_size=2, max_size=3).map(tuple)),
+    st.lists(_fused_names, min_size=1, max_size=5).map(
+        lambda xs: DifferentIndividuals(tuple(xs))),
+)
+
+
+def _strat(n: Name) -> Name:
+    return Name(stratify(n))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except SubstitutionError as exc:
+        return str(exc)
+
+
+@given(_fused_axioms, _fused_bindings)
+def test_stratifying_while_substituting_matches_stratifying_after(a, binding):
+    """One rebuild with a name function gives what substituting, mapping
+    and canonicalizing gave as separate passes, including list splicing in
+    enumerations and deletion by empty-bound names."""
+    def fused():
+        b = subst_axiom(a, binding, _strat)
+        return None if b is None else canon_axiom(b)
+
+    def separate():
+        b = subst_axiom(a, binding)
+        return None if b is None else canon_axiom(map_axiom(b, _strat))
+
+    def twice_canonical():  # the old fragment path canonicalized before and after
+        b = subst_axiom(a, binding)
+        return None if b is None else canon_axiom(map_axiom(canon_axiom(b), _strat))
+
+    assert _outcome(fused) == _outcome(separate) == _outcome(twice_canonical)
+
+
+def test_fused_substitution_splices_and_deletes():
+    members = DifferentIndividuals((Name("vs"), _fX, Name("f_A")))
+    assert subst_axiom(members, {"vs": ListArg((SymbolArg(_fX), SymbolArg(A))),
+                                 "X": SymbolArg(A)}, _strat) == \
+        DifferentIndividuals((Name("f_X"), A, Name("f_A"), Name("f_A")))
+    assert subst_axiom(members, {"vs": ListArg((EmptyArg(),))}, _strat) is None
+    assert subst_axiom(Domain(_fX, Named(A)), {"X": EmptyArg()}, _strat) is None
+    seen: list[Name] = []  # fn sees each name of the result, not the names inside it
+    gA = Name("g", (A,))
+    subst_axiom(Domain(_fX, Named(Name("X"))), {"X": SymbolArg(gA)}, lambda n: seen.append(n) or n)
+    assert seen == [Name("f", (gA,)), gA]
