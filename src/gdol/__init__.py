@@ -23,7 +23,7 @@ from .model import (
 from .parser import parse_document, parse_manchester_fragment
 from .expander import (
     DEFAULT_DEPTH_BUDGET, Binding, ExpansionEnv, bind_arguments,
-    expand_spec_standalone, run_deep,
+    expand_spec_standalone,
 )
 from .verifier import (
     DEFAULT_CONFIG, EntailmentResult, RefinementReport, RuleEngineConfig,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .emitter import axiom_text, emit_manchester
 from .errors import GdolError
-from .expander import DEFAULT_DEPTH_BUDGET, ExpansionEnv, run_deep
+from .expander import DEFAULT_DEPTH_BUDGET, ExpansionEnv
 from .model import Document, OntologyDef, RefinementDef
 from .parser import parse_document
 from .verifier import check_obligations, check_refinement, export_obligations
@@ -93,7 +93,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     env = ExpansionEnv.from_documents([*input_docs, *lib_docs], args.depth)
     names = [d.name for doc in input_docs for d in doc.decls if isinstance(d, OntologyDef)]
     names = _select(names, args.target, "ontology")
-    expansions = run_deep(lambda: {n: env.expand_named(n) for n in names}, args.depth)
+    expansions = {n: env.expand_named(n) for n in names}
     _print_diagnostics(env)
     args.out.mkdir(parents=True, exist_ok=True)
     for name in names:
@@ -108,14 +108,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     env = ExpansionEnv.from_documents([*input_docs, *lib_docs], args.depth)
     names = [d.name for doc in input_docs for d in doc.decls if isinstance(d, OntologyDef)]
     names = _select(names, args.target, "ontology")
-
-    def work():
-        out = []
-        for n in names:
-            out.extend(env.obligations(n))
-        return tuple(out)
-
-    obligations = run_deep(work, args.depth)
+    obligations = tuple(ob for n in names for ob in env.obligations(n))
     _print_diagnostics(env)
     checked = check_obligations(obligations)
     for ob in checked:

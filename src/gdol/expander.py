@@ -20,23 +20,28 @@ That keeps the work per frame proportional to what the frame adds.
 A kind clash is reported as the first one a fold of per-node values with
 `Ontology.union` would meet.  The single accumulator finds a clash no later
 than that fold does, but not always the same one, so on a clash the
-expansion is rerun with one builder per node, which reproduces the fold;
-there each fragment and each frame's declarations are an Ontology alone.
+innermost open named-ontology (or standalone) expansion is rerun with one
+builder per node, which reproduces the fold: each union operand and pattern
+body gets a builder of its own, merged into its parent's once complete, and
+each fragment and each frame's declarations are an Ontology alone.
 
-Recursion depth is bounded by a budget counted in nested instantiation
-frames.  Deeply recursive patterns are legitimate, so the public entry points
-run the walk on a worker thread with a large stack; CPython's default
-main-thread stack cannot take the recursion a ten-thousand-frame budget
-implies.
+The walk is one loop over an explicit stack of work items, so no nesting of
+patterns, unions or references is too deep for it.  Union operands, let and
+pattern bodies, a frame's `given` imports and references to other named
+ontologies are items, pushed so that they pop in the pre-order of the spec
+tree; the order obligations are found in, which error is raised first and
+the frame order list tails are recognised in all follow from that.  Each
+item carries the instantiation depth it is expanded at, so the budget
+counts nested instantiation frames.  A named ontology that is not cached
+opens a run with a builder of its own, and a closing item freezes it,
+caches it and adds it to the builder that referenced it.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
 from collections import ChainMap
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping
 
 from .errors import (
     ArityMismatch, CyclicImport, DepthExceeded, EmptyForRequired, GdolError,
@@ -55,37 +60,12 @@ _Found = tuple[Axiom, str, str, int]  # an obligation's axiom, pattern, param, i
 
 DEFAULT_DEPTH_BUDGET = 10000
 
-_T = TypeVar("_T")
+_SPEC, _MERGE, _NAMED, _CLOSE = range(4)  # work item tags, see ExpansionEnv._walk
 
 
-def run_deep(fn: Callable[[], _T], depth_budget: int = DEFAULT_DEPTH_BUDGET) -> _T:
-    """Run fn on a thread with a large stack and a recursion limit sized for
-    the given instantiation budget."""
-    limit = depth_budget * 12 + 10000
-    result: list[_T] = []
-    error: list[BaseException] = []
-
-    def work() -> None:
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, old_limit))
-        try:
-            result.append(fn())
-        except BaseException as exc:  # re-raised on the calling thread
-            error.append(exc)
-        finally:
-            sys.setrecursionlimit(old_limit)
-
-    old_stack = threading.stack_size()
-    threading.stack_size(512 * 1024 * 1024)
-    try:
-        worker = threading.Thread(target=work, name="gdol-expand")
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(old_stack)
-    if error:
-        raise error[0]
-    return result[0]
+def run_deep(fn, depth_budget=DEFAULT_DEPTH_BUDGET):
+    """Call fn.  Kept for scripts written when expansion ran on a deep stack."""
+    return fn()
 
 
 # --- argument binding --------------------------------------------------------
@@ -100,14 +80,15 @@ class Binding:
 
 
 def _as_list(pattern: str, param: str, arg: Argument) -> tuple[Argument, ...]:
+    heads: list[Argument] = []
+    while isinstance(arg, ConsArg):
+        heads.append(arg.head)
+        arg = arg.tail
     match arg:
         case ListArg(items):
-            return items
+            return (*heads, *items) if heads else items  # a list as given keeps its identity
         case EmptyArg():
-            return ()
-        case ConsArg(head, tail):
-            rest = _as_list(pattern, param, tail)
-            return (head,) + rest
+            return tuple(heads)
         case SymbolArg(name, _):
             raise SubstitutionError(
                 f"{pattern}: parameter {param!r} needs a list, got name {name}"
@@ -169,14 +150,25 @@ def _mentions(axioms: Iterable[Axiom], names: set[str]) -> bool:
 
 
 class _Run:
-    """State of one named-ontology or standalone-spec expansion.
+    """State of one named-ontology or standalone-spec expansion: what it
+    expands, the builder its nodes go into and the builder its result goes
+    into once complete (None for the outermost run), the depth and the
+    height of the work stack it starts at, and its obligations.
 
     `declared` and `frames` remember list tails by identity; each entry keeps
     the tuples it is keyed by alive, so no other object can take their ids.
     """
 
-    def __init__(self, exact: bool) -> None:
+    def __init__(self, name: str | None, spec: Spec, imports: tuple[str, ...],
+                 into: OntologyBuilder | None, depth: int, base: int, exact: bool) -> None:
+        self.name = name  # None for a standalone spec
+        self.spec = spec
+        self.imports = imports
+        self.into = into
+        self.depth = depth
+        self.base = base
         self.exact = exact  # one builder per spec node: the kind-clash rerun
+        self.out = OntologyBuilder()
         self.sink: list[_Found] = []
         self.declared: dict[tuple[int, SymbolKind], tuple[Argument, ...]] = {}
         self.frames: dict[tuple[int, ...], tuple] = {}
@@ -218,14 +210,12 @@ class ExpansionEnv:
         self.library: dict[str, TopDecl] = dict(library)
         self._cache: dict[str, Ontology] = {}
         self._cache_obs: dict[str, tuple[Obligation, ...]] = {}
-        self._stack: list[str] = []
-        self._depth = 0
-        self._run = _Run(exact=False)  # replaced for the length of each expansion
-        self._reported: KindClash | None = None  # raised by an exact rerun
         self._stratified: set[str] = set()
         self._plain: set[str] = set()
         self._warned: set[str] = set()
         self._queued: list[tuple[str, bool]] = []  # (flat name, stratified) for _note
+        self._work: list[tuple] = []  # the current walk's items, see _walk
+        self._runs: list[_Run] = []  # the current walk's open runs, innermost last
         scope: dict[str, object] = {}
         for name, decl in self.library.items():
             scope[name] = _Closure(decl, scope) if isinstance(decl, PatternDef) else decl
@@ -268,24 +258,9 @@ class ExpansionEnv:
     # --- named ontologies ---
 
     def expand_named(self, name: str) -> Ontology:
-        if name in self._cache:
-            return self._cache[name]
-        if name in self._stack:
-            cycle = tuple(self._stack[self._stack.index(name):]) + (name,)
-            raise CyclicImport(cycle)
-        decl = self.library.get(name)
-        if decl is None:
-            raise UnknownPattern(name)
-        if not isinstance(decl, OntologyDef):
-            raise GdolError(f"{name!r} is a pattern; a reference must name an ontology")
-        self._stack.append(name)
-        try:
-            result, sink = self._expand_root(decl.spec, decl.imports)
-        finally:
-            self._stack.pop()
-        self._cache[name] = result
-        self._cache_obs[name] = self._finalize(sink, name, result)
-        return result
+        if name not in self._cache:
+            self._walk(name, None)
+        return self._cache[name]
 
     def obligations(self, name: str) -> tuple[Obligation, ...]:
         self.expand_named(name)
@@ -304,57 +279,104 @@ class ExpansionEnv:
 
     # --- spec walking ---
 
-    def _expand_root(self, spec: Spec, imports: tuple[str, ...] = ()) -> tuple[Ontology, list[_Found]]:
-        """Expand spec, then unite the given named imports, in one run.  A
-        kind clash is confirmed by an exact rerun, which reports the clash
-        a per-node fold meets first."""
-        try:
-            return self._expand_run(spec, imports, exact=False)
-        except KindClash as clash:
-            if clash is not self._reported:  # else a nested expansion reran
-                try:
-                    self._expand_run(spec, imports, exact=True)
-                except KindClash as exact:
-                    self._reported = exact
+    def _walk(self, name: str | None, spec: Spec | None) -> tuple[Ontology, tuple[Obligation, ...]]:
+        """Expand the named ontology name, or else spec standalone: pop work
+        items until the outermost run closes, and return its ontology and
+        obligations.  A kind clash in a run that is not exact reruns it
+        exactly, in place of whatever of it is left on the stack.
+
+        Items, by their first field:
+            _SPEC, spec, scope, out, binding, depth: expand spec into out
+            _MERGE, part, out: an exact run's finished operand or body
+            _NAMED, name, out, depth: add a named ontology to out
+            _CLOSE: the innermost run has expanded its spec and imports
+        """
+        work, runs = self._work, self._runs = [], []
+        if name is None:
+            assert spec is not None
+            self._open(None, spec, (), None, 0)
+        else:
+            self._reference(name, None, 0)
+        while True:
+            try:
+                while True:
+                    item = work.pop()
+                    tag = item[0]
+                    if tag == _SPEC:
+                        self._spec(*item[1:])
+                    elif tag == _MERGE:
+                        item[2].add(item[1].freeze())
+                    elif tag == _NAMED:
+                        self._reference(*item[1:])
+                    else:
+                        run = runs.pop()
+                        result = run.out.freeze()
+                        obligations = self._finalize(run.sink, run.name or "", result)
+                        if run.name is not None:
+                            self._cache[run.name] = result
+                            self._cache_obs[run.name] = obligations
+                        if run.into is None:
+                            return result, obligations
+                        run.into.add(result)
+            except KindClash:
+                run = runs.pop()
+                if run.exact:
                     raise
-            raise
+                del work[run.base:]
+                self._open(run.name, run.spec, run.imports, run.into, run.depth, exact=True)
 
-    def _expand_run(self, spec: Spec, imports: tuple[str, ...],
-                    exact: bool) -> tuple[Ontology, list[_Found]]:
-        outer, self._run = self._run, _Run(exact)
-        try:
-            out = OntologyBuilder()
-            self._expand_spec(spec, self._global_scope, out, {})
-            for imp in imports:
-                out.add(self.expand_named(imp))
-            return out.freeze(), self._run.sink
-        finally:
-            self._run = outer
+    def _open(self, name: str | None, spec: Spec, imports: tuple[str, ...],
+              into: OntologyBuilder | None, depth: int, exact: bool = False) -> None:
+        """Start a run: its spec, then its imports, then its closing item."""
+        run = _Run(name, spec, imports, into, depth, len(self._work), exact)
+        self._runs.append(run)
+        work = self._work
+        work.append((_CLOSE,))
+        for imp in reversed(imports):
+            work.append((_NAMED, imp, run.out, depth))
+        work.append((_SPEC, spec, self._global_scope, run.out, {}, depth))
 
-    def _expand_part(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder,
-                     binding: Mapping[str, Argument]) -> None:
-        """Expand one operand of a union.  An exact run gives it a builder
-        of its own, checked against its siblings only once complete."""
-        if not self._run.exact:
-            self._expand_spec(spec, scope, out, binding)
+    def _reference(self, name: str, into: OntologyBuilder | None, depth: int) -> None:
+        """Add a named ontology to into, opening a run for it unless cached."""
+        cached = self._cache.get(name)
+        if cached is not None:
+            assert into is not None
+            into.add(cached)
             return
-        part = OntologyBuilder()
-        self._expand_spec(spec, scope, part, binding)
-        out.add(part.freeze())
+        open_names = [run.name for run in self._runs]
+        if name in open_names:
+            raise CyclicImport(tuple(open_names[open_names.index(name):]) + (name,))
+        decl = self.library.get(name)
+        if decl is None:
+            raise UnknownPattern(name)
+        if not isinstance(decl, OntologyDef):
+            raise GdolError(f"{name!r} is a pattern; a reference must name an ontology")
+        self._open(name, decl.spec, decl.imports, into, depth)
 
-    def _expand_spec(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder,
-                     binding: Mapping[str, Argument]) -> None:
-        """Expand spec with binding substituted into it on the way."""
+    def _push_part(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder,
+                   binding: Mapping[str, Argument], depth: int) -> None:
+        """Queue one operand of a union or a pattern body.  An exact run
+        gives it a builder of its own, merged into out once complete."""
+        if self._runs[-1].exact:
+            part = OntologyBuilder()
+            self._work.append((_MERGE, part, out))
+            out = part
+        self._work.append((_SPEC, spec, scope, out, binding, depth))
+
+    def _spec(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder,
+              binding: Mapping[str, Argument], depth: int) -> None:
+        """Expand one spec node with binding substituted into it on the way;
+        queue its children."""
         match spec:
             case BasicSpec(ontology):
                 self._add(ontology.decls, ontology.axioms, binding, out)
             case UnionSpec(left, right) | ExtensionSpec(left, right):
-                self._expand_part(left, scope, out, binding)
-                self._expand_part(right, scope, out, binding)
+                self._push_part(right, scope, out, binding, depth)
+                self._push_part(left, scope, out, binding, depth)
             case InstSpec():
                 args = subst_arguments(spec.args, binding)
                 if args is not None:  # else an argument mentions an empty-bound name
-                    self._expand_inst(spec, args, scope, out)
+                    self._instantiate(spec, args, scope, out, depth)
             case LetSpec(locals_, body):
                 inner: dict[str, object] = {}
                 chained: Mapping[str, object] = ChainMap(inner, scope)
@@ -362,7 +384,7 @@ class ExpansionEnv:
                     if binding:
                         p = subst_pattern_def(p, binding)
                     inner[p.name] = _Closure(p, chained)
-                self._expand_spec(body, chained, out, binding)
+                self._work.append((_SPEC, body, chained, out, binding, depth))
             case EmptySpec():
                 pass
             case _:
@@ -386,43 +408,42 @@ class ExpansionEnv:
         """Substitute, stratify and canonicalize one node into out, then
         record its names.  An exact run checks the node as an Ontology of
         its own, before and after stratification, as the per-node fold did."""
-        if self._run.exact:
+        if self._runs[-1].exact:
             Ontology(frozenset(subst_decls(decls, binding)))
         self._queued.clear()
         decls = subst_decls(decls, binding, self._strat)
         axioms = self._subst_axioms(axioms, binding)
-        if self._run.exact:
+        if self._runs[-1].exact:
             out.add(Ontology(frozenset(decls), frozenset(axioms)))
         else:
             out.extend(decls, axioms)
         self._note()
 
-    def _expand_inst(self, spec: InstSpec, args: tuple[Argument, ...],
-                     scope: Mapping[str, object], out: OntologyBuilder) -> None:
+    def _instantiate(self, spec: InstSpec, args: tuple[Argument, ...],
+                     scope: Mapping[str, object], out: OntologyBuilder, depth: int) -> None:
+        """Open a frame one level deeper: obligations and parameter
+        declarations now, then the given imports and the body in order."""
         target = scope.get(spec.pattern)
         if target is None:
             raise UnknownPattern(spec.pattern)
         if isinstance(target, OntologyDef):
             if spec.bracketed:
                 raise GdolError(f"{spec.pattern!r} names an ontology and takes no arguments")
-            out.add(self.expand_named(spec.pattern))
+            self._reference(spec.pattern, out, depth)
             return
         assert isinstance(target, _Closure)
         pdef = target.pdef
-        self._depth += 1
-        try:
-            if self._depth > self.depth_budget:
-                raise DepthExceeded(self.depth_budget, pdef.name)
-            binding = bind_arguments(pdef, args)
-            if binding.exhausted:
-                return
-            self._collect_obligations(pdef, binding)
-            self._add(self._param_decls(pdef, binding), (), {}, out)
-            for imp in pdef.imports:
-                out.add(self.expand_named(imp))
-            self._expand_part(pdef.body, target.scope, out, binding.mapping)
-        finally:
-            self._depth -= 1
+        depth += 1
+        if depth > self.depth_budget:
+            raise DepthExceeded(self.depth_budget, pdef.name)
+        binding = bind_arguments(pdef, args)
+        if binding.exhausted:
+            return
+        self._collect_obligations(pdef, binding)
+        self._add(self._param_decls(pdef, binding), (), {}, out)
+        self._push_part(pdef.body, target.scope, out, binding.mapping, depth)
+        for imp in reversed(pdef.imports):
+            self._work.append((_NAMED, imp, out, depth))
 
     def _param_decls(self, pdef: PatternDef, binding: Binding) -> list[Decl]:
         decls: list[Decl] = []
@@ -431,7 +452,7 @@ class ExpansionEnv:
                 items = binding.lists[param.name]
                 tail = binding.mapping[param.list_tail]
                 assert isinstance(tail, ListArg)
-                if self._run.undeclared(param.kind, items, tail.items):
+                if self._runs[-1].undeclared(param.kind, items, tail.items):
                     decls.extend((param.kind, item.name) for item in items
                                  if isinstance(item, SymbolArg))
             else:
@@ -443,7 +464,7 @@ class ExpansionEnv:
     # --- obligations ---
 
     def _collect_obligations(self, pdef: PatternDef, binding: Binding) -> None:
-        if not any(param.constraints for param in pdef.params) or self._run.repeats(pdef, binding):
+        if not any(param.constraints for param in pdef.params) or self._runs[-1].repeats(pdef, binding):
             return
         for param in pdef.params:
             if not param.constraints:
@@ -464,7 +485,7 @@ class ExpansionEnv:
                           view: Mapping[str, Argument]) -> None:
         self._queued.clear()
         for ax in self._subst_axioms(param.constraints, view):
-            self._run.sink.append((ax, pattern, param.name, index))
+            self._runs[-1].sink.append((ax, pattern, param.name, index))
         self._note()
 
 
@@ -473,9 +494,4 @@ class ExpansionEnv:
 def expand_spec_standalone(env: ExpansionEnv, spec: Spec) -> tuple[Ontology, tuple[Obligation, ...]]:
     """Expand a bare spec against an environment; the obligations come back
     with the expansion itself as context."""
-
-    def work() -> tuple[Ontology, tuple[Obligation, ...]]:
-        result, sink = env._expand_root(spec)
-        return result, env._finalize(sink, "", result)
-
-    return run_deep(work, env.depth_budget)
+    return env._walk(None, spec)

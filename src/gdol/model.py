@@ -40,36 +40,54 @@ class SymbolKind(Enum):
         raise ValueError(f"not a symbol kind: {kw!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Name:
-    """Plain identifier, or parameterized name such as performs[MotherRole]."""
+    """Plain identifier, or parameterized name such as performs[MotherRole].
+
+    A name keeps its written form and its hash, built from its arguments'
+    when it is constructed, so comparing, hashing, printing and stratifying
+    a name never walks its arguments however deeply they nest.  The written
+    form is unambiguous because a base contains no bracket, comma or space.
+    """
 
     base: str
     args: tuple["Name", ...] = ()
+    _text: str = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.base or (set(self.base) & _BAD_NAME_CHARS):
             raise ValueError(f"invalid identifier {self.base!r}")
+        text = f"{self.base}[{', '.join(a._text for a in self.args)}]" if self.args else self.base
+        object.__setattr__(self, "_text", text)
+        object.__setattr__(self, "_hash", hash((self.base, self.args)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Name:
+            return NotImplemented
+        return self is other or self._text == other._text
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_plain(self) -> bool:
         return not self.args
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.base
-        return f"{self.base}[{', '.join(str(a) for a in self.args)}]"
+        return self._text
 
 
 def stratify(n: Name) -> str:
     """Flatten a parameterized name: brackets and commas become underscores.
 
     Equivalent to writing the name out and mapping '[' and ',' to '_' while
-    deleting ']', which makes nested bracketings associative.
+    deleting ']' (and the space after each comma), which makes nested
+    bracketings associative.
     """
     if not n.args:
         return n.base
-    return n.base + "_" + "_".join(stratify(a) for a in n.args)
+    return str(n).replace("[", "_").replace(", ", "_").replace("]", "")
 
 
 @dataclass(frozen=True)
@@ -589,6 +607,8 @@ def _same(n: Name) -> Name:
 def _subst_name(n: Name, binding: Mapping[str, Argument], fn: NameFn = _same) -> Name:
     """Substitute into one name, then apply fn to the result (not to the
     arguments inside it)."""
+    if not binding:
+        return fn(n)
     new_args = tuple(_subst_name(a, binding) for a in n.args) if n.args else ()
     bound = binding.get(n.base)
     if bound is None:

@@ -577,7 +577,11 @@ class _Parser:
 
 
 def parse_document(text: str) -> Document:
-    return _Parser(text).parse_document()
+    p = _Parser(text)
+    try:
+        return p.parse_document()
+    except RecursionError:  # the descent, or canonicalizing what it built
+        raise p.error("nesting too deep") from None
 
 
 def parse_manchester_fragment(text: str) -> Ontology:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gdol import ExpansionEnv, Ontology, parse_document, run_deep
+from gdol import ExpansionEnv, Ontology, parse_document
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -34,6 +34,6 @@ def env(corpus_docs) -> ExpansionEnv:
 @pytest.fixture()
 def expand(env):
     def _expand(name: str) -> Ontology:
-        return run_deep(lambda: env.expand_named(name))
+        return env.expand_named(name)
 
     return _expand

@@ -41,7 +41,6 @@ from gdol import (
     expand_spec_standalone,
     parse_document,
     parse_manchester_fragment,
-    run_deep,
     stratify,
 )
 from gdol.model import axiom_names
@@ -166,7 +165,7 @@ def test_07_list_recursion_counts_mismatches_and_depth_guard(env):
         "ontology Bad = Loop[[A, B]]\n")
     bad_env = ExpansionEnv.from_documents([looping])
     with pytest.raises(DepthExceeded):
-        run_deep(lambda: bad_env.expand_named("Bad"))
+        bad_env.expand_named("Bad")
 
 
 def test_08_refinement_chain_holds_and_weakening_is_caught(corpus_docs, env):
@@ -191,8 +190,7 @@ def test_09_obligations_are_deterministic_and_entail_the_published_goals(corpus_
     runs = []
     for _ in range(2):
         env = ExpansionEnv.from_documents(corpus_docs)
-        obs = run_deep(lambda: env.obligations("Driver_log")
-                       + env.obligations("Data_Driver_log"))
+        obs = env.obligations("Driver_log") + env.obligations("Data_Driver_log")
         runs.append(check_obligations(obs))
     assert runs[0] == runs[1]
 
@@ -204,7 +202,7 @@ def test_09_obligations_are_deterministic_and_entail_the_published_goals(corpus_
                          Name("bkb_PotentialDriver"), Name("bkbs_VWBus")) in axioms
 
     env = ExpansionEnv.from_documents(corpus_docs)
-    driver = run_deep(lambda: env.expand_named("Driver_log"))
+    driver = env.expand_named("Driver_log")
     goal = SubPropertyOf(PropExpr(Name("licencedFor_le_DBus")),
                          PropExpr(Name("licencedFor_BMotorVehicle")))
     assert entails(driver, goal).proven

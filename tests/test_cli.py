@@ -53,6 +53,15 @@ def test_parse_errors_exit_with_two(tmp_path, capsys):
     assert capsys.readouterr().err.strip() != ""
 
 
+def test_deeply_nested_document_exits_with_two(tmp_path, capsys):
+    deep = tmp_path / "deep.gdol"
+    deep.write_text("ontology O = " + "let pattern L [Class: X] = Class: X in " * 400 + "L[A]\n")
+    assert main(["expand", str(deep), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1:") and "nesting too deep" in err
+    assert "Traceback" not in err
+
+
 def test_check_reports_no_obligations(capsys):
     rc = main(["check", str(CORPUS / "logs" / "temporal.gdol"),
                "--lib", PATTERNS])

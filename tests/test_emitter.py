@@ -23,7 +23,6 @@ from gdol import (
     diff_golden,
     emit_manchester,
     parse_manchester_fragment,
-    run_deep,
 )
 
 
@@ -75,7 +74,7 @@ def test_emission_is_identical_across_environments(corpus_docs):
     texts = []
     for _ in range(2):
         env = ExpansionEnv.from_documents(corpus_docs)
-        texts.append(emit_manchester(run_deep(lambda: env.expand_named("Data_Driver_log"))))
+        texts.append(emit_manchester(env.expand_named("Data_Driver_log")))
     assert texts[0] == texts[1]
 
 

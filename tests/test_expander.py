@@ -1,6 +1,9 @@
 """Expansion: argument binding, elision, list recursion, scoping, guards."""
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from gdol import (
@@ -11,6 +14,7 @@ from gdol import (
     DepthExceeded,
     DifferentIndividuals,
     DisjointClasses,
+    Domain,
     EmptyArg,
     EmptyForRequired,
     EquivalentClasses,
@@ -28,6 +32,7 @@ from gdol import (
     Ontology,
     PropAssertion,
     PropExpr,
+    Range,
     ShadowWarning,
     Some,
     SubClassOf,
@@ -36,9 +41,10 @@ from gdol import (
     SymbolKind,
     UnknownPattern,
     bind_arguments,
+    check_obligations,
+    check_refinement,
     expand_spec_standalone,
     parse_document,
-    run_deep,
 )
 from gdol.model import axiom_names
 
@@ -227,16 +233,16 @@ def test_bare_references_must_name_ontologies():
     doc = parse_document("pattern P [Class: X] = Class: X\nontology O = Q\n")
     env = ExpansionEnv.from_documents([doc])
     with pytest.raises(GdolError, match="pattern"):
-        run_deep(lambda: env.expand_named("P"))
+        env.expand_named("P")
     with pytest.raises(UnknownPattern):
-        run_deep(lambda: env.expand_named("O"))
+        env.expand_named("O")
 
 
 def test_cyclic_references_are_reported():
     doc = parse_document("ontology A = B\nontology B = A\n")
     env = ExpansionEnv.from_documents([doc])
     with pytest.raises(CyclicImport):
-        run_deep(lambda: env.expand_named("A"))
+        env.expand_named("A")
 
 
 def test_depth_budget_stops_unfounded_recursion():
@@ -245,11 +251,25 @@ def test_depth_budget_stops_unfounded_recursion():
         "ontology Bad = Loop[[A, B]]\n")
     env = ExpansionEnv.from_documents([doc], depth_budget=40)
     with pytest.raises(DepthExceeded):
-        run_deep(lambda: env.expand_named("Bad"), depth_budget=40)
+        env.expand_named("Bad")
+
+
+def test_depth_budget_counts_frames_across_given_imports():
+    # Inner takes four frames (the last one exhausted); imported by a Wrap
+    # frame, they run one level deeper
+    doc = parse_document(
+        "pattern Loop3 [Class: x :: xs] = Class: x then Loop3[xs]\n"
+        "pattern Wrap [Class: y] given Inner = Class: y\n"
+        "ontology Inner = Loop3[[a, b, c]]\n"
+        "ontology Outer = Wrap[z]\n")
+    assert ExpansionEnv.from_documents([doc], depth_budget=4).expand_named("Inner").decls
+    with pytest.raises(DepthExceeded):
+        ExpansionEnv.from_documents([doc], depth_budget=4).expand_named("Outer")
+    assert ExpansionEnv.from_documents([doc], depth_budget=5).expand_named("Outer").decls
 
 
 def test_name_collision_diagnostic(env):
-    run_deep(lambda: env.expand_named("Data_Driver_log"))
+    env.expand_named("Data_Driver_log")
     assert any("licencedFor_le_BMotorVehicle" in d for d in env.diagnostics)
 
 
@@ -260,7 +280,7 @@ def test_names_of_deleted_axioms_and_obligations_never_merge():
         "  Class: X SubClassOf: h[X]\n"
         "ontology O = P[a; ; r] and Class: g_a Class: h_a Class: k_a\n")
     env = ExpansionEnv.from_documents([doc])
-    run_deep(lambda: env.obligations("O"))
+    env.obligations("O")
     assert env.diagnostics == ["stratified name 'h_a' coincides with a plain name; the two merge"]
 
 
@@ -272,7 +292,7 @@ def test_shadowing_warns_but_expands():
         "ontology O = Outer[A]\n")
     env = ExpansionEnv.from_documents([doc])
     with pytest.warns(ShadowWarning):
-        o = run_deep(lambda: env.expand_named("O"))
+        o = env.expand_named("O")
     assert o.axioms == {SubClassOf(Named(Name("A")), Named(Name("A")))}
 
 
@@ -285,7 +305,7 @@ def test_given_imports_are_unioned_into_the_instantiation(expand):
 
 def test_expansion_is_cached_and_repeatable(env, expand):
     first = expand("Driver_log")
-    second = run_deep(lambda: env.expand_named("Driver_log"))
+    second = env.expand_named("Driver_log")
     assert first is second  # memoized per environment
 
 
@@ -314,7 +334,7 @@ ontology Second = Shared[] and Class: Extra
 def obligation_rows(env, name):
     from gdol.emitter import axiom_text
 
-    obs = run_deep(lambda: env.obligations(name))
+    obs = env.obligations(name)
     return [(axiom_text(o.axiom), o.pattern, o.param, o.index) for o in obs]
 
 
@@ -334,8 +354,8 @@ def test_and_nrels_emits_two_obligations_per_property_in_order(corpus_docs):
         expected += [(f"{q} Domain: S", "AND_nRels", "p", i),
                      (f"{q} Range: T", "AND_nRels", "p", i)]
     assert rows == expected
-    obs = run_deep(lambda: env.obligations("Many"))
-    context = run_deep(lambda: env.expand_named("Many"))
+    obs = env.obligations("Many")
+    context = env.expand_named("Many")
     assert all(o.ontology == "Many" and o.context is context for o in obs)
 
 
@@ -392,7 +412,7 @@ def _expansion_work(corpus_docs, monkeypatch, n):
     with monkeypatch.context() as m:
         m.setattr(ExpansionEnv, "_strat", counting_strat)
         m.setattr(Ontology, "__init__", counting_init)
-        run_deep(lambda: env.expand_named("Deep"))
+        env.expand_named("Deep")
     return counts
 
 
@@ -431,8 +451,36 @@ def test_expansion_builds_no_ontology_per_fragment(corpus_docs, monkeypatch):
 def test_kind_clash_through_expansion_names_the_first_clash(source, name, kinds):
     env = ExpansionEnv.from_documents([parse_document(source)])
     with pytest.raises(KindClash) as info:
-        run_deep(lambda: env.expand_named("O"))
+        env.expand_named("O")
     assert (info.value.name, info.value.kinds) == (name, kinds)
+
+
+def test_expansion_visits_nodes_in_preorder():
+    """Obligations keep their first occurrence and the first error met is
+    raised, so both show the order of the walk: union and extension
+    operands left to right, a frame's own obligations before its body's,
+    a pattern's given imports before its body, a named ontology's spec
+    before its given imports, and imports in the order written."""
+    doc = parse_document(
+        "pattern Q [ {ObjectProperty: r Domain: D}; Class: D ] = Class: D\n"
+        "pattern R [ {ObjectProperty: r Range: D}; Class: D ] = Q[r; D] and Q[s[r]; D]\n"
+        "pattern G [ Class: X ] given M1, M2 = Missing[X]\n"
+        "ontology O = Q[p1; A] and R[p2; B] then Q[p3; C] and Q[p4; D]\n"
+        "ontology Bad1 = G[A]\n"
+        "ontology Bad2 given M3, M4 = Class: A\n"
+        "ontology Bad3 given M5 = Missing0 and Missing1\n")
+    env = ExpansionEnv.from_documents([doc])
+
+    def n(name):
+        return Name(name)
+
+    assert [ob.axiom for ob in env.obligations("O")] == [
+        Domain(n("p1"), Named(n("A"))), Range(n("p2"), Named(n("B"))),
+        Domain(n("p2"), Named(n("B"))), Domain(n("s_p2"), Named(n("B"))),
+        Domain(n("p3"), Named(n("C"))), Domain(n("p4"), Named(n("D")))]
+    for name, missing in (("Bad1", "M1"), ("Bad2", "M3"), ("Bad3", "Missing0")):
+        with pytest.raises(UnknownPattern, match=f"'{missing}'"):
+            env.expand_named(name)
 
 
 # --- shortcuts against the plain fold --------------------------------------------
@@ -493,7 +541,7 @@ def _expand_all(corpus_docs, doc):
     out = []
     for name in doc.ontology_defs():
         try:
-            out.append(run_deep(lambda: (env.expand_named(name), env.obligations(name))))
+            out.append((env.expand_named(name), env.obligations(name)))
         except GdolError as exc:
             out.append((type(exc).__name__, str(exc)))
     return out, env.diagnostics
@@ -511,7 +559,100 @@ def test_shortcuts_match_one_union_per_spec_node(corpus_docs, monkeypatch, seed)
     with monkeypatch.context() as m:
         m.setattr(_Run, "undeclared", lambda self, kind, items, tail: True)
         m.setattr(_Run, "repeats", lambda self, pdef, binding: False)
-        m.setattr(ExpansionEnv, "_expand_root",
-                  lambda self, spec, imports=(): self._expand_run(spec, imports, exact=True))
+        open_run = ExpansionEnv._open
+        m.setattr(ExpansionEnv, "_open",
+                  lambda self, *args, exact=False: open_run(self, *args, exact=True))
         reference = _expand_all(corpus_docs, doc)
     assert fast == reference
+
+
+# --- deep inputs on the main thread ------------------------------------------------
+
+@pytest.fixture()
+def main_thread(monkeypatch):
+    """Fail if the test starts a thread or changes the recursion limit."""
+    def refuse(*args):
+        raise AssertionError("expansion must run on the calling thread's stack")
+
+    assert threading.current_thread() is threading.main_thread()
+    threads = threading.active_count()
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    yield
+    assert threading.active_count() == threads
+
+
+def _classes(names) -> frozenset:
+    return frozenset((SymbolKind.CLASS, Name(n)) for n in names)
+
+
+@pytest.mark.parametrize("op", ["and", "then"])
+def test_long_union_and_extension_chains(main_thread, op):
+    n = 3000
+    doc = parse_document("ontology O = " + f" {op} ".join(
+        f"Class: C{i} SubClassOf: C{i + 1}" for i in range(n)) + "\n")
+    env = ExpansionEnv.from_documents([doc])
+    o = env.expand_named("O")
+    assert o.decls == _classes(f"C{i}" for i in range(n))
+    assert o.axioms == {SubClassOf(Named(Name(f"C{i}")), Named(Name(f"C{i + 1}")))
+                        for i in range(n)}
+    assert env.obligations("O") == ()
+
+
+@pytest.mark.parametrize("form", [
+    "ontology O{i} = O{j} and Class: C{i}\n",
+    "ontology O{i} given O{j} = Class: C{i}\n",
+])
+def test_long_chains_of_named_references(main_thread, form):
+    n = 1200
+    doc = parse_document("".join(form.format(i=i, j=i + 1) for i in range(n))
+                         + f"ontology O{n} = Class: C{n}\n")
+    env = ExpansionEnv.from_documents([doc])
+    assert env.expand_named("O0").decls == _classes(f"C{i}" for i in range(n + 1))
+    # every ontology of the chain was expanded on the way and is cached
+    assert env.expand_named("O600").decls == _classes(f"C{i}" for i in range(600, n + 1))
+    assert env.obligations("O0") == ()
+
+
+def test_kind_clash_at_the_end_of_a_long_list(main_thread):
+    # frame k declares g_k .. g_1199 as classes and its body makes g_k an
+    # object property; the per-node fold unites a body with the frame's
+    # declarations only once the body is complete, so the deepest frame,
+    # whose body is the only one without a nested frame, clashes first
+    doc = parse_document(
+        "pattern P [ Class: x :: xs ] = ObjectProperty: x then P[xs]\n"
+        "ontology O = P[[" + ", ".join(f"g{i}" for i in range(1200)) + "]]\n")
+    env = ExpansionEnv.from_documents([doc])
+    with pytest.raises(KindClash) as info:
+        env.expand_named("O")
+    assert (info.value.name, info.value.kinds) == ("g1199", ("Class", "ObjectProperty"))
+
+
+def test_names_nested_by_argument_passing(main_thread):
+    # frame k binds c to w[...w[A]...] with k w's, declares it and g_k, and
+    # raises the obligation Domain(p, c); the frame after the last element
+    # is exhausted and adds nothing
+    n = 1500
+    doc = parse_document(
+        "pattern NestC [ {ObjectProperty: r Domain: c}; Class: c; Individual: v :: vs ] =\n"
+        "  Class: c SubClassOf: Top then NestC[r; w[c]; vs]\n"
+        "ontology O = ObjectProperty: p Domain: A and NestC[p; A; ["
+        + ", ".join(f"g{i}" for i in range(n)) + "]]\n")
+    env = ExpansionEnv.from_documents([doc])
+    c = [Name("w_" * k + "A") for k in range(n)]
+    o = env.expand_named("O")
+    assert o.decls == ({(SymbolKind.OBJECT_PROPERTY, Name("p"))}
+                       | {(SymbolKind.CLASS, ck) for ck in c}
+                       | {(SymbolKind.INDIVIDUAL, Name(f"g{i}")) for i in range(n)})
+    top = Named(Name("Top"))
+    assert o.axioms == {Domain(Name("p"), Named(Name("A")))} | {
+        SubClassOf(Named(ck), top) for ck in c}
+    obs = env.obligations("O")
+    assert [ob.axiom for ob in obs] == [Domain(Name("p"), Named(ck)) for ck in c]
+    assert {(ob.pattern, ob.param, ob.index) for ob in obs} == {("NestC", "r", 0)}
+    # only the first is told; Top is never declared, so no SubClassOf of it holds
+    assert [ob.status for ob in check_obligations(obs)] == ["proven"] + ["unproven"] * (n - 1)
+    ref = parse_document("refinement R = O refined to O\n").refinement_defs()["R"]
+    unproven = {axiom for axiom, result in check_refinement(ref, env).results
+                if not result.proven}
+    assert unproven == {SubClassOf(Named(ck), top) for ck in c}

@@ -183,6 +183,22 @@ def test_fragment_rejects_trailing_content():
         parse_manchester_fragment("Class: A\npattern")
 
 
+_TOO_DEEP = {
+    "let": "ontology O = " + "let pattern L [Class: X] = Class: X in " * 400 + "L[A]\n",
+    "restriction": "ontology O = Class: A SubClassOf: " + "p some (" * 400 + "B" + ")" * 400 + "\n",
+    "name": "ontology O = Class: " + "w[" * 5000 + "A" + "]" * 5000 + "\n",
+    "cons": "pattern P [Class: x :: xs] = Class: x\n"
+            "ontology O = P[" + " :: ".join(f"a{i}" for i in range(1000)) + " :: []]\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TOO_DEEP))
+def test_nesting_too_deep_is_a_located_parse_error(kind):
+    with pytest.raises(ParseError, match="nesting too deep") as info:
+        parse_document(_TOO_DEEP[kind])
+    assert info.value.line >= 1 and info.value.column > 1
+
+
 def test_errors_carry_positions():
     try:
         parse_document("ontology O =\n  Class: A SubClassOf: {}\n")

@@ -37,7 +37,6 @@ from gdol import (
     export_obligations,
     parse_document,
     parse_manchester_fragment,
-    run_deep,
 )
 from gdol import verifier
 from gdol.model import union
@@ -201,7 +200,7 @@ def test_rules_can_be_disabled_individually():
 def test_entailment_is_monotone_under_union(env):
     theory = parse_manchester_fragment(SUBCLASS_THEORY)
     goal = SubClassOf(N("A"), N("C"))
-    bigger = union(theory, run_deep(lambda: env.expand_named("Driver_log")))
+    bigger = union(theory, env.expand_named("Driver_log"))
     assert entails(theory, goal).proven
     assert entails(bigger, goal).proven
 
@@ -219,7 +218,7 @@ FROZEN_ROLES_UNPROVEN = {
 
 
 def test_role_log_obligations_all_fail_without_global_declarations(env):
-    obs = run_deep(lambda: env.obligations("Roles_Driver_log"))
+    obs = env.obligations("Roles_Driver_log")
     checked = check_obligations(obs)
     assert len(checked) == 6
     assert all(ob.status == "unproven" for ob in checked)
@@ -227,7 +226,7 @@ def test_role_log_obligations_all_fail_without_global_declarations(env):
 
 
 def test_driver_log_obligations(env):
-    checked = check_obligations(run_deep(lambda: env.obligations("Driver_log")))
+    checked = check_obligations(env.obligations("Driver_log"))
     assert len(checked) == 47
     unproven = {ob.axiom for ob in checked if ob.status == "unproven"}
     assert unproven == {
@@ -244,7 +243,7 @@ def test_driver_log_obligations(env):
 
 
 def test_data_log_discharges_everything_including_the_precondition(env):
-    checked = check_obligations(run_deep(lambda: env.obligations("Data_Driver_log")))
+    checked = check_obligations(env.obligations("Data_Driver_log"))
     assert len(checked) == 11
     assert all(ob.status == "proven" for ob in checked)
     precondition = PropAssertion(Name("licencedFor_le_BMotorVehicle"),
@@ -253,17 +252,17 @@ def test_data_log_discharges_everything_including_the_precondition(env):
 
 
 def test_ontologies_without_constraints_have_no_obligations(env):
-    assert run_deep(lambda: env.obligations("TEMPORAL_Extent_Vehicle_log")) == ()
+    assert env.obligations("TEMPORAL_Extent_Vehicle_log") == ()
 
 
 def test_obligations_reference_their_own_ontology(env):
-    obs = run_deep(lambda: env.obligations("Data_Driver_log"))
+    obs = env.obligations("Data_Driver_log")
     assert {ob.ontology for ob in obs} == {"Data_Driver_log"}
     assert {ob.pattern for ob in obs} == {"DATA_Role", "DATA_Driver_Role"}
 
 
 def test_le_chain_is_derivable_from_the_expanded_log(env):
-    driver = run_deep(lambda: env.expand_named("Driver_log"))
+    driver = env.expand_named("Driver_log")
     goal = SubPropertyOf(P("licencedFor_le_DBus"), P("licencedFor_BMotorVehicle"))
     assert entails(driver, goal).proven
 
@@ -314,7 +313,7 @@ def test_symbol_maps_rename_the_source(corpus_docs):
 # --- export -------------------------------------------------------------------
 
 def test_export_writes_one_file_per_obligation(env, tmp_path):
-    checked = check_obligations(run_deep(lambda: env.obligations("Data_Driver_log")))
+    checked = check_obligations(env.obligations("Data_Driver_log"))
     paths = export_obligations(checked, tmp_path)
     assert len(paths) == 11
     assert len({p.name for p in paths}) == 11
@@ -406,7 +405,7 @@ def _generated_document(seed: int, n: int = 8) -> str:
 
 
 def _named_obligations(env, names) -> list[Obligation]:
-    return [ob for n in names for ob in run_deep(lambda: env.obligations(n))]
+    return [ob for n in names for ob in env.obligations(n)]
 
 
 @pytest.fixture(scope="module")
