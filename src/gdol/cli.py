@@ -72,13 +72,19 @@ def _load(files: list[Path], libs: list[Path]) -> tuple[list[Document], list[Doc
     return input_docs, lib_docs
 
 
-def _select(names: list[str], targets: list[str], what: str) -> list[str]:
-    if not targets:
-        return names
-    missing = [t for t in targets if t not in names]
+def _prepare(args: argparse.Namespace, cls: type, what: str) -> tuple[ExpansionEnv, list]:
+    """Load the documents, build their env, and pick the input documents'
+    declarations of type cls that --target names (all when it names none)."""
+    input_docs, lib_docs = _load(args.files, args.lib)
+    env = ExpansionEnv.from_documents([*input_docs, *lib_docs], args.depth)
+    decls = [d for doc in input_docs for d in doc.decls if isinstance(d, cls)]
+    if not args.target:
+        return env, decls
+    names = {d.name for d in decls}
+    missing = [t for t in args.target if t not in names]
     if missing:
         raise GdolError(f"unknown {what}: {', '.join(missing)}")
-    return [n for n in names if n in targets]
+    return env, [d for d in decls if d.name in args.target]
 
 
 def _print_diagnostics(env: ExpansionEnv) -> None:
@@ -89,26 +95,20 @@ def _print_diagnostics(env: ExpansionEnv) -> None:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    input_docs, lib_docs = _load(args.files, args.lib)
-    env = ExpansionEnv.from_documents([*input_docs, *lib_docs], args.depth)
-    names = [d.name for doc in input_docs for d in doc.decls if isinstance(d, OntologyDef)]
-    names = _select(names, args.target, "ontology")
-    expansions = {n: env.expand_named(n) for n in names}
+    env, defs = _prepare(args, OntologyDef, "ontology")
+    expansions = [(d.name, env.expand_named(d.name)) for d in defs]
     _print_diagnostics(env)
     args.out.mkdir(parents=True, exist_ok=True)
-    for name in names:
+    for name, expansion in expansions:
         path = args.out / f"{name}.omn"
-        path.write_text(emit_manchester(expansions[name]), encoding="utf-8", newline="\n")
+        path.write_text(emit_manchester(expansion), encoding="utf-8", newline="\n")
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    input_docs, lib_docs = _load(args.files, args.lib)
-    env = ExpansionEnv.from_documents([*input_docs, *lib_docs], args.depth)
-    names = [d.name for doc in input_docs for d in doc.decls if isinstance(d, OntologyDef)]
-    names = _select(names, args.target, "ontology")
-    obligations = tuple(ob for n in names for ob in env.obligations(n))
+    env, defs = _prepare(args, OntologyDef, "ontology")
+    obligations = tuple(ob for d in defs for ob in env.obligations(d.name))
     _print_diagnostics(env)
     checked = check_obligations(obligations)
     for ob in checked:
@@ -129,14 +129,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
-    input_docs, lib_docs = _load(args.files, args.lib)
-    env = ExpansionEnv.from_documents([*input_docs, *lib_docs], args.depth)
-    refs = [d for doc in input_docs for d in doc.decls if isinstance(d, RefinementDef)]
-    wanted = _select([r.name for r in refs], args.target, "refinement")
+    env, refs = _prepare(args, RefinementDef, "refinement")
     failed = False
     for ref in refs:
-        if ref.name not in wanted:
-            continue
         report = check_refinement(ref, env)
         for axiom, res in report.results:
             status = "proven" if res.proven else "unproven"

@@ -22,7 +22,7 @@ from .model import (
     InverseProps, LetSpec, ListArg, Max, Name, Named, OneOf, Only, Ontology,
     OntologyDef, Parameter, PatternDef, PropAssertion, PropExpr, Range,
     RefinementDef, Some, Spec, SubClassOf, SubPropertyChain, SubPropertyOf,
-    SymbolArg, SymbolKind, Transitive, UnionSpec, axiom_key, name_key,
+    SymbolArg, SymbolKind, Transitive, UnionSpec, name_key, node_key,
 )
 
 _KIND_ORDER = (
@@ -141,7 +141,7 @@ def _frames_text(o: Ontology, nm) -> str:
         kinds[name] = kind
     clauses: dict[Name, list[tuple[int, object, str]]] = {n: [] for n in kinds}
     standalone: list[tuple[object, str]] = []
-    for key, a in sorted(((axiom_key(a), a) for a in o.axioms), key=itemgetter(0)):
+    for key, a in sorted(((node_key(a), a) for a in o.axioms), key=itemgetter(0)):
         subject, inferred, kw, value = _placement(a, nm)
         if subject is None:
             standalone.append((key, f"{kw}: {value}"))
@@ -194,8 +194,8 @@ class GoldenDiff:
 
 def diff_golden(actual: Ontology, golden: Ontology) -> GoldenDiff:
     """Compare axiom sets; declaration-only frames are not significant."""
-    extra = sorted(actual.axioms - golden.axioms, key=axiom_key)
-    missing = sorted(golden.axioms - actual.axioms, key=axiom_key)
+    extra = sorted(actual.axioms - golden.axioms, key=node_key)
+    missing = sorted(golden.axioms - actual.axioms, key=node_key)
     return GoldenDiff(tuple(extra), tuple(missing))
 
 
@@ -230,14 +230,30 @@ def _parameter_text(p: Parameter) -> str:
 
 
 def _spec_text(s: Spec, indent: str = "  ") -> str:
+    # the parser builds union and extension chains left-deep: walk down the
+    # left operands in a loop, so a long chain costs no recursion
+    rights: list[tuple[str, Spec]] = []
+    while True:
+        match s:
+            case UnionSpec(left, right):
+                rights.append(("and", right))
+                s = left
+            case ExtensionSpec(base, ext):
+                rights.append(("then", ext))
+                s = base
+            case _:
+                break
+    parts = [_atom_text(s, indent)]
+    for kw, right in reversed(rights):
+        parts.append(f"\n{kw} {_spec_text(right, indent).lstrip()}")
+    return "".join(parts)
+
+
+def _atom_text(s: Spec, indent: str) -> str:
     match s:
         case BasicSpec(ontology):
             text = _frames_text(ontology, _loose_name)
             return "\n".join(indent + line for line in text.splitlines())
-        case UnionSpec(left, right):
-            return f"{_spec_text(left, indent)}\nand {_spec_text(right, indent).lstrip()}"
-        case ExtensionSpec(base, ext):
-            return f"{_spec_text(base, indent)}\nthen {_spec_text(ext, indent).lstrip()}"
         case InstSpec(pattern, args, bracketed, _):
             if not bracketed:
                 return indent + pattern

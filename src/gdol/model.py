@@ -6,6 +6,12 @@ three primitive operations the rest of the compiler builds on live here too:
 stratification of parameterized names, ontology union under
 Same-Name-Same-Thing, and simultaneous substitution of arguments for
 parameter names, which also renames every name it builds in the same pass.
+
+Axioms, class expressions and property expressions are frozen dataclasses,
+and the jobs that only follow their structure (ordering keys, substitution,
+collecting names and sub-expressions, the shape-neutral part of
+canonicalization) are one walk through each node's dataclass fields.  The
+order the node classes are declared in is the order their keys sort in.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Collection, Iterable, Mapping, Union
+from typing import Callable, Collection, Iterable, Mapping, Union, get_args
 
 from .errors import KindClash, ShadowWarning, SubstitutionError
 
@@ -220,64 +226,81 @@ Axiom = Union[
 ]
 
 
-# --- canonical ordering keys -------------------------------------------
-# Keys are nested tuples led by an integer tag, so values of different
-# shapes never get compared component-wise.
+# --- the generic walk ----------------------------------------------------
+# Node classes are walked through their dataclass fields (`__match_args__`).
+# A field holds a Name, a node, a tuple of either, or a plain value that
+# the walk keeps (Max's cardinality, PropExpr's inverse flag).  Declaration
+# order is key order: a node's tag is its class's position within its
+# group (PropExpr; the class expressions; the axioms), and the emitter's
+# clause order follows from it.
+
+_FIELDS: dict[type, tuple[int, tuple[str, ...]]] = {
+    cls: (tag, cls.__match_args__)
+    for group in ((PropExpr,), get_args(ClassExpr), get_args(Axiom))
+    for tag, cls in enumerate(group)
+}
+_CLASS_EXPRS = frozenset(get_args(ClassExpr))
+
 
 def name_key(n: Name):
     return (n.base, tuple(name_key(a) for a in n.args))
 
 
-def prop_key(p: PropExpr):
-    return (name_key(p.name), p.inverse)
+def node_key(x):
+    """Ordering key of a property expression, class expression or axiom:
+    nested tuples led by the tag, so values of different shapes never get
+    compared component-wise."""
+    tag, fields = _FIELDS[type(x)]
+    key: list = [tag]
+    for f in fields:
+        v = getattr(x, f)
+        t = type(v)
+        if t is Name:
+            v = name_key(v)
+        elif t is tuple:
+            v = tuple(name_key(c) if type(c) is Name else node_key(c) for c in v)
+        elif t in _FIELDS:
+            v = node_key(v)
+        key.append(v)
+    return tuple(key)
 
 
-def expr_key(e: ClassExpr):
-    match e:
-        case Named(name):
-            return (0, name_key(name))
-        case Some(prop, filler):
-            return (1, prop_key(prop), expr_key(filler))
-        case Only(prop, filler):
-            return (2, prop_key(prop), expr_key(filler))
-        case Max(n, prop, filler):
-            return (3, n, prop_key(prop), expr_key(filler))
-        case And(operands):
-            return (4, tuple(expr_key(c) for c in operands))
-        case OneOf(members):
-            return (5, tuple(name_key(m) for m in members))
-    raise TypeError(f"not a class expression: {e!r}")
+def class_exprs(x):
+    """Every class expression in a node, x itself included when it is one."""
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if type(y) in _CLASS_EXPRS:
+            yield y
+        for f in _FIELDS[type(y)][1]:
+            v = getattr(y, f)
+            t = type(v)
+            if t is tuple:
+                stack.extend(c for c in v if type(c) is not Name)
+            elif t in _FIELDS:
+                stack.append(v)
 
 
-def axiom_key(a: Axiom):
-    match a:
-        case SubClassOf(sub, sup):
-            return (0, expr_key(sub), expr_key(sup))
-        case EquivalentClasses(x, y):
-            return (1, expr_key(x), expr_key(y))
-        case DisjointClasses(x, y):
-            return (2, expr_key(x), expr_key(y))
-        case SubPropertyOf(sub, sup):
-            return (3, prop_key(sub), prop_key(sup))
-        case InverseProps(x, y):
-            return (4, name_key(x), name_key(y))
-        case Domain(p, c):
-            return (5, name_key(p), expr_key(c))
-        case Range(p, c):
-            return (6, name_key(p), expr_key(c))
-        case Functional(p):
-            return (7, name_key(p))
-        case Transitive(p):
-            return (8, name_key(p))
-        case SubPropertyChain(p, chain):
-            return (9, name_key(p), tuple(prop_key(q) for q in chain))
-        case ClassAssertion(c, i):
-            return (10, expr_key(c), name_key(i))
-        case PropAssertion(p, s, o):
-            return (11, name_key(p), name_key(s), name_key(o))
-        case DifferentIndividuals(members):
-            return (12, tuple(name_key(m) for m in members))
-    raise TypeError(f"not an axiom: {a!r}")
+def axiom_names(a: Axiom) -> set[Name]:
+    """The names an axiom mentions (not the names inside their arguments)."""
+    found: set[Name] = set()
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        for f in _FIELDS[type(x)][1]:
+            v = getattr(x, f)
+            t = type(v)
+            if t is Name:
+                found.add(v)
+            elif t is tuple:
+                for c in v:
+                    if type(c) is Name:
+                        found.add(c)
+                    else:
+                        stack.append(c)
+            elif t in _FIELDS:
+                stack.append(v)
+    return found
 
 
 # --- canonicalization ---------------------------------------------------
@@ -293,16 +316,23 @@ def _dedupe(seq, key):
     return out
 
 
+def _canon_fields(x):
+    """x with every class expression field canonical; x itself when none
+    changes."""
+    vals = []
+    changed = False
+    for f in _FIELDS[type(x)][1]:
+        v = getattr(x, f)
+        if type(v) in _CLASS_EXPRS:
+            c = canon_expr(v)
+            changed = changed or c is not v
+            v = c
+        vals.append(v)
+    return type(x)(*vals) if changed else x
+
+
 def canon_expr(e: ClassExpr) -> ClassExpr:
     match e:
-        case Named(_):
-            return e
-        case Some(prop, filler):
-            return Some(prop, canon_expr(filler))
-        case Only(prop, filler):
-            return Only(prop, canon_expr(filler))
-        case Max(n, prop, filler):
-            return Max(n, prop, canon_expr(filler))
         case And(operands):
             flat: list[ClassExpr] = []
             for c in operands:
@@ -311,35 +341,23 @@ def canon_expr(e: ClassExpr) -> ClassExpr:
                     flat.extend(c.operands)
                 else:
                     flat.append(c)
-            flat = _dedupe(sorted(flat, key=expr_key), expr_key)
+            flat = _dedupe(sorted(flat, key=node_key), node_key)
             if len(flat) == 1:
                 return flat[0]
             return And(tuple(flat))
         case OneOf(members):
             return OneOf(tuple(_dedupe(members, name_key)))
-    raise TypeError(f"not a class expression: {e!r}")
+    return _canon_fields(e)
 
 
 def canon_axiom(a: Axiom) -> Axiom:
     match a:
-        case SubClassOf(sub, sup):
-            return SubClassOf(canon_expr(sub), canon_expr(sup))
-        case EquivalentClasses(x, y):
-            x, y = sorted((canon_expr(x), canon_expr(y)), key=expr_key)
-            return EquivalentClasses(x, y)
-        case DisjointClasses(x, y):
-            x, y = sorted((canon_expr(x), canon_expr(y)), key=expr_key)
-            return DisjointClasses(x, y)
-        case Domain(p, c):
-            return Domain(p, canon_expr(c))
-        case Range(p, c):
-            return Range(p, canon_expr(c))
-        case ClassAssertion(c, i):
-            return ClassAssertion(canon_expr(c), i)
+        case EquivalentClasses(x, y) | DisjointClasses(x, y):
+            x, y = sorted((canon_expr(x), canon_expr(y)), key=node_key)
+            return type(a)(x, y)
         case DifferentIndividuals(members):
             return DifferentIndividuals(tuple(_dedupe(sorted(members, key=name_key), name_key)))
-        case _:
-            return a
+    return _canon_fields(a)
 
 
 # --- ontologies ----------------------------------------------------------
@@ -442,17 +460,6 @@ def map_ontology(o: Ontology, fn: NameFn) -> Ontology:
         ((kind, fn(name)) for kind, name in o.decls),
         (map_axiom(a, fn) for a in o.axioms),
     )
-
-
-def axiom_names(a: Axiom) -> set[Name]:
-    found: set[Name] = set()
-
-    def collect(n: Name) -> Name:
-        found.add(n)
-        return n
-
-    map_axiom(a, collect)
-    return found
 
 
 # --- arguments ------------------------------------------------------------
@@ -647,25 +654,23 @@ def _subst_members(members: tuple[Name, ...], binding: Mapping[str, Argument],
     return tuple(out)
 
 
-def _subst_prop(p: PropExpr, binding: Mapping[str, Argument], fn: NameFn) -> PropExpr:
-    return PropExpr(_subst_name(p.name, binding, fn), p.inverse)
-
-
-def _subst_expr(e: ClassExpr, binding: Mapping[str, Argument], fn: NameFn) -> ClassExpr:
-    match e:
-        case Named(name):
-            return Named(_subst_name(name, binding, fn))
-        case Some(prop, filler):
-            return Some(_subst_prop(prop, binding, fn), _subst_expr(filler, binding, fn))
-        case Only(prop, filler):
-            return Only(_subst_prop(prop, binding, fn), _subst_expr(filler, binding, fn))
-        case Max(n, prop, filler):
-            return Max(n, _subst_prop(prop, binding, fn), _subst_expr(filler, binding, fn))
-        case And(operands):
-            return And(tuple(_subst_expr(c, binding, fn) for c in operands))
-        case OneOf(members):
-            return OneOf(_subst_members(members, binding, fn))
-    raise TypeError(f"not a class expression: {e!r}")
+def _subst(x, binding: Mapping[str, Argument], fn: NameFn):
+    """Rebuild a node with every name substituted and then passed to fn."""
+    vals = []
+    for f in _FIELDS[type(x)][1]:
+        v = getattr(x, f)
+        t = type(v)
+        if t is Name:
+            v = _subst_name(v, binding, fn)
+        elif t is tuple:
+            if v and type(v[0]) is Name:
+                v = _subst_members(v, binding, fn)
+            else:
+                v = tuple([_subst(c, binding, fn) for c in v])
+        elif t in _FIELDS:
+            v = _subst(v, binding, fn)
+        vals.append(v)
+    return type(x)(*vals)
 
 
 def subst_axiom(a: Axiom, binding: Mapping[str, Argument], fn: NameFn = _same) -> Axiom | None:
@@ -673,40 +678,10 @@ def subst_axiom(a: Axiom, binding: Mapping[str, Argument], fn: NameFn = _same) -
     in one rebuild; None when it mentions an empty-bound name and is
     therefore deleted.  fn may already have seen some names of a deleted
     axiom."""
-    b = binding
     try:
-        match a:
-            case SubClassOf(sub, sup):
-                return SubClassOf(_subst_expr(sub, b, fn), _subst_expr(sup, b, fn))
-            case EquivalentClasses(x, y):
-                return EquivalentClasses(_subst_expr(x, b, fn), _subst_expr(y, b, fn))
-            case DisjointClasses(x, y):
-                return DisjointClasses(_subst_expr(x, b, fn), _subst_expr(y, b, fn))
-            case SubPropertyOf(sub, sup):
-                return SubPropertyOf(_subst_prop(sub, b, fn), _subst_prop(sup, b, fn))
-            case InverseProps(x, y):
-                return InverseProps(_subst_name(x, b, fn), _subst_name(y, b, fn))
-            case Domain(p, c):
-                return Domain(_subst_name(p, b, fn), _subst_expr(c, b, fn))
-            case Range(p, c):
-                return Range(_subst_name(p, b, fn), _subst_expr(c, b, fn))
-            case Functional(p):
-                return Functional(_subst_name(p, b, fn))
-            case Transitive(p):
-                return Transitive(_subst_name(p, b, fn))
-            case SubPropertyChain(p, chain):
-                return SubPropertyChain(_subst_name(p, b, fn),
-                                        tuple(_subst_prop(q, b, fn) for q in chain))
-            case ClassAssertion(c, i):
-                return ClassAssertion(_subst_expr(c, b, fn), _subst_name(i, b, fn))
-            case PropAssertion(p, s, o):
-                return PropAssertion(_subst_name(p, b, fn), _subst_name(s, b, fn),
-                                     _subst_name(o, b, fn))
-            case DifferentIndividuals(members):
-                return DifferentIndividuals(_subst_members(members, b, fn))
+        return _subst(a, binding, fn)
     except _MentionsEmpty:
         return None
-    raise TypeError(f"not an axiom: {a!r}")
 
 
 def subst_decls(decls: Iterable[Decl], binding: Mapping[str, Argument],

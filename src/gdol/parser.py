@@ -40,6 +40,13 @@ _CLAUSE_KEYWORDS = {
 _PARAM_CONSTRAINT_KEYWORDS = {"Domain", "Range", "Types", "Facts"}
 _STANDALONE_KEYWORDS = {"DifferentIndividuals", "EquivalentClasses", "DisjointClasses"}
 
+# How deep lets, parenthesised or restricted class expressions, bracketed
+# name arguments and `::` conses may nest, all counted together.  It keeps
+# the descent, and every recursive walk over what it builds, well inside the
+# default recursion limit, so a document is rejected at the same place on
+# every interpreter and from any caller.
+_MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Token:
@@ -105,6 +112,7 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.toks = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # --- token helpers ---
 
@@ -144,6 +152,13 @@ class _Parser:
         t = self.peek()
         return ParseError(message, t.line, t.col)
 
+    def descend(self) -> None:
+        """Enter one level of nesting; the caller leaves it again with
+        `self.depth -= 1` (an error abandons the whole parse)."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise self.error("nesting too deep")
+
     def expect_kind(self) -> SymbolKind:
         t = self.expect_ident()
         if t.value not in _KIND_KEYWORDS:
@@ -157,11 +172,13 @@ class _Parser:
         if not self.at_sym("["):
             return Name(t.value)
         self.next()
+        self.descend()
         args = [self.parse_name()]
         while self.at_sym(","):
             self.next()
             args.append(self.parse_name())
         self.expect_sym("]")
+        self.depth -= 1
         return Name(t.value, tuple(args))
 
     # --- class expressions ---
@@ -212,8 +229,10 @@ class _Parser:
     def parse_conjunct(self) -> ClassExpr:
         if self.at_sym("("):
             self.next()
+            self.descend()
             e = self.parse_expr()
             self.expect_sym(")")
+            self.depth -= 1
             return e
         if self.at_sym("{"):
             self.next()
@@ -234,13 +253,16 @@ class _Parser:
         if t.type == "ident" and t.value in _RESTRICTIONS:
             prop = PropExpr(name, inverse)
             kw = self.next().value
+            n = 0
             if kw == "max":
-                num = self.peek()
-                if num.type != "int":
+                if self.peek().type != "int":
                     raise self.error("max needs a cardinality")
-                self.next()
-                return Max(int(num.value), prop, self.parse_conjunct())
+                n = int(self.next().value)
+            self.descend()
             filler = self.parse_conjunct()
+            self.depth -= 1
+            if kw == "max":
+                return Max(n, prop, filler)
             return Some(prop, filler) if kw == "some" else Only(prop, filler)
         if inverse:
             raise self.error("inverse must be followed by a restriction")
@@ -391,7 +413,10 @@ class _Parser:
         arg: Argument = SymbolArg(self.parse_name(), kind)
         if self.at_sym("::"):
             self.next()
-            return ConsArg(arg, self.parse_argument())
+            self.descend()
+            tail = self.parse_argument()
+            self.depth -= 1
+            return ConsArg(arg, tail)
         return arg
 
     def _parse_arguments(self) -> tuple[Argument, ...]:
@@ -441,6 +466,7 @@ class _Parser:
         raise self.error(f"expected a spec, found {t.value or 'end of input'!r}")
 
     def _parse_let(self) -> LetSpec:
+        self.descend()
         self.expect_ident("let")
         locals_: list[PatternDef] = []
         while self.at_ident("pattern"):
@@ -448,7 +474,9 @@ class _Parser:
         if not locals_:
             raise self.error("let needs at least one local pattern")
         self.expect_ident("in")
-        return LetSpec(tuple(locals_), self.parse_spec())
+        body = self.parse_spec()
+        self.depth -= 1
+        return LetSpec(tuple(locals_), body)
 
     # --- parameters ---
 
@@ -580,7 +608,7 @@ def parse_document(text: str) -> Document:
     p = _Parser(text)
     try:
         return p.parse_document()
-    except RecursionError:  # the descent, or canonicalizing what it built
+    except RecursionError:  # a caller that was already deep in its stack
         raise p.error("nesting too deep") from None
 
 

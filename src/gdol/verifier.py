@@ -34,9 +34,9 @@ from .errors import MapKindMismatch
 from .model import (
     And, Axiom, ClassAssertion, ClassExpr, DifferentIndividuals,
     DisjointClasses, Domain, EquivalentClasses, Functional, InverseProps,
-    Max, Name, Obligation, OneOf, Only, Ontology, PropAssertion, Range,
-    RefinementDef, Some, SubClassOf, SubPropertyChain, SubPropertyOf,
-    Transitive, axiom_key, axiom_names, canon_axiom, map_ontology,
+    Name, Obligation, OneOf, Ontology, PropAssertion, Range, RefinementDef,
+    SubClassOf, SubPropertyChain, SubPropertyOf, Transitive, axiom_names,
+    canon_axiom, class_exprs, map_ontology, node_key,
 )
 
 ALL_RULES = frozenset({"R1", "R2", "R3", "R4", "R5", "R6", "R7"})
@@ -81,31 +81,6 @@ class _Counter:
 _PropNode = tuple[Name, bool]
 
 
-def _subexprs(e: ClassExpr):
-    yield e
-    match e:
-        case And(operands):
-            for c in operands:
-                yield from _subexprs(c)
-        case Some(_, f) | Only(_, f) | Max(_, _, f):
-            yield from _subexprs(f)
-        case _:
-            return
-
-
-def _axiom_exprs(a: Axiom):
-    match a:
-        case SubClassOf(sub, sup) | EquivalentClasses(sub, sup) | DisjointClasses(sub, sup):
-            yield from _subexprs(sub)
-            yield from _subexprs(sup)
-        case Domain(_, c) | Range(_, c):
-            yield from _subexprs(c)
-        case ClassAssertion(c, _):
-            yield from _subexprs(c)
-        case _:
-            return
-
-
 class _Theory:
     """The told part of one context under one config, with reach caches
     that every goal checked against it shares."""
@@ -131,7 +106,7 @@ class _Theory:
 
         for a in self.axioms:
             if "R3" in r:
-                for e in _axiom_exprs(a):
+                for e in class_exprs(a):
                     if isinstance(e, And):
                         self.and_nodes.add(e)
             match a:
@@ -192,7 +167,7 @@ class _Theory:
         its own class-reach cache.  Property reach never depends on goal.
         Canonical And-nodes never have And operands, so the step count of
         a class walk does not depend on the order of and_nodes."""
-        new = {e for e in _axiom_exprs(goal) if isinstance(e, And)} - self.and_nodes
+        new = {e for e in class_exprs(goal) if isinstance(e, And)} - self.and_nodes
         if not new:
             return self
         view = copy(self)
@@ -418,7 +393,7 @@ def check_refinement(refdef: RefinementDef, env, config: RuleEngineConfig = DEFA
     renamed = map_ontology(source, lambda n: mapping.get(n, n))
     slot = _Slot()
     results = []
-    for axiom in sorted(renamed.axioms, key=axiom_key):
+    for axiom in sorted(renamed.axioms, key=node_key):
         results.append((axiom, entails(target, axiom, config, _slot=slot)))
     return RefinementReport(refdef.name, tuple(results))
 

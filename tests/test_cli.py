@@ -57,9 +57,8 @@ def test_deeply_nested_document_exits_with_two(tmp_path, capsys):
     deep = tmp_path / "deep.gdol"
     deep.write_text("ontology O = " + "let pattern L [Class: X] = Class: X in " * 400 + "L[A]\n")
     assert main(["expand", str(deep), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: 1:") and "nesting too deep" in err
-    assert "Traceback" not in err
+    # located at the 101st let, one level past the parser's limit
+    assert capsys.readouterr().err == f"error: 1:{13 + 100 * 39 + 1}: nesting too deep\n"
 
 
 def test_check_reports_no_obligations(capsys):

@@ -1,6 +1,9 @@
 """Axiom canonicalization, ontology union, and substitution."""
 from __future__ import annotations
 
+import itertools
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from gdol import (
     EquivalentClasses,
     Functional,
     InstSpec,
+    InverseProps,
     KindClash,
     ListArg,
     Name,
@@ -40,7 +44,10 @@ from gdol import (
     substitute,
 )
 from gdol.errors import SubstitutionError
-from gdol.model import Max, map_axiom, stratify, subst_argument, subst_axiom, union
+from gdol.model import (
+    Max, axiom_names, class_exprs, map_axiom, node_key, stratify, subst_argument, subst_axiom,
+    union,
+)
 
 A, B, C = Name("A"), Name("B"), Name("C")
 p = PropExpr(Name("p"))
@@ -76,6 +83,93 @@ def test_inverse_pair_order_is_significant():
 def test_different_individuals_members_are_sorted():
     d = canon_axiom(DifferentIndividuals((B, A, B)))
     assert d == DifferentIndividuals((A, B))
+
+
+# --- the walk over node fields ------------------------------------------------
+
+# key order of the shapes, which fixes the order the emitter writes clauses in
+_EXPR_ORDER = (Named, Some, Only, Max, And, OneOf)
+_AXIOM_ORDER = (
+    SubClassOf, EquivalentClasses, DisjointClasses, SubPropertyOf, InverseProps,
+    Domain, Range, Functional, Transitive, SubPropertyChain, ClassAssertion,
+    PropAssertion, DifferentIndividuals,
+)
+_SHAPE = re.compile(r"\b(Named|Some|Only|Max|And|OneOf)\(")
+
+
+def _every_shape():
+    """One class expression of each shape and one axiom of each shape, in
+    alphabetical order, with a distinct name in every name slot; the axioms'
+    class expression slots take the expression shapes in turn."""
+    names = (Name(f"n{i}") for i in itertools.count())
+
+    def nm() -> Name:
+        return next(names)
+
+    def pe() -> PropExpr:
+        return PropExpr(nm(), True)
+
+    makers = [
+        lambda: And((Named(nm()), Some(pe(), Named(nm())))),
+        lambda: Max(2, pe(), OneOf((nm(), nm()))),
+        lambda: Named(nm()),
+        lambda: OneOf((nm(), nm(), nm())),
+        lambda: Only(pe(), And((Named(nm()), Named(nm())))),
+        lambda: Some(pe(), Max(0, pe(), Named(nm()))),
+    ]
+    exprs = [make() for make in makers]
+    turn = itertools.cycle(makers)
+
+    def ce():
+        return next(turn)()
+
+    axioms = [
+        ClassAssertion(ce(), nm()),
+        DifferentIndividuals((nm(), nm(), nm())),
+        DisjointClasses(ce(), ce()),
+        Domain(nm(), ce()),
+        EquivalentClasses(ce(), ce()),
+        Functional(nm()),
+        InverseProps(nm(), nm()),
+        PropAssertion(nm(), nm(), nm()),
+        Range(nm(), ce()),
+        SubClassOf(ce(), ce()),
+        SubPropertyChain(nm(), (pe(), pe(), pe())),
+        SubPropertyOf(pe(), pe()),
+        Transitive(nm()),
+    ]
+    return exprs, axioms
+
+
+def _written_names(x) -> set[Name]:
+    return {Name(b) for b in re.findall(r"base='(\w+)'", repr(x))}
+
+
+@pytest.mark.parametrize("a", _every_shape()[1], ids=lambda a: type(a).__name__)
+def test_the_walk_reaches_every_field(a):
+    names = _written_names(a)
+    assert axiom_names(a) == names
+    shapes = sorted(type(e).__name__ for e in class_exprs(a))
+    assert shapes == sorted(_SHAPE.findall(repr(a)))
+
+    renamed = subst_axiom(a, {n.base: SymbolArg(Name(n.base + "_r")) for n in names})
+    assert _written_names(renamed) == {Name(n.base + "_r") for n in names}
+    assert subst_axiom(renamed, {n.base + "_r": SymbolArg(n) for n in names}) == a
+    for n in names:
+        assert subst_axiom(a, {n.base: EmptyArg()}) is None
+
+
+def test_class_exprs_of_an_expression_include_itself():
+    for e in _every_shape()[0]:
+        found = list(class_exprs(e))
+        assert found[0] is e
+        assert sorted(type(x).__name__ for x in found) == sorted(_SHAPE.findall(repr(e)))
+
+
+def test_keys_sort_shapes_in_declaration_order():
+    exprs, axioms = _every_shape()
+    assert tuple(type(e) for e in sorted(exprs, key=node_key)) == _EXPR_ORDER
+    assert tuple(type(a) for a in sorted(axioms, key=node_key)) == _AXIOM_ORDER
 
 
 # --- ontology union -----------------------------------------------------------
@@ -125,6 +219,7 @@ _axioms = st.one_of(
     st.builds(EquivalentClasses, _exprs(1), _exprs(1)),
     st.builds(DisjointClasses, _exprs(1), _exprs(1)),
     st.builds(SubPropertyOf, _props, _props),
+    st.builds(InverseProps, _names, _names),
     st.builds(Domain, _names, _exprs(1)),
     st.builds(Range, _names, _exprs(1)),
     st.builds(Functional, _names),

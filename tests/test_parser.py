@@ -9,6 +9,7 @@ from gdol import (
     BasicSpec,
     ClassAssertion,
     Domain,
+    ExpansionEnv,
     ExtensionSpec,
     InstSpec,
     Name,
@@ -18,6 +19,9 @@ from gdol import (
     Some,
     SymbolKind,
     UnionSpec,
+    check_obligations,
+    check_refinement,
+    emit_manchester,
     parse_document,
     parse_manchester_fragment,
     render_document,
@@ -183,20 +187,58 @@ def test_fragment_rejects_trailing_content():
         parse_manchester_fragment("Class: A\npattern")
 
 
+def _cons(n: int) -> str:
+    return " :: ".join(f"a{i}" for i in range(n))
+
+
+# each document, with the line of the error and that line up to the token
+# that opens the 101st level: 100 levels are the most any document may nest
 _TOO_DEEP = {
-    "let": "ontology O = " + "let pattern L [Class: X] = Class: X in " * 400 + "L[A]\n",
-    "restriction": "ontology O = Class: A SubClassOf: " + "p some (" * 400 + "B" + ")" * 400 + "\n",
-    "name": "ontology O = Class: " + "w[" * 5000 + "A" + "]" * 5000 + "\n",
-    "cons": "pattern P [Class: x :: xs] = Class: x\n"
-            "ontology O = P[" + " :: ".join(f"a{i}" for i in range(1000)) + " :: []]\n",
+    "let": ("ontology O = " + "let pattern L [Class: X] = Class: X in " * 400 + "L[A]\n",
+            1, "ontology O = " + "let pattern L [Class: X] = Class: X in " * 100),
+    # a parenthesised restriction is two levels
+    "restriction": ("ontology O = Class: A SubClassOf: " + "p some (" * 400 + "B" + ")" * 400 + "\n",
+                    1, "ontology O = Class: A SubClassOf: " + "p some (" * 50 + "p some "),
+    "name": ("ontology O = Class: " + "w[" * 5000 + "A" + "]" * 5000 + "\n",
+             1, "ontology O = Class: " + "w[" * 101),
+    "cons": ("pattern P [Class: x :: xs] = Class: x\nontology O = P[" + _cons(1000) + " :: []]\n",
+             2, "ontology O = P[" + _cons(101) + " :: "),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_TOO_DEEP))
 def test_nesting_too_deep_is_a_located_parse_error(kind):
+    text, line, before = _TOO_DEEP[kind]
     with pytest.raises(ParseError, match="nesting too deep") as info:
-        parse_document(_TOO_DEEP[kind])
-    assert info.value.line >= 1 and info.value.column > 1
+        parse_document(text)
+    assert (info.value.line, info.value.column) == (line, len(before) + 1)
+
+
+# one document per kind that nests exactly 100 levels, inside a pattern so
+# that substituting and stratifying walk it as well
+_AT_LIMIT = {
+    "let": "pattern P [Class: X] = " + "let pattern L [Class: X] = " * 100 + "Class: X"
+           + " in L[X]" * 100 + "\nontology O = P[A]\n",
+    "restriction": "pattern P [Class: X] = Class: X SubClassOf: " + "p some " * 100 + "X\n"
+                   "  ObjectProperty: p\nontology O = P[A]\n",
+    "parenthesised": "pattern P [Class: X] = Class: X SubClassOf: " + "(X and p some " * 50 + "X"
+                     + ")" * 50 + "\n  ObjectProperty: p\nontology O = P[A]\n",
+    "name": "pattern P [Class: X] = Class: " + "w[" * 100 + "X" + "]" * 100 + " SubClassOf: X\n"
+            "ontology O = P[A]\n",
+    "cons": "pattern P [Class: x :: xs] = Class: x\nontology O = P[" + _cons(100) + " :: []]\n",
+}
+
+
+@pytest.mark.filterwarnings("ignore::gdol.ShadowWarning")
+@pytest.mark.parametrize("kind", sorted(_AT_LIMIT))
+def test_documents_at_the_nesting_limit_pass_every_stage(kind):
+    doc = parse_document(_AT_LIMIT[kind])
+    assert parse_document(render_document(doc)) == doc
+    env = ExpansionEnv.from_documents([doc])
+    emit_manchester(env.expand_named("O"))
+    check_obligations(env.obligations("O"))
+    refinement = parse_document("refinement R = O refined to O\n").refinement_defs()["R"]
+    assert check_refinement(refinement, env).ok
 
 
 def test_errors_carry_positions():
@@ -215,3 +257,26 @@ def test_corpus_documents_round_trip(path):
     doc = parse_document(path.read_text())
     again = parse_document(render_document(doc))
     assert again == doc
+
+
+def _chain(spec) -> list:
+    """The operands of a left-deep union or extension chain, with the
+    operator before each, so that comparing chains recurses no deeper than
+    comparing one operand."""
+    out = []
+    while True:
+        match spec:
+            case UnionSpec(left, right) | ExtensionSpec(left, right):
+                out.append((type(spec), right))
+                spec = left
+            case _:
+                return out + [spec]
+
+
+@pytest.mark.parametrize("op", ["and", "then"])
+def test_long_chains_round_trip(op):
+    doc = parse_document("ontology O = " + f" {op} ".join(
+        f"Class: C{i} SubClassOf: C{i + 1}" for i in range(3000)) + "\n")
+    (again,) = parse_document(render_document(doc)).decls
+    assert again.name == "O"
+    assert _chain(again.spec) == _chain(doc.decls[0].spec)
