@@ -17,13 +17,10 @@ expansion has seen: their items are declared once, and a frame whose
 obligations provably repeat an earlier frame's is not asked for them again.
 That keeps the work per frame proportional to what the frame adds.
 
-A kind clash is reported as the first one a fold of per-node values with
-`Ontology.union` would meet.  The single accumulator finds a clash no later
-than that fold does, but not always the same one, so on a clash the
-innermost open named-ontology (or standalone) expansion is rerun with one
-builder per node, which reproduces the fold: each union operand and pattern
-body gets a builder of its own, merged into its parent's once complete, and
-each fragment and each frame's declarations are an Ontology alone.
+A kind clash is reported where the walk first adds a declaration that
+contradicts the builder it goes into, whether a node's own or a referenced
+ontology's once expanded, naming the least clashing flat name there in
+(name, kind) order.
 
 The walk is one loop over an explicit stack of work items, so no nesting of
 patterns, unions or references is too deep for it.  Union operands, let and
@@ -45,8 +42,7 @@ from typing import Iterable, Mapping
 
 from .errors import (
     ArityMismatch, CyclicImport, DepthExceeded, EmptyForRequired, GdolError,
-    KindClash, KindMismatch, ListLengthMismatch, SubstitutionError,
-    UnknownPattern,
+    KindMismatch, ListLengthMismatch, SubstitutionError, UnknownPattern,
 )
 from .model import (
     Argument, Axiom, BasicSpec, ConsArg, Decl, Document, EmptyArg, EmptySpec,
@@ -60,7 +56,7 @@ _Found = tuple[Axiom, str, str, int]  # an obligation's axiom, pattern, param, i
 
 DEFAULT_DEPTH_BUDGET = 10000
 
-_SPEC, _MERGE, _NAMED, _CLOSE = range(4)  # work item tags, see ExpansionEnv._walk
+_SPEC, _NAMED, _CLOSE = range(3)  # work item tags, see ExpansionEnv._walk
 
 
 def run_deep(fn, depth_budget=DEFAULT_DEPTH_BUDGET):
@@ -150,24 +146,17 @@ def _mentions(axioms: Iterable[Axiom], names: set[str]) -> bool:
 
 
 class _Run:
-    """State of one named-ontology or standalone-spec expansion: what it
-    expands, the builder its nodes go into and the builder its result goes
-    into once complete (None for the outermost run), the depth and the
-    height of the work stack it starts at, and its obligations.
+    """State of one named-ontology or standalone-spec expansion: its name,
+    the builder its nodes go into and the builder its result goes into once
+    complete (None for the outermost run), and its obligations.
 
     `declared` and `frames` remember list tails by identity; each entry keeps
     the tuples it is keyed by alive, so no other object can take their ids.
     """
 
-    def __init__(self, name: str | None, spec: Spec, imports: tuple[str, ...],
-                 into: OntologyBuilder | None, depth: int, base: int, exact: bool) -> None:
+    def __init__(self, name: str | None, into: OntologyBuilder | None) -> None:
         self.name = name  # None for a standalone spec
-        self.spec = spec
-        self.imports = imports
         self.into = into
-        self.depth = depth
-        self.base = base
-        self.exact = exact  # one builder per spec node: the kind-clash rerun
         self.out = OntologyBuilder()
         self.sink: list[_Found] = []
         self.declared: dict[tuple[int, SymbolKind], tuple[Argument, ...]] = {}
@@ -178,7 +167,7 @@ class _Run:
         """Whether a frame still has to declare items as kind: not when they
         are the tail of a list an earlier frame declared.  Marks tail."""
         self.declared[id(tail), kind] = tail
-        return self.exact or (id(items), kind) not in self.declared
+        return (id(items), kind) not in self.declared
 
     def repeats(self, pdef: PatternDef, binding: Binding) -> bool:
         """Whether every obligation of this frame was already raised by an
@@ -282,12 +271,10 @@ class ExpansionEnv:
     def _walk(self, name: str | None, spec: Spec | None) -> tuple[Ontology, tuple[Obligation, ...]]:
         """Expand the named ontology name, or else spec standalone: pop work
         items until the outermost run closes, and return its ontology and
-        obligations.  A kind clash in a run that is not exact reruns it
-        exactly, in place of whatever of it is left on the stack.
+        obligations.
 
         Items, by their first field:
             _SPEC, spec, scope, out, binding, depth: expand spec into out
-            _MERGE, part, out: an exact run's finished operand or body
             _NAMED, name, out, depth: add a named ontology to out
             _CLOSE: the innermost run has expanded its spec and imports
         """
@@ -298,37 +285,27 @@ class ExpansionEnv:
         else:
             self._reference(name, None, 0)
         while True:
-            try:
-                while True:
-                    item = work.pop()
-                    tag = item[0]
-                    if tag == _SPEC:
-                        self._spec(*item[1:])
-                    elif tag == _MERGE:
-                        item[2].add(item[1].freeze())
-                    elif tag == _NAMED:
-                        self._reference(*item[1:])
-                    else:
-                        run = runs.pop()
-                        result = run.out.freeze()
-                        obligations = self._finalize(run.sink, run.name or "", result)
-                        if run.name is not None:
-                            self._cache[run.name] = result
-                            self._cache_obs[run.name] = obligations
-                        if run.into is None:
-                            return result, obligations
-                        run.into.add(result)
-            except KindClash:
+            item = work.pop()
+            tag = item[0]
+            if tag == _SPEC:
+                self._spec(*item[1:])
+            elif tag == _NAMED:
+                self._reference(*item[1:])
+            else:
                 run = runs.pop()
-                if run.exact:
-                    raise
-                del work[run.base:]
-                self._open(run.name, run.spec, run.imports, run.into, run.depth, exact=True)
+                result = run.out.freeze()
+                obligations = self._finalize(run.sink, run.name or "", result)
+                if run.name is not None:
+                    self._cache[run.name] = result
+                    self._cache_obs[run.name] = obligations
+                if run.into is None:
+                    return result, obligations
+                run.into.add(result)
 
     def _open(self, name: str | None, spec: Spec, imports: tuple[str, ...],
-              into: OntologyBuilder | None, depth: int, exact: bool = False) -> None:
+              into: OntologyBuilder | None, depth: int) -> None:
         """Start a run: its spec, then its imports, then its closing item."""
-        run = _Run(name, spec, imports, into, depth, len(self._work), exact)
+        run = _Run(name, into)
         self._runs.append(run)
         work = self._work
         work.append((_CLOSE,))
@@ -353,16 +330,6 @@ class ExpansionEnv:
             raise GdolError(f"{name!r} is a pattern; a reference must name an ontology")
         self._open(name, decl.spec, decl.imports, into, depth)
 
-    def _push_part(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder,
-                   binding: Mapping[str, Argument], depth: int) -> None:
-        """Queue one operand of a union or a pattern body.  An exact run
-        gives it a builder of its own, merged into out once complete."""
-        if self._runs[-1].exact:
-            part = OntologyBuilder()
-            self._work.append((_MERGE, part, out))
-            out = part
-        self._work.append((_SPEC, spec, scope, out, binding, depth))
-
     def _spec(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder,
               binding: Mapping[str, Argument], depth: int) -> None:
         """Expand one spec node with binding substituted into it on the way;
@@ -371,8 +338,8 @@ class ExpansionEnv:
             case BasicSpec(ontology):
                 self._add(ontology.decls, ontology.axioms, binding, out)
             case UnionSpec(left, right) | ExtensionSpec(left, right):
-                self._push_part(right, scope, out, binding, depth)
-                self._push_part(left, scope, out, binding, depth)
+                self._work.append((_SPEC, right, scope, out, binding, depth))
+                self._work.append((_SPEC, left, scope, out, binding, depth))
             case InstSpec():
                 args = subst_arguments(spec.args, binding)
                 if args is not None:  # else an argument mentions an empty-bound name
@@ -406,17 +373,12 @@ class ExpansionEnv:
     def _add(self, decls: Iterable[Decl], axioms: Iterable[Axiom],
              binding: Mapping[str, Argument], out: OntologyBuilder) -> None:
         """Substitute, stratify and canonicalize one node into out, then
-        record its names.  An exact run checks the node as an Ontology of
-        its own, before and after stratification, as the per-node fold did."""
-        if self._runs[-1].exact:
-            Ontology(frozenset(subst_decls(decls, binding)))
+        record its names.  A declaration that contradicts out raises the
+        KindClash of the least clashing flat name."""
         self._queued.clear()
         decls = subst_decls(decls, binding, self._strat)
         axioms = self._subst_axioms(axioms, binding)
-        if self._runs[-1].exact:
-            out.add(Ontology(frozenset(decls), frozenset(axioms)))
-        else:
-            out.extend(decls, axioms)
+        out.extend(decls, axioms)
         self._note()
 
     def _instantiate(self, spec: InstSpec, args: tuple[Argument, ...],
@@ -441,7 +403,7 @@ class ExpansionEnv:
             return
         self._collect_obligations(pdef, binding)
         self._add(self._param_decls(pdef, binding), (), {}, out)
-        self._push_part(pdef.body, target.scope, out, binding.mapping, depth)
+        self._work.append((_SPEC, pdef.body, target.scope, out, binding.mapping, depth))
         for imp in reversed(pdef.imports):
             self._work.append((_NAMED, imp, out, depth))
 

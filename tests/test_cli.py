@@ -154,19 +154,27 @@ def test_unknown_kind_keyword_is_a_located_parse_error(tmp_path, capsys):
 
 
 def test_kind_clash_is_the_same_under_any_hash_seed(tmp_path):
-    src = tmp_path / "clash.gdol"
-    src.write_text(
-        "pattern Q [ Class: X; ObjectProperty: r ] = Class: X SubClassOf: r some X\n"
-        "ontology O = Q[B; A] and Q[A; B] and Q[D; C] and Q[C; D]\n")
-    results = set()
-    for seed in ("0", "1", "2"):
-        env = {**os.environ, "PYTHONHASHSEED": seed,
-               "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-m", "gdol.cli", "expand", str(src),
-                               "--out", str(tmp_path)],
-                              capture_output=True, text=True, env=env, check=False)
-        results.add((proc.returncode, proc.stderr))
-    assert results == {(2, "error: 'A' declared both as Class and as ObjectProperty\n")}
+    cases = [
+        ("pattern Q [ Class: X; ObjectProperty: r ] = Class: X SubClassOf: r some X\n"
+         "ontology O = Q[B; A] and Q[A; B] and Q[D; C] and Q[C; D]\n",
+         "error: 'A' declared both as Class and as ObjectProperty\n"),
+        # a clash between substituted names is reported by the name emitted
+        ("pattern K [ Class: x; ObjectProperty: y ] = Class: x\n"
+         "ontology O = K[f[a]; f[a]]\n",
+         "error: 'f_a' declared both as Class and as ObjectProperty\n"),
+    ]
+    for i, (text, expected) in enumerate(cases):
+        src = tmp_path / f"clash{i}.gdol"
+        src.write_text(text)
+        results = set()
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run([sys.executable, "-m", "gdol.cli", "expand", str(src),
+                                   "--out", str(tmp_path)],
+                                  capture_output=True, text=True, env=env, check=False)
+            results.add((proc.returncode, proc.stderr))
+        assert results == {(2, expected)}
 
 
 def test_merge_warnings_are_the_same_under_any_hash_seed(tmp_path):

@@ -46,7 +46,7 @@ from gdol import (
     expand_spec_standalone,
     parse_document,
 )
-from gdol.model import axiom_names
+from gdol.model import OntologyBuilder, axiom_names
 
 
 def S(n: str) -> SymbolArg:
@@ -432,23 +432,60 @@ def test_expansion_builds_no_ontology_per_fragment(corpus_docs, monkeypatch):
         assert _expansion_work(corpus_docs, monkeypatch, n)["construct"] == 2
 
 
+def test_kind_clash_work_grows_linearly(monkeypatch):
+    """A clash met after a long list is reported from the one builder the
+    list went into: each declaration reaches a builder once."""
+    counts = []
+    extend = OntologyBuilder.extend
+
+    def counting_extend(self, decls, axioms=()):
+        counts[-1] += len(decls)
+        extend(self, decls, axioms)
+
+    monkeypatch.setattr(OntologyBuilder, "extend", counting_extend)
+    for n in (40, 160):
+        counts.append(0)
+        doc = parse_document(
+            "pattern P [ Class: x :: xs ] = Class: x then P[xs]\n"
+            f"ontology O = P[[{', '.join(f'g{i}' for i in range(n))}]]"
+            f" and ObjectProperty: g{n - 1}\n")
+        with pytest.raises(KindClash) as info:
+            ExpansionEnv.from_documents([doc]).expand_named("O")
+        assert (info.value.name, info.value.kinds) == (f"g{n - 1}", ("Class", "ObjectProperty"))
+    small, large = counts
+    assert large <= 4.5 * small, counts
+
+
 # --- kind clashes through expansion ---------------------------------------------
 
 @pytest.mark.parametrize("source, name, kinds", [
-    # the deepest frame's union meets the clash first
+    # the first frame declares every item, so its body clashes on the head
     ("pattern P [ Class: x :: xs ] = ObjectProperty: x then P[xs]\n"
-     "ontology O = P[[a, b, c]]\n", "c", ("Class", "ObjectProperty")),
+     "ontology O = P[[a, b, c]]\n", "a", ("Class", "ObjectProperty")),
+    # Q[A; B] declares A as a class and B as a property at once: A is least
     ("pattern Q [ Class: X; ObjectProperty: r ] = Class: X SubClassOf: r some X\n"
      "ontology O = Q[B; A] and Q[A; B]\n", "A", ("Class", "ObjectProperty")),
     ("pattern R [ Individual: i :: is ] = Class: i then R[is]\n"
-     "ontology O = R[[m, n]] and Class: z\n", "n", ("Class", "Individual")),
-    # a node whose own names clash once substituted names them as written
+     "ontology O = R[[m, n]] and Class: z\n", "m", ("Class", "Individual")),
+    # a node whose own names clash once substituted names them as emitted
     ("pattern K [ Class: x; ObjectProperty: y ] = Class: x\n"
-     "ontology O = K[f[a]; f[a]]\n", "f[a]", ("Class", "ObjectProperty")),
+     "ontology O = K[f[a]; f[a]]\n", "f_a", ("Class", "ObjectProperty")),
     ("pattern F [ Class: x; Class: y ] = Class: x ObjectProperty: y\n"
-     "ontology O = F[f[a]; f[a]] and Class: f_a\n", "f[a]", ("Class", "ObjectProperty")),
+     "ontology O = F[f[a]; f[a]] and Class: f_a\n", "f_a", ("Class", "ObjectProperty")),
+    # a referenced ontology is united once expanded, before the operand
+    # after it, whose clash on the lesser name a is never met
+    ("ontology O = Class: z and O1 and ObjectProperty: a\n"
+     "ontology O1 = ObjectProperty: z and Class: a\n", "z", ("Class", "ObjectProperty")),
+    # a frame's given imports come after its declarations and before its
+    # body, whose own clash on the lesser name b is never met
+    ("ontology M = ObjectProperty: z\n"
+     "pattern G [ Class: X ] given M = ObjectProperty: b and Class: b\n"
+     "ontology O = G[z]\n", "z", ("Class", "ObjectProperty")),
 ])
 def test_kind_clash_through_expansion_names_the_first_clash(source, name, kinds):
+    """The clash reported is met at the first node, in pre-order, that
+    contradicts its run's declarations so far; of the names clashing there,
+    the least in (name, kind) order."""
     env = ExpansionEnv.from_documents([parse_document(source)])
     with pytest.raises(KindClash) as info:
         env.expand_named("O")
@@ -549,9 +586,10 @@ def _expand_all(corpus_docs, doc):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_shortcuts_match_one_union_per_spec_node(corpus_docs, monkeypatch, seed):
-    """Declaring list items once, skipping repeated obligations and the
-    single accumulator change nothing: not the ontologies, the obligations,
-    the diagnostics, nor which kind clash is reported."""
+    """Declaring a list's items once and skipping repeated obligations
+    change nothing against every frame declaring its items and raising its
+    obligations: not the ontologies, the obligations, the diagnostics, nor
+    which kind clash is reported."""
     from gdol.expander import _Run
 
     doc = parse_document(_fuzz_document(seed))
@@ -559,9 +597,6 @@ def test_shortcuts_match_one_union_per_spec_node(corpus_docs, monkeypatch, seed)
     with monkeypatch.context() as m:
         m.setattr(_Run, "undeclared", lambda self, kind, items, tail: True)
         m.setattr(_Run, "repeats", lambda self, pdef, binding: False)
-        open_run = ExpansionEnv._open
-        m.setattr(ExpansionEnv, "_open",
-                  lambda self, *args, exact=False: open_run(self, *args, exact=True))
         reference = _expand_all(corpus_docs, doc)
     assert fast == reference
 
@@ -615,17 +650,15 @@ def test_long_chains_of_named_references(main_thread, form):
 
 
 def test_kind_clash_at_the_end_of_a_long_list(main_thread):
-    # frame k declares g_k .. g_1199 as classes and its body makes g_k an
-    # object property; the per-node fold unites a body with the frame's
-    # declarations only once the body is complete, so the deepest frame,
-    # whose body is the only one without a nested frame, clashes first
+    # the first frame declares g0 .. g1199 as classes and its body then
+    # makes g0 an object property: the clash is met before any deeper frame
     doc = parse_document(
         "pattern P [ Class: x :: xs ] = ObjectProperty: x then P[xs]\n"
         "ontology O = P[[" + ", ".join(f"g{i}" for i in range(1200)) + "]]\n")
     env = ExpansionEnv.from_documents([doc])
     with pytest.raises(KindClash) as info:
         env.expand_named("O")
-    assert (info.value.name, info.value.kinds) == ("g1199", ("Class", "ObjectProperty"))
+    assert (info.value.name, info.value.kinds) == ("g0", ("Class", "ObjectProperty"))
 
 
 def test_names_nested_by_argument_passing(main_thread):
