@@ -8,7 +8,7 @@ constrained parameters and refinement declarations give rise to.
 from .errors import (
     ArityMismatch, CyclicImport, DepthExceeded, EmptyForRequired, GdolError,
     KindClash, KindMismatch, ListLengthMismatch, MapKindMismatch, ParseError,
-    ShadowWarning, SubstitutionError, UnknownPattern, UnstratifiedName,
+    SubstitutionError, UnknownPattern, UnstratifiedName,
 )
 from .model import (
     And, Argument, Axiom, BasicSpec, ClassAssertion, ClassExpr, ConsArg,

@@ -102,7 +102,3 @@ class UnstratifiedName(GdolError):
 
 class SubstitutionError(GdolError):
     pass
-
-
-class ShadowWarning(UserWarning):
-    """A let-local parameter shadows a name bound by the enclosing pattern."""

@@ -237,12 +237,35 @@ class ExpansionEnv:
         name that is both a stratified and a plain name."""
         for flat, stratified in self._queued:
             (self._stratified if stratified else self._plain).add(flat)
-            if flat in self._stratified and flat in self._plain and flat not in self._warned:
-                self._warned.add(flat)
-                self.diagnostics.append(
-                    f"stratified name {flat!r} coincides with a plain name; the two merge"
-                )
+            if flat in self._stratified and flat in self._plain:
+                self._warn(f"stratified name {flat!r} coincides with a plain name; the two merge")
         self._queued.clear()
+
+    def _warn(self, message: str) -> None:
+        if message not in self._warned:
+            self._warned.add(message)
+            self.diagnostics.append(message)
+
+    def _note_shadowing(self, locals_: Iterable[PatternDef], bound: set[str]) -> None:
+        """Warn once for each local pattern whose parameters shadow a bound
+        name, among locals_ and the lets that substituting into their bodies
+        reaches."""
+        todo = [(p, bound) for p in locals_]
+        while todo:
+            p, names = todo.pop()
+            own = p.param_names
+            if own & names:
+                self._warn(f"parameters {sorted(own & names)} of local pattern {p.name!r}"
+                           " shadow outer bindings")
+            rest = names - own  # what substitution carries into p's body
+            specs = [p.body] if rest else []
+            while specs:
+                match specs.pop():
+                    case UnionSpec(left, right) | ExtensionSpec(left, right):
+                        specs += (left, right)
+                    case LetSpec(nested, body):
+                        specs.append(body)
+                        todo.extend((q, rest) for q in nested)
 
     # --- named ontologies ---
 
@@ -347,6 +370,8 @@ class ExpansionEnv:
             case LetSpec(locals_, body):
                 inner: dict[str, object] = {}
                 chained: Mapping[str, object] = ChainMap(inner, scope)
+                if binding:
+                    self._note_shadowing(locals_, set(binding))
                 for p in locals_:
                     if binding:
                         p = subst_pattern_def(p, binding)

@@ -16,14 +16,13 @@ order the node classes are declared in is the order their keys sort in.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Collection, Iterable, Mapping, Union, get_args
 
-from .errors import KindClash, ShadowWarning, SubstitutionError
+from .errors import KindClash, SubstitutionError
 
 _BAD_NAME_CHARS = set("[],;:?{}()| \t\r\n")
 
@@ -553,6 +552,11 @@ class PatternDef:
     body: Spec
     imports: tuple[str, ...] = ()
 
+    @property
+    def param_names(self) -> set[str]:
+        """The names the parameters bind: each name and each list tail."""
+        return {q.name for q in self.params} | {q.list_tail for q in self.params if q.list_tail}
+
 
 @dataclass(frozen=True)
 class OntologyDef:
@@ -746,14 +750,7 @@ def subst_arguments(args: tuple[Argument, ...],
 def subst_pattern_def(p: PatternDef, binding: Mapping[str, Argument]) -> PatternDef:
     """Substitute into a let-bound pattern definition; its own parameters
     shadow the outer binding."""
-    own = {q.name for q in p.params} | {q.list_tail for q in p.params if q.list_tail}
-    shadowed = own & set(binding)
-    if shadowed:
-        warnings.warn(
-            f"parameters {sorted(shadowed)} of local pattern {p.name!r} shadow outer bindings",
-            ShadowWarning,
-            stacklevel=4,
-        )
+    own = p.param_names
     inner = {k: v for k, v in binding.items() if k not in own}
     params = []
     for q in p.params:

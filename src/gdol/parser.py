@@ -1,8 +1,14 @@
 """Parser for pattern documents and embedded Manchester fragments.
 
-Hand-rolled recursive descent over a flat token list.  All keywords are
-contextual: the tokenizer only knows identifiers, integers, and punctuation,
-and the parser decides what an identifier means from its position.
+The lexer is one regular expression with a named group per token class.  It
+skips newlines, blanks and `%%` comments, which run to the end of the line,
+and yields identifiers (a letter or `_`, then letters, digits or `_`),
+integers (decimal digits) and punctuation; any other character is an error.
+
+The parser is hand-rolled recursive descent over that flat token list.  All
+keywords are contextual: the lexer only knows identifiers, integers, and
+punctuation, and the parser decides what an identifier means from its
+position.
 
 The one real ambiguity in the grammar is `and`, which both joins specs and
 joins conjuncts inside a class expression.  We resolve it with bounded
@@ -14,7 +20,10 @@ a conjunct directly after `and` therefore needs parentheses.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import reduce
+from typing import Callable, TypeVar
 
 from .errors import ParseError, UnbalancedBracket, UnknownKeyword
 from .model import (
@@ -27,8 +36,17 @@ from .model import (
     SymbolArg, SymbolKind, Transitive, TopDecl, UnionSpec,
 )
 
-_SYMBOLS2 = ("|->", "::")
-_SYMBOLS1 = "[]{}();,:?="
+# `[^\W\d]` also admits digits that are not decimal digits (`²`, `①`);
+# `tokenize` rejects an identifier that starts with one.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[ \t\r]+)
+  | (?P<comment>%%[^\n]*)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<int>\d+)
+  | (?P<sym>\|->|::|[][{}();,:?=])
+  | (?P<other>.)
+""", re.VERBOSE)
 
 _KIND_KEYWORDS = {k.keyword for k in SymbolKind}
 _RESTRICTIONS = {"some", "only", "max"}
@@ -40,12 +58,26 @@ _CLAUSE_KEYWORDS = {
 _PARAM_CONSTRAINT_KEYWORDS = {"Domain", "Range", "Types", "Facts"}
 _STANDALONE_KEYWORDS = {"DifferentIndividuals", "EquivalentClasses", "DisjointClasses"}
 
+# a clause whose values are class expressions -> the axiom that one value
+# states about the frame's subject
+_EXPR_CLAUSES: dict[str, Callable[[Name, ClassExpr], object]] = {
+    "SubClassOf": lambda s, v: SubClassOf(Named(s), v),
+    "EquivalentTo": lambda s, v: EquivalentClasses(Named(s), v),
+    "DisjointWith": lambda s, v: DisjointClasses(Named(s), v),
+    "Domain": Domain,
+    "Range": Range,
+    "Types": lambda s, v: ClassAssertion(v, s),
+}
+_CHARACTERISTICS = {"Functional": Functional, "Transitive": Transitive}
+
 # How deep lets, parenthesised or restricted class expressions, bracketed
 # name arguments and `::` conses may nest, all counted together.  It keeps
 # the descent, and every recursive walk over what it builds, well inside the
 # default recursion limit, so a document is rejected at the same place on
 # every interpreter and from any caller.
 _MAX_NESTING = 100
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -58,53 +90,17 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("%%", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        matched = False
-        for s in _SYMBOLS2:
-            if text.startswith(s, i):
-                toks.append(Token("sym", s, line, col))
-                i += len(s)
-                col += len(s)
-                matched = True
-                break
-        if matched:
-            continue
-        if c in _SYMBOLS1:
-            toks.append(Token("sym", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "other" or kind == "ident" and not (value[0].isalpha() or value[0] == "_"):
+            raise ParseError(f"unexpected character {value[0]!r}", line, col)
+        elif kind in ("ident", "int", "sym"):
+            toks.append(Token(kind, value, line, col))
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -125,27 +121,38 @@ class _Parser:
             self.pos += 1
         return t
 
-    def at_sym(self, value: str, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t.type == "sym" and t.value == value
+    def at(self, value: str, k: int = 0) -> bool:
+        # symbols and words never share a spelling, so the value alone
+        # tells a `[` from an `and`
+        return self.peek(k).value == value
 
-    def at_ident(self, value: str, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t.type == "ident" and t.value == value
+    def accept(self, value: str) -> bool:
+        """Consume the next token if it is `value`."""
+        if self.at(value):
+            self.next()
+            return True
+        return False
+
+    def sep(self, item: Callable[[], _T], by: str = ",") -> list[_T]:
+        """`item()`, then one more `item()` after each `by`."""
+        items = [item()]
+        while self.accept(by):
+            items.append(item())
+        return items
+
+    def expected(self, what: str, cls: type[ParseError] = ParseError) -> ParseError:
+        t = self.peek()
+        return cls(f"expected {what}, found {t.value or 'end of input'!r}", t.line, t.col)
 
     def expect_sym(self, value: str) -> Token:
-        t = self.peek()
-        if not self.at_sym(value):
-            if value in "]})":
-                raise UnbalancedBracket(f"expected {value!r}, found {t.value or 'end of input'!r}", t.line, t.col)
-            raise ParseError(f"expected {value!r}, found {t.value or 'end of input'!r}", t.line, t.col)
+        if not self.at(value):
+            raise self.expected(repr(value), UnbalancedBracket if value in "]})" else ParseError)
         return self.next()
 
     def expect_ident(self, value: str | None = None) -> Token:
         t = self.peek()
         if t.type != "ident" or (value is not None and t.value != value):
-            want = value or "a name"
-            raise ParseError(f"expected {want!r}, found {t.value or 'end of input'!r}", t.line, t.col)
+            raise self.expected(repr(value or "a name"))
         return self.next()
 
     def error(self, message: str) -> ParseError:
@@ -169,14 +176,10 @@ class _Parser:
 
     def parse_name(self) -> Name:
         t = self.expect_ident()
-        if not self.at_sym("["):
+        if not self.accept("["):
             return Name(t.value)
-        self.next()
         self.descend()
-        args = [self.parse_name()]
-        while self.at_sym(","):
-            self.next()
-            args.append(self.parse_name())
+        args = self.sep(self.parse_name)
         self.expect_sym("]")
         self.depth -= 1
         return Name(t.value, tuple(args))
@@ -188,32 +191,29 @@ class _Parser:
         return (
             t.type == "ident"
             and (t.value in _KIND_KEYWORDS or t.value in _STANDALONE_KEYWORDS)
-            and self.at_sym(":", k + 1)
+            and self.at(":", k + 1)
         )
 
     def _at_clause_start(self, keywords: set[str]) -> bool:
         t = self.peek()
-        return t.type == "ident" and t.value in keywords and self.at_sym(":", 1)
+        return t.type == "ident" and t.value in keywords and self.at(":", 1)
 
     def _conjunct_follows(self) -> bool:
         # called with the cursor on `and`; decide expression vs spec level
-        if self.at_sym("(", 1):
+        if self.at("(", 1) or self.at("inverse", 1):
             return True
-        if self.at_sym("{", 1):
-            return not self.at_sym("}", 2)
-        if self.at_ident("inverse", 1):
-            return True
-        t = self.peek(1)
-        if t.type != "ident":
+        if self.at("{", 1):
+            return not self.at("}", 2)
+        if self.peek(1).type != "ident":
             return False
         k = 2
-        if self.at_sym("[", k):
+        if self.at("[", k):
             depth = 1
             k += 1
             while depth and self.peek(k).type != "eof":
-                if self.at_sym("[", k):
+                if self.at("[", k):
                     depth += 1
-                elif self.at_sym("]", k):
+                elif self.at("]", k):
                     depth -= 1
                 k += 1
         t = self.peek(k)
@@ -221,152 +221,101 @@ class _Parser:
 
     def parse_expr(self) -> ClassExpr:
         parts = [self.parse_conjunct()]
-        while self.at_ident("and") and self._conjunct_follows():
+        while self.at("and") and self._conjunct_follows():
             self.next()
             parts.append(self.parse_conjunct())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_conjunct(self) -> ClassExpr:
-        if self.at_sym("("):
-            self.next()
+        if self.accept("("):
             self.descend()
             e = self.parse_expr()
             self.expect_sym(")")
             self.depth -= 1
             return e
-        if self.at_sym("{"):
-            self.next()
-            if self.at_sym("}"):
+        if self.accept("{"):
+            if self.at("}"):
                 raise self.error("empty enumeration is not a class expression")
-            members = [self.parse_name()]
-            while self.at_sym(","):
-                self.next()
-                members.append(self.parse_name())
+            members = self.sep(self.parse_name)
             self.expect_sym("}")
             return OneOf(tuple(members))
-        inverse = False
-        if self.at_ident("inverse"):
-            self.next()
-            inverse = True
-        name = self.parse_name()
+        prop = self._prop()
         t = self.peek()
-        if t.type == "ident" and t.value in _RESTRICTIONS:
-            prop = PropExpr(name, inverse)
-            kw = self.next().value
-            n = 0
-            if kw == "max":
-                if self.peek().type != "int":
-                    raise self.error("max needs a cardinality")
-                n = int(self.next().value)
-            self.descend()
-            filler = self.parse_conjunct()
-            self.depth -= 1
-            if kw == "max":
-                return Max(n, prop, filler)
-            return Some(prop, filler) if kw == "some" else Only(prop, filler)
-        if inverse:
-            raise self.error("inverse must be followed by a restriction")
-        return Named(name)
+        if t.type != "ident" or t.value not in _RESTRICTIONS:
+            if prop.inverse:
+                raise self.error("inverse must be followed by a restriction")
+            return Named(prop.name)
+        self.next()
+        n = self._cardinality() if t.value == "max" else 0
+        self.descend()
+        filler = self.parse_conjunct()
+        self.depth -= 1
+        if t.value == "max":
+            return Max(n, prop, filler)
+        return Some(prop, filler) if t.value == "some" else Only(prop, filler)
+
+    def _cardinality(self) -> int:
+        t = self.peek()
+        if t.type != "int":
+            raise self.error("max needs a cardinality")
+        try:
+            n = int(t.value)
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error("cardinality has too many digits") from None
+        self.next()
+        return n
+
+    def _prop(self) -> PropExpr:
+        inverse = self.accept("inverse")
+        return PropExpr(self.parse_name(), inverse)
 
     # --- Manchester frames ---
 
-    def _parse_chain(self) -> tuple[PropExpr, ...]:
-        def elem() -> PropExpr:
-            inv = False
-            if self.at_ident("inverse"):
-                self.next()
-                inv = True
-            return PropExpr(self.parse_name(), inv)
-
-        chain = [elem()]
-        while self.at_ident("o"):
-            self.next()
-            chain.append(elem())
-        if len(chain) < 2:
-            raise self.error("a property chain needs at least two links")
-        return tuple(chain)
-
     def _parse_clauses(self, subject: Name, keywords: set[str]) -> list:
         axioms: list = []
-        s = Named(subject)
         while self._at_clause_start(keywords):
             kw = self.next().value
             self.next()  # ':'
-            if kw in ("SubClassOf", "EquivalentTo", "DisjointWith", "Domain", "Range", "Types"):
-                values = [self.parse_expr()]
-                while self.at_sym(","):
-                    self.next()
-                    values.append(self.parse_expr())
-                for v in values:
-                    if kw == "SubClassOf":
-                        axioms.append(SubClassOf(s, v))
-                    elif kw == "EquivalentTo":
-                        axioms.append(EquivalentClasses(s, v))
-                    elif kw == "DisjointWith":
-                        axioms.append(DisjointClasses(s, v))
-                    elif kw == "Domain":
-                        axioms.append(Domain(subject, v))
-                    elif kw == "Range":
-                        axioms.append(Range(subject, v))
-                    else:
-                        axioms.append(ClassAssertion(v, subject))
+            if kw in _EXPR_CLAUSES:
+                axioms.extend(_EXPR_CLAUSES[kw](subject, v) for v in self.sep(self.parse_expr))
             elif kw == "Facts":
-                while True:
-                    prop = self.parse_name()
-                    obj = self.parse_name()
-                    axioms.append(PropAssertion(prop, subject, obj))
-                    if not self.at_sym(","):
-                        break
-                    self.next()
+                axioms.extend(self.sep(
+                    lambda: PropAssertion(self.parse_name(), subject, self.parse_name())))
             elif kw == "Characteristics":
-                while True:
-                    t = self.expect_ident()
-                    if t.value == "Functional":
-                        axioms.append(Functional(subject))
-                    elif t.value == "Transitive":
-                        axioms.append(Transitive(subject))
-                    else:
-                        raise UnknownKeyword(f"unsupported characteristic {t.value!r}", t.line, t.col)
-                    if not self.at_sym(","):
-                        break
-                    self.next()
+                axioms.extend(self.sep(lambda: self._characteristic(subject)))
             elif kw == "SubPropertyOf":
-                inv = False
-                if self.at_ident("inverse"):
-                    self.next()
-                    inv = True
-                axioms.append(SubPropertyOf(PropExpr(subject), PropExpr(self.parse_name(), inv)))
+                axioms.append(SubPropertyOf(PropExpr(subject), self._prop()))
             elif kw == "InverseOf":
                 axioms.append(InverseProps(subject, self.parse_name()))
-            elif kw == "SubPropertyChain":
-                axioms.append(SubPropertyChain(subject, self._parse_chain()))
             else:
-                raise AssertionError(kw)
+                chain = self.sep(self._prop, by="o")
+                if len(chain) < 2:
+                    raise self.error("a property chain needs at least two links")
+                axioms.append(SubPropertyChain(subject, tuple(chain)))
         return axioms
 
-    def _parse_standalone(self) -> list:
+    def _characteristic(self, subject: Name):
+        t = self.expect_ident()
+        if t.value not in _CHARACTERISTICS:
+            raise UnknownKeyword(f"unsupported characteristic {t.value!r}", t.line, t.col)
+        return _CHARACTERISTICS[t.value](subject)
+
+    def _parse_standalone(self):
         kw = self.next().value
         self.next()  # ':'
         if kw == "DifferentIndividuals":
-            members = [self.parse_name()]
-            while self.at_sym(","):
-                self.next()
-                members.append(self.parse_name())
-            return [DifferentIndividuals(tuple(members))]
+            return DifferentIndividuals(tuple(self.sep(self.parse_name)))
         a = self.parse_expr()
         self.expect_sym(",")
         b = self.parse_expr()
-        return [EquivalentClasses(a, b) if kw == "EquivalentClasses" else DisjointClasses(a, b)]
+        return EquivalentClasses(a, b) if kw == "EquivalentClasses" else DisjointClasses(a, b)
 
     def parse_basic(self) -> Ontology:
         decls: list = []
         axioms: list = []
-        while True:
-            if not self._at_frame_start():
-                break
-            word = self.peek().value
-            if word in _STANDALONE_KEYWORDS:
-                axioms.extend(self._parse_standalone())
+        while self._at_frame_start():
+            if self.peek().value in _STANDALONE_KEYWORDS:
+                axioms.append(self._parse_standalone())
                 continue
             kind = self.expect_kind()
             self.next()  # ':'
@@ -379,97 +328,74 @@ class _Parser:
 
     # --- instantiation arguments ---
 
-    def _parse_list_literal(self) -> ListArg:
+    def _bracketed(self, item: Callable[[], _T], by: str) -> tuple[_T, ...]:
+        """`[`, no items or items separated by `by`, `]`."""
         self.expect_sym("[")
-        items: list[Argument] = []
-        if not self.at_sym("]"):
-            while True:
-                if self.at_sym("{"):
-                    self.next()
-                    self.expect_sym("}")
-                    items.append(EmptyArg())
-                else:
-                    items.append(SymbolArg(self.parse_name()))
-                if not self.at_sym(","):
-                    break
-                self.next()
+        items = () if self.at("]") else tuple(self.sep(item, by))
         self.expect_sym("]")
-        return ListArg(tuple(items))
+        return items
 
-    def parse_argument(self) -> Argument:
-        if self.at_sym(";") or self.at_sym("]"):
-            return EmptyArg()
-        if self.at_sym("{"):
-            self.next()
+    def _list_item(self) -> Argument:
+        if self.accept("{"):
             self.expect_sym("}")
             return EmptyArg()
-        if self.at_sym("["):
-            return self._parse_list_literal()
+        return SymbolArg(self.parse_name())
+
+    def parse_argument(self) -> Argument:
+        if self.at(";") or self.at("]"):
+            return EmptyArg()
+        if self.accept("{"):
+            self.expect_sym("}")
+            return EmptyArg()
+        if self.at("["):
+            return ListArg(self._bracketed(self._list_item, ","))
         kind: SymbolKind | None = None
-        t = self.peek()
-        if t.type == "ident" and t.value in _KIND_KEYWORDS and self.at_sym(":", 1):
+        if self.peek().value in _KIND_KEYWORDS and self.at(":", 1):
             kind = self.expect_kind()
             self.next()  # ':'
         arg: Argument = SymbolArg(self.parse_name(), kind)
-        if self.at_sym("::"):
-            self.next()
-            self.descend()
-            tail = self.parse_argument()
-            self.depth -= 1
-            return ConsArg(arg, tail)
-        return arg
-
-    def _parse_arguments(self) -> tuple[Argument, ...]:
-        self.expect_sym("[")
-        if self.at_sym("]"):
-            self.next()
-            return ()
-        args = [self.parse_argument()]
-        while self.at_sym(";"):
-            self.next()
-            args.append(self.parse_argument())
-        self.expect_sym("]")
-        return tuple(args)
+        if not self.accept("::"):
+            return arg
+        self.descend()
+        tail = self.parse_argument()
+        self.depth -= 1
+        return ConsArg(arg, tail)
 
     # --- specs ---
 
     def parse_spec(self) -> Spec:
-        left = self.parse_union()
-        while self.at_ident("then"):
-            self.next()
-            left = ExtensionSpec(left, self.parse_union())
-        return left
+        return reduce(ExtensionSpec, self.sep(self.parse_union, by="then"))
 
     def parse_union(self) -> Spec:
         left = self.parse_atom()
-        while self.at_ident("and") and not self._conjunct_follows():
+        while self.at("and") and not self._conjunct_follows():
             self.next()
             left = UnionSpec(left, self.parse_atom())
         return left
 
     def parse_atom(self) -> Spec:
         t = self.peek()
-        if self.at_sym("{") and self.at_sym("}", 1):
+        if self.at("{") and self.at("}", 1):
             self.next()
             self.next()
             return EmptySpec()
-        if self.at_ident("let"):
+        if self.at("let"):
             return self._parse_let()
         if self._at_frame_start():
             return BasicSpec(self.parse_basic())
-        if t.type == "ident":
-            name = self.next().value
-            loc = (t.line, t.col)
-            if self.at_sym("["):
-                return InstSpec(name, self._parse_arguments(), bracketed=True, loc=loc)
-            return InstSpec(name, (), bracketed=False, loc=loc)
-        raise self.error(f"expected a spec, found {t.value or 'end of input'!r}")
+        if t.type != "ident":
+            raise self.expected("a spec")
+        self.next()
+        loc = (t.line, t.col)
+        if self.at("["):
+            return InstSpec(t.value, self._bracketed(self.parse_argument, ";"), bracketed=True, loc=loc)
+        return InstSpec(t.value, (), bracketed=False, loc=loc)
 
     def _parse_let(self) -> LetSpec:
         self.descend()
         self.expect_ident("let")
         locals_: list[PatternDef] = []
-        while self.at_ident("pattern"):
+        while self.at("pattern"):
             locals_.append(self._parse_pattern(allow_given=False))
         if not locals_:
             raise self.error("let needs at least one local pattern")
@@ -480,67 +406,35 @@ class _Parser:
 
     # --- parameters ---
 
-    def _parse_param_constraints(self, subject: Name) -> list:
-        return self._parse_clauses(subject, _PARAM_CONSTRAINT_KEYWORDS)
-
     def parse_parameter(self) -> Parameter:
-        optional = False
-        if self.at_sym("?"):
-            self.next()
-            optional = True
-        if self.at_sym("{"):
-            self.next()
-            kind = self.expect_kind()
-            self.expect_sym(":")
-            name = self.expect_ident().value
-            constraints = self._parse_param_constraints(Name(name))
-            self.expect_sym("}")
-            tail: str | None = None
-            if self.at_sym("::"):
-                self.next()
-                tail = self.expect_ident().value
-            return Parameter(kind, name, optional, tail, tuple(constraints))
-        t = self.peek()
-        if t.type != "ident" or t.value not in _KIND_KEYWORDS:
-            raise self.error(f"expected a parameter kind, found {t.value or 'end of input'!r}")
+        optional = self.accept("?")
+        braced = self.accept("{")
+        if not braced and self.peek().value not in _KIND_KEYWORDS:
+            raise self.expected("a parameter kind")
         kind = self.expect_kind()
         self.expect_sym(":")
         name = self.expect_ident().value
-        tail = None
-        if self.at_sym("::"):
-            self.next()
-            tail = self.expect_ident().value
-        constraints = self._parse_param_constraints(Name(name))
+        tail = None if braced else self._tail()
+        constraints = self._parse_clauses(Name(name), _PARAM_CONSTRAINT_KEYWORDS)
+        if braced:
+            self.expect_sym("}")
+            tail = self._tail()
         return Parameter(kind, name, optional, tail, tuple(constraints))
 
-    def _parse_params(self) -> tuple[Parameter, ...]:
-        self.expect_sym("[")
-        if self.at_sym("]"):
-            self.next()
-            return ()
-        params = [self.parse_parameter()]
-        while self.at_sym(";"):
-            self.next()
-            params.append(self.parse_parameter())
-        self.expect_sym("]")
-        return tuple(params)
+    def _tail(self) -> str | None:
+        return self.expect_ident().value if self.accept("::") else None
 
     def _parse_given(self) -> tuple[str, ...]:
-        if not self.at_ident("given"):
+        if not self.accept("given"):
             return ()
-        self.next()
-        names = [self.expect_ident().value]
-        while self.at_sym(","):
-            self.next()
-            names.append(self.expect_ident().value)
-        return tuple(names)
+        return tuple(self.sep(lambda: self.expect_ident().value))
 
     # --- top-level declarations ---
 
     def _parse_pattern(self, allow_given: bool = True) -> PatternDef:
         self.expect_ident("pattern")
         name = self.expect_ident().value
-        params = self._parse_params()
+        params = self._bracketed(self.parse_parameter, ";")
         seen: set[str] = set()
         for p in params:
             for nm in (p.name, p.list_tail):
@@ -568,35 +462,26 @@ class _Parser:
         self.expect_ident("refined")
         self.expect_ident("to")
         target = self.parse_spec()
-        pairs: list[tuple[Name, Name]] = []
-        if self.at_ident("with"):
-            self.next()
-            while True:
-                a = self.parse_name()
-                self.expect_sym("|->")
-                b = self.parse_name()
-                pairs.append((a, b))
-                if not self.at_sym(","):
-                    break
-                self.next()
+        pairs = self.sep(self._map_pair) if self.accept("with") else []
         return RefinementDef(name, source, target, tuple(pairs))
+
+    def _map_pair(self) -> tuple[Name, Name]:
+        a = self.parse_name()
+        self.expect_sym("|->")
+        return a, self.parse_name()
 
     def parse_document(self) -> Document:
         decls: list[TopDecl] = []
         names: set[str] = set()
         while self.peek().type != "eof":
-            if self.at_ident("pattern"):
+            if self.at("pattern"):
                 decl: TopDecl = self._parse_pattern()
-            elif self.at_ident("ontology"):
+            elif self.at("ontology"):
                 decl = self._parse_ontology()
-            elif self.at_ident("refinement"):
+            elif self.at("refinement"):
                 decl = self._parse_refinement()
             else:
-                t = self.peek()
-                raise ParseError(
-                    f"expected pattern, ontology, or refinement, found {t.value or 'end of input'!r}",
-                    t.line, t.col,
-                )
+                raise self.expected("pattern, ontology, or refinement")
             if decl.name in names:
                 raise self.error(f"duplicate declaration {decl.name!r}")
             names.add(decl.name)
@@ -618,7 +503,6 @@ def parse_manchester_fragment(text: str) -> Ontology:
     if p.peek().type == "eof":
         return Ontology()
     ont = p.parse_basic()
-    t = p.peek()
-    if t.type != "eof":
-        raise ParseError(f"unexpected {t.value!r} after frames", t.line, t.col)
+    if p.peek().type != "eof":
+        raise p.error(f"unexpected {p.peek().value!r} after frames")
     return ont

@@ -153,6 +153,35 @@ def test_unknown_kind_keyword_is_a_located_parse_error(tmp_path, capsys):
     assert err.startswith("error: 1:") and "'Inand'" in err
 
 
+@pytest.mark.parametrize("cardinality, message", [
+    ("\u00b2", "unexpected character '\u00b2'"),  # a digit, but not a decimal digit
+    ("9" * 5000, "cardinality has too many digits"),  # more than int() converts
+], ids=["superscript", "5000-digit"])
+def test_bad_cardinality_is_a_located_parse_error(tmp_path, capsys, cardinality, message):
+    bad = tmp_path / "bad.gdol"
+    bad.write_text(f"ontology O = Class: A SubClassOf: p max {cardinality} B\n", encoding="utf-8")
+    assert main(["expand", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: 1:41: {message}\n"
+    assert "Traceback" not in err
+
+
+def test_shadowing_is_one_warning_line(tmp_path):
+    src = tmp_path / "shadow.gdol"
+    src.write_text(
+        "pattern Outer [ Class: X ] =\n"
+        "  let pattern L [ Class: X ] = Class: X SubClassOf: X\n"
+        "  in L[X]\n"
+        "ontology O = Outer[A] and Outer[B]\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "gdol.cli", "expand", str(src), "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0
+    # one line for both instantiations, and no warning location inside gdol
+    assert proc.stderr == "warning: parameters ['X'] of local pattern 'L' shadow outer bindings\n"
+
+
 def test_kind_clash_is_the_same_under_any_hash_seed(tmp_path):
     cases = [
         ("pattern Q [ Class: X; ObjectProperty: r ] = Class: X SubClassOf: r some X\n"

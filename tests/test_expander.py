@@ -33,7 +33,6 @@ from gdol import (
     PropAssertion,
     PropExpr,
     Range,
-    ShadowWarning,
     Some,
     SubClassOf,
     SubPropertyOf,
@@ -289,11 +288,26 @@ def test_shadowing_warns_but_expands():
         "pattern Outer [ Class: X ] =\n"
         "  let pattern L [ Class: X ] = Class: X SubClassOf: X\n"
         "  in L[X]\n"
-        "ontology O = Outer[A]\n")
+        "ontology O = Outer[A] and Outer[B]\n")
     env = ExpansionEnv.from_documents([doc])
-    with pytest.warns(ShadowWarning):
-        o = env.expand_named("O")
-    assert o.axioms == {SubClassOf(Named(Name("A")), Named(Name("A")))}
+    o = env.expand_named("O")
+    assert o.axioms == {SubClassOf(Named(Name(c)), Named(Name(c))) for c in "AB"}
+    # once, although both instantiations shadow X
+    assert env.diagnostics == ["parameters ['X'] of local pattern 'L' shadow outer bindings"]
+
+
+def test_shadowing_inside_a_local_body_is_reported():
+    # M reuses Outer's X inside L, where substituting Outer's binding meets it
+    doc = parse_document(
+        "pattern Outer [ Class: X; Class: Z ] =\n"
+        "  let pattern L [ Class: Y ] =\n"
+        "    let pattern M [ Class: X :: Z ] = Class: X SubClassOf: Y\n"
+        "    in M[[Y]]\n"
+        "  in L[X]\n"
+        "ontology O = Outer[A; B]\n")
+    env = ExpansionEnv.from_documents([doc])
+    assert env.expand_named("O").axioms == {SubClassOf(Named(Name("A")), Named(Name("A")))}
+    assert env.diagnostics == ["parameters ['X', 'Z'] of local pattern 'M' shadow outer bindings"]
 
 
 def test_given_imports_are_unioned_into_the_instantiation(expand):

@@ -30,7 +30,6 @@ from gdol import (
     PropAssertion,
     PropExpr,
     Range,
-    ShadowWarning,
     Some,
     SubClassOf,
     SubPropertyChain,
@@ -297,8 +296,7 @@ def test_let_locals_shadow_outer_parameters():
         "  let pattern L [ Class: X ] = Class: X SubClassOf: X\n"
         "  in L[X]\n")
     body = doc.pattern_defs()["Outer"].body
-    with pytest.warns(ShadowWarning):
-        out = substitute(body, {"X": SymbolArg(A)})
+    out = substitute(body, {"X": SymbolArg(A)})
     # the local's own parameter wins inside its body ...
     assert out.locals[0].body == body.locals[0].body
     # ... while the instantiation argument in the let body is replaced

@@ -3,20 +3,27 @@ from __future__ import annotations
 
 import pytest
 from conftest import GOLDEN, corpus_files
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gdol import (
     And,
     BasicSpec,
     ClassAssertion,
     Domain,
+    EmptyArg,
+    EmptySpec,
     ExpansionEnv,
     ExtensionSpec,
+    GdolError,
     InstSpec,
     Name,
     Named,
+    OneOf,
     ParseError,
     Range,
     Some,
+    SymbolArg,
     SymbolKind,
     UnionSpec,
     check_obligations,
@@ -116,6 +123,15 @@ def test_bare_name_conjunct_needs_parentheses():
     spec = without.ontology_defs()["O"].spec
     assert isinstance(spec, UnionSpec)
     assert spec.right == InstSpec("B", (), bracketed=False)
+
+
+def test_empty_braces_are_an_argument_a_spec_or_end_an_expression():
+    doc = parse_document("ontology O = P[{}; x] and {} and Class: D SubClassOf: A and {a, b}\n")
+    spec = doc.ontology_defs()["O"].spec
+    assert spec.left.left == InstSpec("P", (EmptyArg(), SymbolArg(Name("x"))))
+    assert spec.left.right == EmptySpec()
+    (ax,) = spec.right.ontology.axioms
+    assert ax.sup == And((Named(Name("A")), OneOf((Name("a"), Name("b")))))
 
 
 def test_inverse_starts_a_conjunct():
@@ -229,7 +245,6 @@ _AT_LIMIT = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::gdol.ShadowWarning")
 @pytest.mark.parametrize("kind", sorted(_AT_LIMIT))
 def test_documents_at_the_nesting_limit_pass_every_stage(kind):
     doc = parse_document(_AT_LIMIT[kind])
@@ -239,6 +254,71 @@ def test_documents_at_the_nesting_limit_pass_every_stage(kind):
     check_obligations(env.obligations("O"))
     refinement = parse_document("refinement R = O refined to O\n").refinement_defs()["R"]
     assert check_refinement(refinement, env).ok
+
+
+# one malformed input per distinct error the parser raises: the exception
+# class and the exact `line:col: message`
+_ERRORS = [
+    (parse_document, "ontology O = Class: A SubClassOf: B $\n",
+     ParseError, "1:37: unexpected character '$'"),
+    (parse_document, "ontology O =",
+     ParseError, "1:13: expected a spec, found 'end of input'"),
+    (parse_document, "pattern",
+     ParseError, "1:8: expected 'a name', found 'end of input'"),
+    (parse_document, "ontology 3 = P\n",
+     ParseError, "1:10: expected 'a name', found '3'"),
+    (parse_document, "pattern P [ Class: x ] Class: x\n",
+     ParseError, "1:24: expected '=', found 'Class'"),
+    (parse_document, "ontology O = let pattern L [ Class: x ] = Class: x L[A]\n",
+     ParseError, "1:52: expected 'in', found 'L'"),
+    (parse_document, "refinement R = A refined B\n",
+     ParseError, "1:26: expected 'to', found 'B'"),
+    (parse_document, "refinement R = A refined to B with a b\n",
+     ParseError, "1:38: expected '|->', found 'b'"),
+    (parse_document, "ontology O = Class: A\n  SubClassOf: (B\n",
+     UnbalancedBracket, "3:1: expected ')', found 'end of input'"),
+    (parse_document, "ontology O = Class: A SubClassOf: {a, b\n",
+     UnbalancedBracket, "2:1: expected '}', found 'end of input'"),
+    (parse_document, "ontology O = P[x\n",
+     UnbalancedBracket, "2:1: expected ']', found 'end of input'"),
+    (parse_document, "ontology O = ObjectProperty: r Characteristics: Functional, Reflexive\n",
+     UnknownKeyword, "1:61: unsupported characteristic 'Reflexive'"),
+    (parse_document, "ontology O = Class: A SubClassOf: p max B\n",
+     ParseError, "1:41: max needs a cardinality"),
+    (parse_document, "ontology O = Class: A SubClassOf: inverse p\n",
+     ParseError, "2:1: inverse must be followed by a restriction"),
+    (parse_document, "ontology O = ObjectProperty: r SubPropertyChain: p\n",
+     ParseError, "2:1: a property chain needs at least two links"),
+    (parse_document, "ontology O = Class: A SubClassOf: {}\n",
+     ParseError, "1:36: empty enumeration is not a class expression"),
+    (parse_document, "ontology O = let in P[x]\n",
+     ParseError, "1:18: let needs at least one local pattern"),
+    (parse_document, "pattern P [ Foo: x ] = Class: x\n",
+     ParseError, "1:13: expected a parameter kind, found 'Foo'"),
+    (parse_document, "pattern P [ { Foo: x } ] = Class: x\n",
+     ParseError, "1:15: expected a symbol kind, found 'Foo'"),
+    (parse_document, "pattern P [ Class: X; ObjectProperty: X ] = Class: X\n",
+     ParseError, "1:43: duplicate parameter name 'X' in pattern 'P'"),
+    (parse_document, "ontology O = Class: A\nontology O = Class: B\n",
+     ParseError, "3:1: duplicate declaration 'O'"),
+    (parse_document, "ontology O = ]\n",
+     ParseError, "1:14: expected a spec, found ']'"),
+    (parse_document, "Class: A\n",
+     ParseError, "1:1: expected pattern, ontology, or refinement, found 'Class'"),
+    (parse_manchester_fragment, "pattern",
+     ParseError, "1:1: expected a declaration frame"),
+    (parse_manchester_fragment, "Class: A\npattern",
+     ParseError, "2:1: unexpected 'pattern' after frames"),
+]
+
+
+@pytest.mark.parametrize("parse, text, cls, message", _ERRORS,
+                         ids=[e[3].split(": ", 1)[1] for e in _ERRORS])
+def test_each_parse_error_is_located(parse, text, cls, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert type(info.value) is cls
+    assert str(info.value) == message
 
 
 def test_errors_carry_positions():
@@ -280,3 +360,43 @@ def test_long_chains_round_trip(op):
     (again,) = parse_document(render_document(doc)).decls
     assert again.name == "O"
     assert _chain(again.spec) == _chain(doc.decls[0].spec)
+
+
+# --- mutation fuzz ----------------------------------------------------------
+
+_CORPUS_TEXTS = [p.read_text() for p in corpus_files()]
+# tokens of the language and characters the lexer must reject or accept:
+# `²` and `①` are digits but not decimal digits, `٣` is one, `é` is a letter
+_INSERTIONS = ["²", "①", "٣", "é", "%%", "::", "|->", "max", "some", "inverse", "and",
+               "then", "let", "in", "o", "[", "]", "{", "}", "(", ")", ";", ",", ":",
+               "?", "=", "\n", "x", "Class:", "1"]
+
+
+@st.composite
+def _mutants(draw) -> str:
+    """A corpus file after one to four token insertions, deletions or
+    duplications of a slice."""
+    text = draw(st.sampled_from(_CORPUS_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        if edit == "insert":
+            pad = draw(st.sampled_from(["", " "]))
+            text = text[:i] + pad + draw(st.sampled_from(_INSERTIONS)) + pad + text[i:]
+        else:
+            j = draw(st.integers(i, min(len(text), i + 40)))
+            text = text[:i] + text[i:j] * (2 if edit == "duplicate" else 0) + text[j:]
+    return text
+
+
+# random edits seldom land next to the corpus's one `max`, so a cardinality
+# that is a digit but not a decimal digit is given as an explicit example
+@example(next(t for t in _CORPUS_TEXTS if " max 1 " in t).replace(" max 1 ", " max ² "))
+@settings(max_examples=500, deadline=None)
+@given(_mutants())
+def test_mutated_corpus_files_fail_cleanly_or_round_trip(text):
+    try:
+        doc = parse_document(text)
+    except GdolError:
+        return
+    assert parse_document(render_document(doc)) == doc
