@@ -5,9 +5,12 @@ set of documents.  Expanding a named ontology walks its spec tree and adds
 what every node contributes to one OntologyBuilder, frozen once at the end.
 An instantiation walks its pattern body with its binding: basic fragments
 are substituted, stratified and canonicalized in one rebuild straight into
-the builder, nested instantiations substitute their arguments, let-bound
-patterns are substituted where they are defined, and references to other
-named ontologies reuse a memoized expansion.  Verification obligations are
+the builder, nested instantiations substitute their arguments, a let-bound
+pattern closes over the binding in force where its `let` is walked, and
+references to other named ontologies reuse a memoized expansion.  A local's
+body and constraints are substituted under that binding with the local's
+own parameters over it, so an argument is substituted once, where it is
+written, and no name in it is captured.  Verification obligations are
 collected per named ontology as instantiations are encountered.  A name
 takes part in a merge warning only once the value it belongs to is kept.
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -48,8 +52,8 @@ from .model import (
     Argument, Axiom, BasicSpec, ConsArg, Decl, Document, EmptyArg, EmptySpec,
     ExtensionSpec, InstSpec, LetSpec, ListArg, Name, Obligation, Ontology,
     OntologyBuilder, OntologyDef, Parameter, PatternDef, Spec, SymbolArg,
-    SymbolKind, TopDecl, UnionSpec, axiom_names, canon_axiom, stratify,
-    subst_arguments, subst_axiom, subst_decls, subst_pattern_def,
+    SymbolKind, TopDecl, UnionSpec, axiom_names, canon_axiom, dedupe, stratify,
+    subst_arguments, subst_axiom, subst_decls,
 )
 
 _Found = tuple[Axiom, str, str, int]  # an obligation's axiom, pattern, param, index
@@ -129,10 +133,11 @@ def bind_arguments(pdef: PatternDef, args: tuple[Argument, ...]) -> Binding:
 
 # --- environment -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity, as a key of _Run.frames
 class _Closure:
     pdef: PatternDef
     scope: Mapping[str, object]
+    binding: Mapping[str, Argument]  # in force where its let is walked; {} at top level
 
 
 def _bases(n: Name):
@@ -151,7 +156,8 @@ class _Run:
     complete (None for the outermost run), and its obligations.
 
     `declared` and `frames` remember list tails by identity; each entry keeps
-    the tuples it is keyed by alive, so no other object can take their ids.
+    the tuples (and closure) it is keyed by alive, so no other object can
+    take their ids.
     """
 
     def __init__(self, name: str | None, into: OntologyBuilder | None) -> None:
@@ -160,7 +166,7 @@ class _Run:
         self.out = OntologyBuilder()
         self.sink: list[_Found] = []
         self.declared: dict[tuple[int, SymbolKind], tuple[Argument, ...]] = {}
-        self.frames: dict[tuple[int, ...], tuple] = {}
+        self.frames: dict[tuple, tuple] = {}
 
     def undeclared(self, kind: SymbolKind, items: tuple[Argument, ...],
                    tail: tuple[Argument, ...]) -> bool:
@@ -169,20 +175,22 @@ class _Run:
         self.declared[id(tail), kind] = tail
         return (id(items), kind) not in self.declared
 
-    def repeats(self, pdef: PatternDef, binding: Binding) -> bool:
+    def repeats(self, closure: _Closure, binding: Binding) -> bool:
         """Whether every obligation of this frame was already raised by an
-        earlier frame of the same pattern that bound each list to one more
-        element and every other parameter alike.  Element i here then sees
-        what element i + 1 saw there, unless a constraint mentions a tail,
-        or a scalar parameter's constraint mentions a list head."""
+        earlier frame of the same closure (so under the same outer binding)
+        that bound each list to one more element and every other parameter
+        alike.  Element i here then sees what element i + 1 saw there, unless
+        a constraint mentions a tail, or a scalar parameter's constraint
+        mentions a list head."""
+        pdef = closure.pdef
         lists = [p for p in pdef.params if p.is_list]
         if not lists:
             return False
         scalars = tuple(binding.mapping[p.name] for p in pdef.params if not p.is_list)
         tails = tuple(binding.mapping[p.list_tail].items for p in lists)
-        seen = self.frames.get((id(pdef), *(id(binding.lists[p.name]) for p in lists)))
-        self.frames[(id(pdef), *map(id, tails))] = (pdef, tails, scalars)
-        if seen is None or seen[2] != scalars:
+        seen = self.frames.get((closure, *(id(binding.lists[p.name]) for p in lists)))
+        self.frames[(closure, *map(id, tails))] = (tails, scalars)
+        if seen is None or seen[1] != scalars:
             return False
         tail_names = {p.list_tail for p in lists}
         head_names = {p.name for p in lists}
@@ -207,7 +215,7 @@ class ExpansionEnv:
         self._runs: list[_Run] = []  # the current walk's open runs, innermost last
         scope: dict[str, object] = {}
         for name, decl in self.library.items():
-            scope[name] = _Closure(decl, scope) if isinstance(decl, PatternDef) else decl
+            scope[name] = _Closure(decl, scope, {}) if isinstance(decl, PatternDef) else decl
         self._global_scope: Mapping[str, object] = scope
 
     @classmethod
@@ -246,27 +254,6 @@ class ExpansionEnv:
             self._warned.add(message)
             self.diagnostics.append(message)
 
-    def _note_shadowing(self, locals_: Iterable[PatternDef], bound: set[str]) -> None:
-        """Warn once for each local pattern whose parameters shadow a bound
-        name, among locals_ and the lets that substituting into their bodies
-        reaches."""
-        todo = [(p, bound) for p in locals_]
-        while todo:
-            p, names = todo.pop()
-            own = p.param_names
-            if own & names:
-                self._warn(f"parameters {sorted(own & names)} of local pattern {p.name!r}"
-                           " shadow outer bindings")
-            rest = names - own  # what substitution carries into p's body
-            specs = [p.body] if rest else []
-            while specs:
-                match specs.pop():
-                    case UnionSpec(left, right) | ExtensionSpec(left, right):
-                        specs += (left, right)
-                    case LetSpec(nested, body):
-                        specs.append(body)
-                        todo.extend((q, rest) for q in nested)
-
     # --- named ontologies ---
 
     def expand_named(self, name: str) -> Ontology:
@@ -280,14 +267,8 @@ class ExpansionEnv:
 
     @staticmethod
     def _finalize(sink: list[_Found], name: str, context: Ontology) -> tuple[Obligation, ...]:
-        seen = set()
-        out = []
-        for axiom, pattern, param, index in sink:
-            if axiom in seen:
-                continue
-            seen.add(axiom)
-            out.append(Obligation(axiom, name, pattern, param, index, context))
-        return tuple(out)
+        return tuple(Obligation(axiom, name, pattern, param, index, context)
+                     for axiom, pattern, param, index in dedupe(sink, itemgetter(0)))
 
     # --- spec walking ---
 
@@ -370,12 +351,12 @@ class ExpansionEnv:
             case LetSpec(locals_, body):
                 inner: dict[str, object] = {}
                 chained: Mapping[str, object] = ChainMap(inner, scope)
-                if binding:
-                    self._note_shadowing(locals_, set(binding))
                 for p in locals_:
-                    if binding:
-                        p = subst_pattern_def(p, binding)
-                    inner[p.name] = _Closure(p, chained)
+                    shadowed = sorted(p.param_names & binding.keys())
+                    if shadowed:
+                        self._warn(f"parameters {shadowed} of local pattern {p.name!r}"
+                                   " shadow outer bindings")
+                    inner[p.name] = _Closure(p, chained, binding)
                 self._work.append((_SPEC, body, chained, out, binding, depth))
             case EmptySpec():
                 pass
@@ -426,9 +407,10 @@ class ExpansionEnv:
         binding = bind_arguments(pdef, args)
         if binding.exhausted:
             return
-        self._collect_obligations(pdef, binding)
+        mapping = {**target.binding, **binding.mapping}  # own names shadow outer ones
+        self._collect_obligations(target, binding, mapping)
         self._add(self._param_decls(pdef, binding), (), {}, out)
-        self._work.append((_SPEC, pdef.body, target.scope, out, binding.mapping, depth))
+        self._work.append((_SPEC, pdef.body, target.scope, out, mapping, depth))
         for imp in reversed(pdef.imports):
             self._work.append((_NAMED, imp, out, depth))
 
@@ -450,8 +432,12 @@ class ExpansionEnv:
 
     # --- obligations ---
 
-    def _collect_obligations(self, pdef: PatternDef, binding: Binding) -> None:
-        if not any(param.constraints for param in pdef.params) or self._runs[-1].repeats(pdef, binding):
+    def _collect_obligations(self, closure: _Closure, binding: Binding,
+                             mapping: Mapping[str, Argument]) -> None:
+        """Raise the frame's obligations: each constraint substituted under
+        mapping, the closure's binding with the frame's own over it."""
+        pdef = closure.pdef
+        if not any(param.constraints for param in pdef.params) or self._runs[-1].repeats(closure, binding):
             return
         for param in pdef.params:
             if not param.constraints:
@@ -459,14 +445,14 @@ class ExpansionEnv:
             if param.is_list:
                 for i in range(len(binding.lists[param.name])):
                     # every list runs in parallel: element i of each
-                    element_view = dict(binding.mapping)
+                    element_view = dict(mapping)
                     for other, items in binding.lists.items():
                         element_view[other] = items[i]
                     self._emit_obligations(pdef.name, param, i, element_view)
             else:
-                if isinstance(binding.mapping[param.name], EmptyArg):
+                if isinstance(mapping[param.name], EmptyArg):
                     continue
-                self._emit_obligations(pdef.name, param, 0, binding.mapping)
+                self._emit_obligations(pdef.name, param, 0, mapping)
 
     def _emit_obligations(self, pattern: str, param: Parameter, index: int,
                           view: Mapping[str, Argument]) -> None:

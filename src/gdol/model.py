@@ -304,7 +304,8 @@ def axiom_names(a: Axiom) -> set[Name]:
 
 # --- canonicalization ---------------------------------------------------
 
-def _dedupe(seq, key):
+def dedupe(seq, key):
+    """The items of seq in order, each kept only if no earlier one has its key."""
     seen = set()
     out = []
     for x in seq:
@@ -340,12 +341,12 @@ def canon_expr(e: ClassExpr) -> ClassExpr:
                     flat.extend(c.operands)
                 else:
                     flat.append(c)
-            flat = _dedupe(sorted(flat, key=node_key), node_key)
+            flat = dedupe(sorted(flat, key=node_key), node_key)
             if len(flat) == 1:
                 return flat[0]
             return And(tuple(flat))
         case OneOf(members):
-            return OneOf(tuple(_dedupe(members, name_key)))
+            return OneOf(tuple(dedupe(members, name_key)))
     return _canon_fields(e)
 
 
@@ -355,7 +356,7 @@ def canon_axiom(a: Axiom) -> Axiom:
             x, y = sorted((canon_expr(x), canon_expr(y)), key=node_key)
             return type(a)(x, y)
         case DifferentIndividuals(members):
-            return DifferentIndividuals(tuple(_dedupe(sorted(members, key=name_key), name_key)))
+            return DifferentIndividuals(tuple(dedupe(sorted(members, key=name_key), name_key)))
     return _canon_fields(a)
 
 

@@ -21,9 +21,8 @@ a conjunct directly after `and` therefore needs parentheses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .errors import ParseError, UnbalancedBracket, UnknownKeyword
 from .model import (
@@ -80,8 +79,7 @@ _MAX_NESTING = 100
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # ident | int | sym | eof
     value: str
     line: int

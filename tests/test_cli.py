@@ -182,6 +182,68 @@ def test_shadowing_is_one_warning_line(tmp_path):
     assert proc.stderr == "warning: parameters ['X'] of local pattern 'L' shadow outer bindings\n"
 
 
+def _gdol(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "gdol.cli", *args],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+def test_nested_shadowing_is_one_warning_line(tmp_path):
+    src = tmp_path / "shadow.gdol"
+    src.write_text(
+        "pattern Outer [ Class: X ] =\n"
+        "  let pattern L [ Class: Y ] =\n"
+        "        let pattern M [ Class: X; Class: Y ] = Class: X SubClassOf: Y\n"
+        "        in M[Y; X]\n"
+        "      pattern K [ Class: W ] =\n"
+        "        let pattern N [ Class: X ] = Class: X in N[W]\n"
+        "  in L[B]\n"
+        "ontology O = Outer[A]\n")
+    proc = _gdol("expand", str(src), "--out", str(tmp_path))
+    assert proc.returncode == 0
+    # M is walked once, under Outer's X and L's Y together; N, in the
+    # never instantiated K, is never walked
+    assert proc.stderr == "warning: parameters ['X', 'Y'] of local pattern 'M' shadow outer bindings\n"
+    assert (tmp_path / "O.omn").read_text() == "Class: A\nClass: B\n  SubClassOf: A\n"
+
+
+def test_renaming_a_local_parameter_keeps_the_output(tmp_path, capsys):
+    text = ("pattern Outer [ Class: X ] =\n"
+            "  let pattern L [ Class: Y ] = Class: Y SubClassOf: X\n"
+            "  in L[Foo]\n"
+            "ontology O = Outer[Y]\n")
+    written = []
+    for param in ("Y", "W"):
+        src = tmp_path / f"{param}.gdol"
+        src.write_text(text.replace("[ Class: Y ] = Class: Y", f"[ Class: {param} ] = Class: {param}"))
+        assert main(["expand", str(src), "--out", str(tmp_path / param)]) == 0
+        written.append((tmp_path / param / "O.omn").read_bytes())
+    # the argument Y is a name of Outer's caller, not L's parameter
+    assert written == [b"Class: Foo\n  SubClassOf: Y\nClass: Y\n"] * 2
+
+
+def test_a_long_let_body_under_a_binding_is_no_traceback(tmp_path):
+    src = tmp_path / "long.gdol"
+    body = " and ".join(f"Class: c{i} SubClassOf: X" for i in range(3000))
+    src.write_text(f"pattern Outer [ Class: X ] =\n  let pattern L [ Class: Y ] = {body}\n  in L[X]\n"
+                   "ontology O = Outer[A]\n")
+    for args in (["expand", str(src), "--out", str(tmp_path)], ["check", str(src)]):
+        proc = _gdol(*args)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "O.omn").read_text().count("SubClassOf: A") == 3000
+
+
+def test_an_unused_local_is_not_expanded(tmp_path, capsys):
+    src = tmp_path / "unused.gdol"
+    src.write_text(
+        "pattern Outer [ Class: X; Class: Z ] =\n"
+        "  let pattern L [ Class: Y ] = ObjectProperty: X Class: Z in Class: X\n"
+        "ontology O = Outer[a; a]\n")
+    assert main(["expand", str(src), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "O.omn").read_text() == "Class: a\n"
+
+
 def test_kind_clash_is_the_same_under_any_hash_seed(tmp_path):
     cases = [
         ("pattern Q [ Class: X; ObjectProperty: r ] = Class: X SubClassOf: r some X\n"

@@ -310,6 +310,19 @@ def test_shadowing_inside_a_local_body_is_reported():
     assert env.diagnostics == ["parameters ['X', 'Z'] of local pattern 'M' shadow outer bindings"]
 
 
+def test_a_local_does_not_capture_an_outer_argument():
+    # Outer's argument is the name Y, which L's parameter Y must not rebind
+    doc = parse_document(
+        "pattern Outer [ Class: X ] =\n"
+        "  let pattern L [ {Individual: Y Types: X} ] = Individual: Y Types: X\n"
+        "  in L[Foo]\n"
+        "ontology O = Outer[Y]\n")
+    env = ExpansionEnv.from_documents([doc])
+    goal = ClassAssertion(Named(Name("Y")), Name("Foo"))
+    assert goal in env.expand_named("O").axioms
+    assert [ob.axiom for ob in env.obligations("O")] == [goal]
+
+
 def test_given_imports_are_unioned_into_the_instantiation(expand):
     o = expand("Change_PD_Vehicle_log")
     assert (SymbolKind.CLASS, Name("Manifestation")) in o.decls
@@ -438,12 +451,12 @@ def test_list_recursion_work_grows_linearly(corpus_docs, monkeypatch):
 
 
 def test_expansion_builds_no_ontology_per_fragment(corpus_docs, monkeypatch):
-    """Fragments and parameter declarations go straight into the builder, so
-    an expansion constructs one Ontology when it freezes, plus one for the
-    fragment of the let-bound OrderStep that VAL_Set substitutes when it is
-    instantiated, however long the list."""
+    """Fragments and parameter declarations go straight into the builder,
+    and the let-bound OrderStep is walked under the binding it closes over,
+    so an expansion constructs one Ontology, when it freezes, however long
+    the list."""
     for n in (40, 160):
-        assert _expansion_work(corpus_docs, monkeypatch, n)["construct"] == 2
+        assert _expansion_work(corpus_docs, monkeypatch, n)["construct"] == 1
 
 
 def test_kind_clash_work_grows_linearly(monkeypatch):
