@@ -11,7 +11,6 @@ all frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import GdolError, UnstratifiedName
@@ -19,7 +18,7 @@ from .model import (
     And, Argument, Axiom, BasicSpec, ClassAssertion, ClassExpr, ConsArg,
     DifferentIndividuals, DisjointClasses, Document, Domain, EmptyArg,
     EmptySpec, EquivalentClasses, ExtensionSpec, Functional, InstSpec,
-    InverseProps, LetSpec, ListArg, Max, Name, Named, OneOf, Only, Ontology,
+    InverseProps, LetSpec, ListArg, Max, Name, Named, Node, OneOf, Only, Ontology,
     OntologyDef, Parameter, PatternDef, PropAssertion, PropExpr, Range,
     RefinementDef, Some, Spec, SubClassOf, SubPropertyChain, SubPropertyOf,
     SymbolArg, SymbolKind, Transitive, UnionSpec, name_key, node_key,
@@ -174,8 +173,7 @@ def emit_manchester(o: Ontology) -> str:
 
 # --- golden comparison ------------------------------------------------------
 
-@dataclass(frozen=True)
-class GoldenDiff:
+class GoldenDiff(Node):
     only_in_actual: tuple[Axiom, ...]
     only_in_golden: tuple[Axiom, ...]
 

@@ -40,7 +40,6 @@ caches it and adds it to the builder that referenced it.
 from __future__ import annotations
 
 from collections import ChainMap
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -50,7 +49,7 @@ from .errors import (
 )
 from .model import (
     Argument, Axiom, BasicSpec, ConsArg, Decl, Document, EmptyArg, EmptySpec,
-    ExtensionSpec, InstSpec, LetSpec, ListArg, Name, Obligation, Ontology,
+    ExtensionSpec, InstSpec, LetSpec, ListArg, Name, Node, Obligation, Ontology,
     OntologyBuilder, OntologyDef, Parameter, PatternDef, Spec, SymbolArg,
     SymbolKind, TopDecl, UnionSpec, axiom_names, canon_axiom, dedupe, stratify,
     subst_arguments, subst_axiom, subst_decls,
@@ -70,8 +69,7 @@ def run_deep(fn, depth_budget=DEFAULT_DEPTH_BUDGET):
 
 # --- argument binding --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(Node):
     """Result of matching arguments against a parameter list."""
 
     mapping: dict[str, Argument]  # param and tail names -> bound arguments
@@ -133,8 +131,7 @@ def bind_arguments(pdef: PatternDef, args: tuple[Argument, ...]) -> Binding:
 
 # --- environment -------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)  # hashed by identity, as a key of _Run.frames
-class _Closure:
+class _Closure(Node, eq=False):  # hashed by identity, as a key of _Run.frames
     pdef: PatternDef
     scope: Mapping[str, object]
     binding: Mapping[str, Argument]  # in force where its let is walked; {} at top level

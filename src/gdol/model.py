@@ -7,16 +7,16 @@ stratification of parameterized names, ontology union under
 Same-Name-Same-Thing, and simultaneous substitution of arguments for
 parameter names, which also renames every name it builds in the same pass.
 
-Axioms, class expressions and property expressions are frozen dataclasses,
-and the jobs that only follow their structure (ordering keys, substitution,
+Every value class derives from `Node`, a frozen record of the fields its
+class body annotates.  The jobs that only follow the structure of axioms,
+class expressions and property expressions (ordering keys, substitution,
 collecting names and sub-expressions, the shape-neutral part of
-canonicalization) are one walk through each node's dataclass fields.  The
-order the node classes are declared in is the order their keys sort in.
+canonicalization) are one walk through each node's fields.  The order the
+node classes are declared in is the order their keys sort in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -25,6 +25,61 @@ from typing import Callable, Collection, Iterable, Mapping, Union, get_args
 from .errors import KindClash, SubstitutionError
 
 _BAD_NAME_CHARS = set("[],;:?{}()| \t\r\n")
+
+
+_setattr = object.__setattr__
+
+
+class Node:
+    """Base of gdol's immutable values: a frozen record of the fields its
+    class body annotates, in declaration order, which is `__match_args__`.
+
+    Each subclass gets an `__init__` that takes the fields positionally or
+    by keyword, a class attribute being a field's default, and then calls
+    `__post_init__` if the class has one; an `__eq__` under which only
+    instances of the same class are equal; and a `__hash__` that is the
+    hash of the tuple of compared fields.  These are compiled from source
+    once per class, so they do what `dataclass(frozen=True)` generates.  A
+    method the class body defines is kept.  Fields named in `uncompared`
+    take no part in eq and hash; `eq=False` keeps identity eq and hash.
+    """
+
+    def __init_subclass__(cls, eq: bool = True, uncompared: tuple[str, ...] = (), **kw) -> None:
+        super().__init_subclass__(**kw)
+        own = cls.__dict__
+        fields = tuple(cls.__annotations__)  # this class's own, never a base's
+        cls.__match_args__ = fields
+        params = "".join(f", {f}=_dflt_{f}" if f in own else f", {f}" for f in fields)
+        body = [f" _set(self, {f!r}, {f})" for f in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append(" self.__post_init__()")
+        src = [f"def __init__(self{params}):", *(body or [" pass"])]
+        if eq:
+            compared = [f for f in fields if f not in uncompared]
+            same = " and ".join(f"self.{f} == other.{f}" for f in compared) or "True"
+            src += ["def __eq__(self, other):",
+                    " if self is other:", "  return True",
+                    " if other.__class__ is self.__class__:", f"  return {same}",
+                    " return NotImplemented",
+                    "def __hash__(self):",
+                    f" return hash(({''.join(f'self.{f}, ' for f in compared)}))"]
+        ns = {"_set": _setattr, **{f"_dflt_{f}": own[f] for f in fields if f in own}}
+        exec("\n".join(src), ns)
+        for name in ("__init__", "__eq__", "__hash__"):
+            if name in ns and name not in own:
+                fn = ns[name]
+                fn.__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, fn)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class SymbolKind(Enum):
@@ -45,8 +100,7 @@ class SymbolKind(Enum):
         raise ValueError(f"not a symbol kind: {kw!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class Name:
+class Name(Node):
     """Plain identifier, or parameterized name such as performs[MotherRole].
 
     A name keeps its written form and its hash, built from its arguments'
@@ -57,15 +111,13 @@ class Name:
 
     base: str
     args: tuple["Name", ...] = ()
-    _text: str = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.base or (set(self.base) & _BAD_NAME_CHARS):
             raise ValueError(f"invalid identifier {self.base!r}")
         text = f"{self.base}[{', '.join(a._text for a in self.args)}]" if self.args else self.base
-        object.__setattr__(self, "_text", text)
-        object.__setattr__(self, "_hash", hash((self.base, self.args)))
+        _setattr(self, "_text", text)
+        _setattr(self, "_hash", hash((self.base, self.args)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Name:
@@ -95,45 +147,38 @@ def stratify(n: Name) -> str:
     return str(n).replace("[", "_").replace(", ", "_").replace("]", "")
 
 
-@dataclass(frozen=True)
-class PropExpr:
+class PropExpr(Node):
     name: Name
     inverse: bool = False
 
 
 # --- class expressions -------------------------------------------------
 
-@dataclass(frozen=True)
-class Named:
+class Named(Node):
     name: Name
 
 
-@dataclass(frozen=True)
-class Some:
+class Some(Node):
     prop: PropExpr
     filler: "ClassExpr"
 
 
-@dataclass(frozen=True)
-class Only:
+class Only(Node):
     prop: PropExpr
     filler: "ClassExpr"
 
 
-@dataclass(frozen=True)
-class Max:
+class Max(Node):
     n: int
     prop: PropExpr
     filler: "ClassExpr"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Node):
     operands: tuple["ClassExpr", ...]
 
 
-@dataclass(frozen=True)
-class OneOf:
+class OneOf(Node):
     members: tuple[Name, ...]  # enumeration order is meaningful, kept as written
 
 
@@ -142,79 +187,66 @@ ClassExpr = Union[Named, Some, Only, Max, And, OneOf]
 
 # --- axioms ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubClassOf:
+class SubClassOf(Node):
     sub: ClassExpr
     sup: ClassExpr
 
 
-@dataclass(frozen=True)
-class EquivalentClasses:
+class EquivalentClasses(Node):
     a: ClassExpr
     b: ClassExpr
 
 
-@dataclass(frozen=True)
-class DisjointClasses:
+class DisjointClasses(Node):
     a: ClassExpr
     b: ClassExpr
 
 
-@dataclass(frozen=True)
-class SubPropertyOf:
+class SubPropertyOf(Node):
     sub: PropExpr
     sup: PropExpr
 
 
-@dataclass(frozen=True)
-class InverseProps:
+class InverseProps(Node):
     a: Name
     b: Name
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Node):
     prop: Name
     cls: ClassExpr
 
 
-@dataclass(frozen=True)
-class Range:
+class Range(Node):
     prop: Name
     cls: ClassExpr
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(Node):
     prop: Name
 
 
-@dataclass(frozen=True)
-class Transitive:
+class Transitive(Node):
     prop: Name
 
 
-@dataclass(frozen=True)
-class SubPropertyChain:
+class SubPropertyChain(Node):
     prop: Name
     chain: tuple[PropExpr, ...]  # length >= 2
 
 
-@dataclass(frozen=True)
-class ClassAssertion:
+class ClassAssertion(Node):
     cls: ClassExpr
     individual: Name
 
 
-@dataclass(frozen=True)
-class PropAssertion:
+class PropAssertion(Node):
     prop: Name
     subject: Name
     obj: Name
 
 
-@dataclass(frozen=True)
-class DifferentIndividuals:
+class DifferentIndividuals(Node):
     members: tuple[Name, ...]  # length >= 1
 
 
@@ -226,7 +258,7 @@ Axiom = Union[
 
 
 # --- the generic walk ----------------------------------------------------
-# Node classes are walked through their dataclass fields (`__match_args__`).
+# Node classes are walked through their fields (`__match_args__`).
 # A field holds a Name, a node, a tuple of either, or a plain value that
 # the walk keeps (Max's cardinality, PropExpr's inverse flag).  Declaration
 # order is key order: a node's tag is its class's position within its
@@ -376,8 +408,7 @@ def _kind_clash(decls: Iterable[Decl]) -> KindClash:
     raise AssertionError("no kind clash among the declarations")
 
 
-@dataclass(frozen=True)
-class Ontology:
+class Ontology(Node):
     decls: frozenset[Decl] = frozenset()
     axioms: frozenset[Axiom] = frozenset()
 
@@ -464,24 +495,20 @@ def map_ontology(o: Ontology, fn: NameFn) -> Ontology:
 
 # --- arguments ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolArg:
+class SymbolArg(Node):
     name: Name
     kind: SymbolKind | None = None  # set when the source annotates the argument
 
 
-@dataclass(frozen=True)
-class ListArg:
+class ListArg(Node):
     items: tuple["Argument", ...] = ()
 
 
-@dataclass(frozen=True)
-class EmptyArg:
+class EmptyArg(Node):
     pass
 
 
-@dataclass(frozen=True)
-class ConsArg:
+class ConsArg(Node):
     """Head :: tail written in argument position; collapses to ListArg once
     the tail is known."""
 
@@ -494,8 +521,7 @@ Argument = Union[SymbolArg, ListArg, EmptyArg, ConsArg]
 
 # --- parameters, specs, declarations --------------------------------------
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(Node):
     kind: SymbolKind
     name: str
     optional: bool = False
@@ -507,47 +533,40 @@ class Parameter:
         return self.list_tail is not None
 
 
-@dataclass(frozen=True)
-class BasicSpec:
+class BasicSpec(Node):
     ontology: Ontology
 
 
-@dataclass(frozen=True)
-class UnionSpec:
+class UnionSpec(Node):
     left: "Spec"
     right: "Spec"
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
+class ExtensionSpec(Node):
     base: "Spec"
     ext: "Spec"
 
 
-@dataclass(frozen=True)
-class InstSpec:
+class InstSpec(Node, uncompared=("loc",)):
     pattern: str
     args: tuple[Argument, ...] = ()
     bracketed: bool = True  # False for a bare reference to a named ontology/pattern
-    loc: tuple[int, int] = field(default=(0, 0), compare=False)
+    loc: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
-class LetSpec:
+class LetSpec(Node):
     locals: tuple["PatternDef", ...]
     body: "Spec"
 
 
-@dataclass(frozen=True)
-class EmptySpec:
+class EmptySpec(Node):
     pass
 
 
 Spec = Union[BasicSpec, UnionSpec, ExtensionSpec, InstSpec, LetSpec, EmptySpec]
 
 
-@dataclass(frozen=True)
-class PatternDef:
+class PatternDef(Node):
     name: str
     params: tuple[Parameter, ...]
     body: Spec
@@ -559,15 +578,13 @@ class PatternDef:
         return {q.name for q in self.params} | {q.list_tail for q in self.params if q.list_tail}
 
 
-@dataclass(frozen=True)
-class OntologyDef:
+class OntologyDef(Node):
     name: str
     spec: Spec
     imports: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RefinementDef:
+class RefinementDef(Node):
     name: str
     source: Spec
     target: Spec
@@ -577,8 +594,7 @@ class RefinementDef:
 TopDecl = Union[PatternDef, OntologyDef, RefinementDef]
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Node):
     decls: tuple[TopDecl, ...] = ()
 
     def pattern_defs(self) -> dict[str, PatternDef]:
@@ -591,8 +607,7 @@ class Document:
         return {d.name: d for d in self.decls if isinstance(d, RefinementDef)}
 
 
-@dataclass(frozen=True)
-class Obligation:
+class Obligation(Node):
     """One verification condition: axiom must hold in the context theory."""
 
     axiom: Axiom
@@ -748,15 +763,45 @@ def subst_arguments(args: tuple[Argument, ...],
         return None
 
 
+def _strings(x) -> set[str]:
+    """Every string inside a value: the bases of its names, its parameter
+    and pattern names.  Enough to tell a name that occurs nowhere in it."""
+    found: set[str] = set()
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if isinstance(y, str):
+            found.add(y)
+        elif isinstance(y, (tuple, frozenset)):
+            stack.extend(y)
+        elif isinstance(y, Node):
+            stack.extend(getattr(y, f) for f in y.__match_args__)
+    return found
+
+
 def subst_pattern_def(p: PatternDef, binding: Mapping[str, Argument]) -> PatternDef:
-    """Substitute into a let-bound pattern definition; its own parameters
-    shadow the outer binding."""
+    """Substitute into a let-bound pattern definition.  Its own parameters
+    shadow the outer binding, and one that a bound argument mentions is
+    renamed, in the same pass, to a name that occurs in neither, so the
+    argument's name is not captured."""
     own = p.param_names
-    inner = {k: v for k, v in binding.items() if k not in own}
+    inner: dict[str, Argument] = {k: v for k, v in binding.items() if k not in own}
+    captured = own & _strings(tuple(inner.values()))
+    rename: dict[str | None, str] = {}
+    if captured:
+        used = _strings((p, tuple(inner.values())))
+        for n in sorted(captured):
+            i = 1
+            while f"{n}_{i}" in used:
+                i += 1
+            rename[n] = f"{n}_{i}"
+            used.add(rename[n])
+            inner[n] = SymbolArg(Name(rename[n]))
     params = []
     for q in p.params:
         kept = [c for c in (subst_axiom(a, inner) for a in q.constraints) if c is not None]
-        params.append(Parameter(q.kind, q.name, q.optional, q.list_tail, tuple(kept)))
+        params.append(Parameter(q.kind, rename.get(q.name, q.name), q.optional,
+                                rename.get(q.list_tail, q.list_tail), tuple(kept)))
     return PatternDef(p.name, tuple(params), substitute(p.body, inner), p.imports)
 
 

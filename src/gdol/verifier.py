@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import ChainMap
 from copy import copy
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -34,7 +33,7 @@ from .errors import MapKindMismatch
 from .model import (
     And, Axiom, ClassAssertion, ClassExpr, DifferentIndividuals,
     DisjointClasses, Domain, EquivalentClasses, Functional, InverseProps,
-    Name, Obligation, OneOf, Ontology, PropAssertion, Range, RefinementDef,
+    Name, Node, Obligation, OneOf, Ontology, PropAssertion, Range, RefinementDef,
     SubClassOf, SubPropertyChain, SubPropertyOf, Transitive, axiom_names,
     canon_axiom, class_exprs, map_ontology, node_key,
 )
@@ -42,8 +41,7 @@ from .model import (
 ALL_RULES = frozenset({"R1", "R2", "R3", "R4", "R5", "R6", "R7"})
 
 
-@dataclass(frozen=True)
-class RuleEngineConfig:
+class RuleEngineConfig(Node):
     rules: frozenset[str] = ALL_RULES
     step_limit: int = 100000
 
@@ -51,8 +49,7 @@ class RuleEngineConfig:
 DEFAULT_CONFIG = RuleEngineConfig()
 
 
-@dataclass(frozen=True)
-class EntailmentResult:
+class EntailmentResult(Node):
     proven: bool
     step_limited: bool = False
     reason: str = ""
@@ -363,8 +360,7 @@ def check_obligations(obligations: Iterable[Obligation],
 
 # --- refinement ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(Node):
     name: str
     results: tuple[tuple[Axiom, EntailmentResult], ...]
 

@@ -316,3 +316,12 @@ def test_exported_obligations_render_each_context_once(tmp_path, capsys, monkeyp
         "B__P__p__0.omn": b"Class: E\n  SubClassOf: Top\nObjectProperty: t\n"
                           b"%% goal: t Domain: E\n%% from: B :: P/p#0\n",
     }
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without site or environment, and no bytecode written
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gdol.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

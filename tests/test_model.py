@@ -1,4 +1,4 @@
-"""Axiom canonicalization, ontology union, and substitution."""
+"""Axiom canonicalization, ontology union, substitution, and the node contract."""
 from __future__ import annotations
 
 import itertools
@@ -303,6 +303,39 @@ def test_let_locals_shadow_outer_parameters():
     assert out.body.args == (SymbolArg(A),)
 
 
+_CAPTURE = ("pattern Outer [ Class: X ] =\n"
+            "  let pattern L [ Class: Y ] = Class: Y SubClassOf: X\n"
+            "  in L[Foo]\n")
+
+
+def test_a_local_parameter_does_not_capture_a_bound_argument():
+    from gdol import ExpansionEnv, expand_spec_standalone
+    from gdol.emitter import emit_manchester
+
+    doc = parse_document(_CAPTURE)
+    env = ExpansionEnv.from_documents([doc])
+    out = substitute(doc.pattern_defs()["Outer"].body, {"X": SymbolArg(Name("Y"))})
+    substituted, _ = expand_spec_standalone(env, out)
+    expanded, _ = expand_spec_standalone(env, InstSpec("Outer", (SymbolArg(Name("Y")),)))
+    # Outer[Y] also declares its argument; the axioms are the same
+    assert substituted.axioms == expanded.axioms
+    assert emit_manchester(substituted) == "Class: Foo\n  SubClassOf: Y\n"
+
+
+def test_a_renamed_list_tail_keeps_its_role():
+    doc = parse_document(
+        "pattern Outer [ Class: X ] =\n"
+        "  let pattern L [ Class: y :: ys ] = Class: y SubClassOf: X then L[ys]\n"
+        "  in L[[a, b]]\n")
+    body = doc.pattern_defs()["Outer"].body
+    local = substitute(body, {"X": SymbolArg(Name("ys"))}).locals[0]
+    (param,) = local.params
+    assert (param.name, param.list_tail) == ("y", "ys_1")
+    # the recursive call passes the renamed tail; the bound argument keeps its name
+    assert local.body == substitute(body.locals[0].body, {"X": SymbolArg(Name("ys")),
+                                                          "ys": SymbolArg(Name("ys_1"))})
+
+
 _rename_keys = st.sampled_from(list("ABCXYZ"))
 _renames = st.dictionaries(_rename_keys, _names.map(SymbolArg), max_size=3)
 
@@ -398,3 +431,87 @@ def test_fused_substitution_splices_and_deletes():
     gA = Name("g", (A,))
     subst_axiom(Domain(_fX, Named(Name("X"))), {"X": SymbolArg(gA)}, lambda n: seen.append(n) or n)
     assert seen == [Name("f", (gA,)), gA]
+
+
+# --- the node contract ----------------------------------------------------------
+
+def _node_classes() -> list[type]:
+    from gdol import emitter, expander, model, verifier
+
+    return [c for m in (model, verifier, expander, emitter) for c in vars(m).values()
+            if isinstance(c, type) and c.__module__ == m.__name__ and "__match_args__" in c.__dict__]
+
+
+_NODE_CLASSES = _node_classes()
+_IDENTITY = {"_Closure"}  # hashed by identity, as a key of the expander's frame table
+
+
+def _sample(cls: type, tag: str = ""):
+    """An instance with a distinct value in every field."""
+    if cls is Name:
+        return Name("n" + tag, (Name("m" + tag),))
+    if cls is Ontology:
+        return Ontology(frozenset({(SymbolKind.CLASS, Name("n" + tag))}),
+                        frozenset({SubClassOf(Named(Name("n" + tag)), Named(Name("m")))}))
+    return cls(*(f"{f}{tag}" for f in cls.__match_args__))
+
+
+def _compared(x) -> tuple:
+    return tuple(getattr(x, f) for f in type(x).__match_args__
+                 if not (type(x) is InstSpec and f == "loc"))
+
+
+def test_every_node_class_is_checked():
+    assert len(_NODE_CLASSES) == 44
+
+
+@pytest.mark.parametrize("cls", _NODE_CLASSES, ids=lambda c: c.__name__)
+def test_node_contract(cls):
+    import inspect
+
+    x = _sample(cls)
+    fields = cls.__match_args__
+    # the constructor takes the fields in declaration order, by position or keyword
+    assert tuple(inspect.signature(cls).parameters) == fields
+    declared = [f for f in cls.__dict__.get("__annotations__", {}) if f in fields]
+    assert tuple(declared) == fields
+    kw = cls(**{f: getattr(x, f) for f in fields})
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(x, f, getattr(kw, f))
+        assert getattr(x, f) is getattr(kw, f)
+    assert repr(x) == f"{cls.__qualname__}({', '.join(f'{f}={getattr(x, f)!r}' for f in fields)})"
+    other = _sample(cls, "2")
+    if cls.__name__ in _IDENTITY:
+        assert x != kw and hash(x) == object.__hash__(x)
+        return
+    assert x == kw and hash(x) == hash(kw) == hash(_compared(x))
+    if fields:
+        assert x != other and not (x == other)
+    # a field left out takes the declared default
+    params = inspect.signature(cls).parameters.values()
+    required = [getattr(x, q.name) for q in params if q.default is q.empty]
+    short = cls(*required)
+    for q in params:
+        if q.default is not q.empty:
+            assert getattr(short, q.name) == q.default
+
+
+def test_nodes_of_different_classes_are_unequal():
+    a, b = Named(A), Named(B)
+    assert EquivalentClasses(a, b) != DisjointClasses(a, b)
+    assert Some(p, a) != Only(p, a)
+    assert Some(p, a) == Some(p, a) and hash(Some(p, a)) == hash(Only(p, a))
+
+
+def test_instantiations_differing_only_in_location_are_equal():
+    here, there = InstSpec("P", (SymbolArg(A),), True, (1, 2)), InstSpec("P", (SymbolArg(A),), True, (3, 4))
+    assert here == there and hash(here) == hash(there) == hash(("P", (SymbolArg(A),), True))
+    assert here != InstSpec("Q", (SymbolArg(A),), True, (1, 2))
+
+
+def test_checks_run_on_construction():
+    with pytest.raises(ValueError):
+        Name("a b")
+    with pytest.raises(KindClash):
+        Ontology(frozenset({(SymbolKind.CLASS, A), (SymbolKind.INDIVIDUAL, A)}))

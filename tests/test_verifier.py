@@ -39,7 +39,7 @@ from gdol import (
     parse_manchester_fragment,
 )
 from gdol import verifier
-from gdol.model import union
+from gdol.model import map_axiom, map_ontology, union
 from gdol.verifier import ALL_RULES
 
 
@@ -549,3 +549,39 @@ def test_a_refinement_target_is_built_once(corpus_docs, env, monkeypatch):
         assert len(_theory_builds(monkeypatch, lambda: reports.append(check_refinement(refdef, env)))) == 1
         sentences += len(reports[0].results)
     assert sentences > len(refs)
+
+
+# --- metamorphic checks over random theories -------------------------------------
+
+def _renaming(seed: int):
+    """A bijection on the random theories' names that changes their order:
+    each kind's names are permuted and given a prefix."""
+    rng = random.Random(seed)
+    renamed = {}
+    for names in ([n.name.base for n in CLASS_NAMES], PROP_NAMES, INDIVIDUALS):
+        for old, new in zip(names, rng.sample(names, len(names))):
+            renamed[old] = f"z{new}"
+    return lambda n: Name(renamed.get(n.base, n.base), n.args)
+
+
+def test_renaming_every_symbol_keeps_every_verdict():
+    for seed in range(30):
+        obs = _random_obligations(seed)
+        fn = _renaming(seed)
+        contexts = {id(ob.context): map_ontology(ob.context, fn) for ob in obs}
+        renamed = [Obligation(map_axiom(ob.axiom, fn), ob.ontology, ob.pattern, ob.param,
+                              ob.index, contexts[id(ob.context)]) for ob in obs]
+        before, after = check_obligations(obs), check_obligations(renamed)
+        assert [ob.status for ob in after] == [ob.status for ob in before]
+        assert not any("step limit" in ob.diagnostic for ob in before + after)
+
+
+def test_dropping_a_rule_never_proves_more(corpus_and_generated_obligations):
+    batches = [_random_obligations(seed) for seed in range(30)]
+    batches.append(corpus_and_generated_obligations)
+    for obs in batches:
+        proven = [ob.status == "proven" for ob in check_obligations(obs)]
+        for rule in sorted(ALL_RULES):
+            fewer = check_obligations(obs, RuleEngineConfig(ALL_RULES - {rule}))
+            gained = [ob.axiom for ob, was in zip(fewer, proven) if ob.status == "proven" and not was]
+            assert gained == [], f"without {rule}"
