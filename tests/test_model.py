@@ -303,16 +303,14 @@ def test_let_locals_shadow_outer_parameters():
     assert out.body.args == (SymbolArg(A),)
 
 
-_CAPTURE = ("pattern Outer [ Class: X ] =\n"
-            "  let pattern L [ Class: Y ] = Class: Y SubClassOf: X\n"
-            "  in L[Foo]\n")
-
-
 def test_a_local_parameter_does_not_capture_a_bound_argument():
     from gdol import ExpansionEnv, expand_spec_standalone
     from gdol.emitter import emit_manchester
 
-    doc = parse_document(_CAPTURE)
+    doc = parse_document(
+        "pattern Outer [ Class: X ] =\n"
+        "  let pattern L [ Class: Y ] = Class: Y SubClassOf: X\n"
+        "  in L[Foo]\n")
     env = ExpansionEnv.from_documents([doc])
     out = substitute(doc.pattern_defs()["Outer"].body, {"X": SymbolArg(Name("Y"))})
     substituted, _ = expand_spec_standalone(env, out)
