@@ -24,7 +24,7 @@ from typing import Callable, Collection, Iterable, Mapping, Union, get_args
 
 from .errors import KindClash, SubstitutionError
 
-_BAD_NAME_CHARS = set("[],;:?{}()| \t\r\n")
+_BAD_NAME_CHARS = frozenset("[],;:?{}()| \t\r\n")
 
 
 _setattr = object.__setattr__
@@ -94,10 +94,7 @@ class SymbolKind(Enum):
 
     @classmethod
     def from_keyword(cls, kw: str) -> "SymbolKind":
-        for k in cls:
-            if k.value == kw:
-                return k
-        raise ValueError(f"not a symbol kind: {kw!r}")
+        return cls(kw)  # the value lookup raises ValueError for any other word
 
 
 class Name(Node):
@@ -113,7 +110,7 @@ class Name(Node):
     args: tuple["Name", ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.base or (set(self.base) & _BAD_NAME_CHARS):
+        if not self.base or not _BAD_NAME_CHARS.isdisjoint(self.base):
             raise ValueError(f"invalid identifier {self.base!r}")
         text = f"{self.base}[{', '.join(a._text for a in self.args)}]" if self.args else self.base
         _setattr(self, "_text", text)
@@ -537,14 +534,51 @@ class BasicSpec(Node):
     ontology: Ontology
 
 
+def _chain_eq(self, other: object) -> bool:
+    """`Node`'s field-by-field eq, walking down the first operands of a
+    chain of unions and extensions in a loop, so that a long chain compares
+    without recursing once per operand."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    a, b = self, other
+    while a.__class__ in _CHAINS and a.__class__ is b.__class__ and a is not b:
+        first, second = a.__match_args__
+        if not getattr(a, second) == getattr(b, second):
+            return False
+        a, b = getattr(a, first), getattr(b, first)
+    return a == b
+
+
+def _chain_hash(self) -> int:
+    """`Node`'s hash of the field tuple, computed bottom-up along the chain
+    of first operands and kept on each node, so that a long chain hashes
+    without recursing once per operand."""
+    spine = []
+    node = self
+    while node.__class__ in _CHAINS and "_hash" not in vars(node):
+        spine.append(node)
+        node = getattr(node, node.__match_args__[0])
+    for node in reversed(spine):
+        first, second = node.__match_args__
+        _setattr(node, "_hash", hash((getattr(node, first), getattr(node, second))))
+    return self._hash
+
+
 class UnionSpec(Node):
     left: "Spec"
     right: "Spec"
+
+    __eq__, __hash__ = _chain_eq, _chain_hash
 
 
 class ExtensionSpec(Node):
     base: "Spec"
     ext: "Spec"
+
+    __eq__, __hash__ = _chain_eq, _chain_hash
+
+
+_CHAINS = (UnionSpec, ExtensionSpec)
 
 
 class InstSpec(Node, uncompared=("loc",)):

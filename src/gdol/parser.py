@@ -1,11 +1,22 @@
 """Parser for pattern documents and embedded Manchester fragments.
 
-The lexer is one regular expression with a named group per token class.  It
-skips newlines, blanks and `%%` comments, which run to the end of the line,
-and yields identifiers (a letter or `_`, then letters, digits or `_`),
-integers (decimal digits) and punctuation; any other character is an error.
+The lexer blanks out `%%` comments, which run to the end of the line, and
+splits the text with one regular expression into blank runs and tokens:
+identifiers (a letter or `_`, then letters, digits or `_`), integers
+(decimal digits) and punctuation; any other character is an error.  A token
+is the plain string it is spelled with, since its first character tells its
+kind.  `tokenize` returns those strings and, in a parallel list, the offset
+where each starts, both ending with one EOF token: the empty string, at the
+end of the text.  The parser pads the token list with more EOF tokens, so
+that looking at the current token or a fixed number ahead of it is plain
+list indexing and never runs off the end.
 
-The parser is hand-rolled recursive descent over that flat token list.  All
+Lines and columns are worked out only when they are asked for: when a
+`ParseError` is raised, and for an instantiation's `InstSpec.loc`.  The
+first question lists the offsets where lines start, and the line of an
+offset is then a `bisect` over them.
+
+The parser is hand-rolled recursive descent over the token list.  All
 keywords are contextual: the lexer only knows identifiers, integers, and
 punctuation, and the parser decides what an identifier means from its
 position.
@@ -21,8 +32,10 @@ a conjunct directly after `and` therefore needs parentheses.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from functools import reduce
-from typing import Callable, NamedTuple, TypeVar
+from itertools import accumulate
+from typing import Callable, TypeVar
 
 from .errors import ParseError, UnbalancedBracket, UnknownKeyword
 from .model import (
@@ -35,17 +48,17 @@ from .model import (
     SymbolArg, SymbolKind, Transitive, TopDecl, UnionSpec,
 )
 
-# `[^\W\d]` also admits digits that are not decimal digits (`²`, `①`);
-# `tokenize` rejects an identifier that starts with one.
-_TOKEN = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<space>[ \t\r]+)
-  | (?P<comment>%%[^\n]*)
-  | (?P<ident>[^\W\d]\w*)
-  | (?P<int>\d+)
-  | (?P<sym>\|->|::|[][{}();,:?=])
-  | (?P<other>.)
-""", re.VERBOSE)
+_COMMENT = re.compile(r"%%[^\n]*")
+# `_TOKEN.split` of a text without comments is a blank run, then a token and
+# None, or None and a character the lexer rejects, then a blank run, and so
+# on.  `[^\W\d]` also admits digits that are not decimal digits
+# (`²`, `①`); `tokenize` rejects an identifier that starts with one.
+_TOKEN = re.compile(r"([^\W\d]\w*|\d+|\|->|::|[][{}();,:?=])|([^ \t\r\n])")
+_LINE = re.compile(r"^", re.MULTILINE)
+_EOF = ""
+# EOF tokens after the one `tokenize` ends with: the cursor never moves past
+# that one, and no lookahead reads more than two tokens ahead of the cursor
+_PAD = [_EOF] * 2
 
 _KIND_KEYWORDS = {k.keyword for k in SymbolKind}
 _RESTRICTIONS = {"some", "only", "max"}
@@ -56,6 +69,7 @@ _CLAUSE_KEYWORDS = {
 }
 _PARAM_CONSTRAINT_KEYWORDS = {"Domain", "Range", "Types", "Facts"}
 _STANDALONE_KEYWORDS = {"DifferentIndividuals", "EquivalentClasses", "DisjointClasses"}
+_FRAME_KEYWORDS = _KIND_KEYWORDS | _STANDALONE_KEYWORDS
 
 # a clause whose values are class expressions -> the axiom that one value
 # states about the frame's subject
@@ -79,83 +93,107 @@ _MAX_NESTING = 100
 _T = TypeVar("_T")
 
 
-class Token(NamedTuple):
-    type: str  # ident | int | sym | eof
-    value: str
-    line: int
-    col: int
+def _line_col(line_starts: list[int], offset: int) -> tuple[int, int]:
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind, value = m.lastgroup, m.group()
-        col = m.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "other" or kind == "ident" and not (value[0].isalpha() or value[0] == "_"):
-            raise ParseError(f"unexpected character {value[0]!r}", line, col)
-        elif kind in ("ident", "int", "sym"):
-            toks.append(Token(kind, value, line, col))
-    toks.append(Token("eof", "", line, len(text) - line_start + 1))
+def _line_starts(text: str) -> list[int]:
+    return [m.start() for m in _LINE.finditer(text)]
+
+
+class Tokens(list):
+    """The tokens of a text, then one EOF token; `offsets[i]` is where token
+    i starts in the text, the EOF token at its end."""
+
+    __slots__ = ("offsets",)
+
+
+def tokenize(text: str) -> Tokens:
+    if "%%" in text:  # as many blanks for each comment keep every offset
+        text = _COMMENT.sub(lambda m: " " * len(m[0]), text)
+    parts = _TOKEN.split(text)
+    if any(parts[2::3]) or not text.isascii():
+        _reject(text, parts)
+    del parts[2::3]  # all None; blank runs and tokens alternate in the rest
+    toks = Tokens(parts[1::2])
+    toks.append(_EOF)
+    toks.offsets = list(accumulate(map(len, parts)))[::2]
     return toks
+
+
+def _reject(text: str, parts: list) -> None:
+    """Raise a located error at the first character the lexer rejects, if
+    there is one."""
+    for i in range(1, len(parts), 3):
+        c = (parts[i] or parts[i + 1])[0]
+        if parts[i] is None or c.isalnum() and not (c.isalpha() or c.isdecimal()):
+            offset = sum(map(len, filter(None, parts[:i])))
+            raise ParseError(f"unexpected character {c!r}", *_line_col(_line_starts(text), offset))
+
+
+def _is_name(t: str) -> bool:
+    """Whether token t is an identifier: one that starts with a letter or `_`."""
+    return t.isidentifier() or t[:1].isalpha() or t[:1] == "_"
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
-        self.toks = tokenize(text)
+        self.text = text
+        toks = tokenize(text)
+        self.toks = toks + _PAD
+        self.offsets = toks.offsets
         self.pos = 0
         self.depth = 0
+        self._line_starts: list[int] = []  # filled on first use
 
     # --- token helpers ---
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
-
-    def next(self) -> Token:
-        t = self.peek()
-        if t.type != "eof":
-            self.pos += 1
-        return t
+    def peek(self, k: int = 0) -> str:
+        return self.toks[self.pos + k]
 
     def at(self, value: str, k: int = 0) -> bool:
         # symbols and words never share a spelling, so the value alone
         # tells a `[` from an `and`
-        return self.peek(k).value == value
+        return self.toks[self.pos + k] == value
 
     def accept(self, value: str) -> bool:
         """Consume the next token if it is `value`."""
-        if self.at(value):
-            self.next()
+        if self.toks[self.pos] == value:
+            self.pos += 1
             return True
         return False
 
     def sep(self, item: Callable[[], _T], by: str = ",") -> list[_T]:
         """`item()`, then one more `item()` after each `by`."""
         items = [item()]
-        while self.accept(by):
+        while self.toks[self.pos] == by:
+            self.pos += 1
             items.append(item())
         return items
 
+    def loc(self, i: int | None = None) -> tuple[int, int]:
+        """(line, column) of token i, the current token by default."""
+        if not self._line_starts:
+            self._line_starts = _line_starts(self.text)
+        return _line_col(self._line_starts, self.offsets[self.pos if i is None else i])
+
     def expected(self, what: str, cls: type[ParseError] = ParseError) -> ParseError:
-        t = self.peek()
-        return cls(f"expected {what}, found {t.value or 'end of input'!r}", t.line, t.col)
+        return cls(f"expected {what}, found {self.peek() or 'end of input'!r}", *self.loc())
 
-    def expect_sym(self, value: str) -> Token:
-        if not self.at(value):
+    def expect_sym(self, value: str) -> None:
+        if not self.accept(value):
             raise self.expected(repr(value), UnbalancedBracket if value in "]})" else ParseError)
-        return self.next()
 
-    def expect_ident(self, value: str | None = None) -> Token:
-        t = self.peek()
-        if t.type != "ident" or (value is not None and t.value != value):
+    def expect_ident(self, value: str | None = None) -> str:
+        t = self.toks[self.pos]
+        if t != value if value else not _is_name(t):
             raise self.expected(repr(value or "a name"))
-        return self.next()
+        self.pos += 1
+        return t
 
     def error(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.line, t.col)
+        return ParseError(message, *self.loc())
 
     def descend(self) -> None:
         """Enter one level of nesting; the caller leaves it again with
@@ -166,35 +204,30 @@ class _Parser:
 
     def expect_kind(self) -> SymbolKind:
         t = self.expect_ident()
-        if t.value not in _KIND_KEYWORDS:
-            raise ParseError(f"expected a symbol kind, found {t.value!r}", t.line, t.col)
-        return SymbolKind.from_keyword(t.value)
+        if t not in _KIND_KEYWORDS:
+            raise ParseError(f"expected a symbol kind, found {t!r}", *self.loc(self.pos - 1))
+        return SymbolKind.from_keyword(t)
 
     # --- names ---
 
     def parse_name(self) -> Name:
         t = self.expect_ident()
-        if not self.accept("["):
-            return Name(t.value)
+        if self.toks[self.pos] != "[":
+            return Name(t)
+        self.pos += 1
         self.descend()
         args = self.sep(self.parse_name)
         self.expect_sym("]")
         self.depth -= 1
-        return Name(t.value, tuple(args))
+        return Name(t, tuple(args))
 
     # --- class expressions ---
 
-    def _at_frame_start(self, k: int = 0) -> bool:
-        t = self.peek(k)
-        return (
-            t.type == "ident"
-            and (t.value in _KIND_KEYWORDS or t.value in _STANDALONE_KEYWORDS)
-            and self.at(":", k + 1)
-        )
+    def _at_frame_start(self) -> bool:
+        return self.peek() in _FRAME_KEYWORDS and self.at(":", 1)
 
     def _at_clause_start(self, keywords: set[str]) -> bool:
-        t = self.peek()
-        return t.type == "ident" and t.value in keywords and self.at(":", 1)
+        return self.peek() in keywords and self.at(":", 1)
 
     def _conjunct_follows(self) -> bool:
         # called with the cursor on `and`; decide expression vs spec level
@@ -202,25 +235,24 @@ class _Parser:
             return True
         if self.at("{", 1):
             return not self.at("}", 2)
-        if self.peek(1).type != "ident":
+        if not _is_name(self.peek(1)):
             return False
-        k = 2
-        if self.at("[", k):
+        toks, k = self.toks, self.pos + 2
+        if toks[k] == "[":
             depth = 1
             k += 1
-            while depth and self.peek(k).type != "eof":
-                if self.at("[", k):
+            while depth and toks[k] != _EOF:
+                if toks[k] == "[":
                     depth += 1
-                elif self.at("]", k):
+                elif toks[k] == "]":
                     depth -= 1
                 k += 1
-        t = self.peek(k)
-        return t.type == "ident" and t.value in _RESTRICTIONS
+        return toks[k] in _RESTRICTIONS
 
     def parse_expr(self) -> ClassExpr:
         parts = [self.parse_conjunct()]
         while self.at("and") and self._conjunct_follows():
-            self.next()
+            self.pos += 1
             parts.append(self.parse_conjunct())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
@@ -239,28 +271,28 @@ class _Parser:
             return OneOf(tuple(members))
         prop = self._prop()
         t = self.peek()
-        if t.type != "ident" or t.value not in _RESTRICTIONS:
+        if t not in _RESTRICTIONS:
             if prop.inverse:
                 raise self.error("inverse must be followed by a restriction")
             return Named(prop.name)
-        self.next()
-        n = self._cardinality() if t.value == "max" else 0
+        self.pos += 1
+        n = self._cardinality() if t == "max" else 0
         self.descend()
         filler = self.parse_conjunct()
         self.depth -= 1
-        if t.value == "max":
+        if t == "max":
             return Max(n, prop, filler)
-        return Some(prop, filler) if t.value == "some" else Only(prop, filler)
+        return Some(prop, filler) if t == "some" else Only(prop, filler)
 
     def _cardinality(self) -> int:
         t = self.peek()
-        if t.type != "int":
+        if not t.isdecimal():
             raise self.error("max needs a cardinality")
         try:
-            n = int(t.value)
+            n = int(t)
         except ValueError:  # more digits than the interpreter converts
             raise self.error("cardinality has too many digits") from None
-        self.next()
+        self.pos += 1
         return n
 
     def _prop(self) -> PropExpr:
@@ -272,8 +304,8 @@ class _Parser:
     def _parse_clauses(self, subject: Name, keywords: set[str]) -> list:
         axioms: list = []
         while self._at_clause_start(keywords):
-            kw = self.next().value
-            self.next()  # ':'
+            kw = self.peek()
+            self.pos += 2  # the keyword and ':'
             if kw in _EXPR_CLAUSES:
                 axioms.extend(_EXPR_CLAUSES[kw](subject, v) for v in self.sep(self.parse_expr))
             elif kw == "Facts":
@@ -294,13 +326,13 @@ class _Parser:
 
     def _characteristic(self, subject: Name):
         t = self.expect_ident()
-        if t.value not in _CHARACTERISTICS:
-            raise UnknownKeyword(f"unsupported characteristic {t.value!r}", t.line, t.col)
-        return _CHARACTERISTICS[t.value](subject)
+        if t not in _CHARACTERISTICS:
+            raise UnknownKeyword(f"unsupported characteristic {t!r}", *self.loc(self.pos - 1))
+        return _CHARACTERISTICS[t](subject)
 
     def _parse_standalone(self):
-        kw = self.next().value
-        self.next()  # ':'
+        kw = self.peek()
+        self.pos += 2  # the keyword and ':'
         if kw == "DifferentIndividuals":
             return DifferentIndividuals(tuple(self.sep(self.parse_name)))
         a = self.parse_expr()
@@ -312,11 +344,11 @@ class _Parser:
         decls: list = []
         axioms: list = []
         while self._at_frame_start():
-            if self.peek().value in _STANDALONE_KEYWORDS:
+            if self.peek() in _STANDALONE_KEYWORDS:
                 axioms.append(self._parse_standalone())
                 continue
             kind = self.expect_kind()
-            self.next()  # ':'
+            self.pos += 1  # ':'
             subject = self.parse_name()
             decls.append((kind, subject))
             axioms.extend(self._parse_clauses(subject, _CLAUSE_KEYWORDS))
@@ -340,20 +372,23 @@ class _Parser:
         return SymbolArg(self.parse_name())
 
     def parse_argument(self) -> Argument:
-        if self.at(";") or self.at("]"):
+        t = self.toks[self.pos]
+        if t == ";" or t == "]":
             return EmptyArg()
-        if self.accept("{"):
+        if t == "{":
+            self.pos += 1
             self.expect_sym("}")
             return EmptyArg()
-        if self.at("["):
+        if t == "[":
             return ListArg(self._bracketed(self._list_item, ","))
         kind: SymbolKind | None = None
-        if self.peek().value in _KIND_KEYWORDS and self.at(":", 1):
-            kind = self.expect_kind()
-            self.next()  # ':'
+        if t in _KIND_KEYWORDS and self.toks[self.pos + 1] == ":":
+            kind = SymbolKind.from_keyword(t)
+            self.pos += 2
         arg: Argument = SymbolArg(self.parse_name(), kind)
-        if not self.accept("::"):
+        if self.toks[self.pos] != "::":
             return arg
+        self.pos += 1
         self.descend()
         tail = self.parse_argument()
         self.depth -= 1
@@ -367,27 +402,26 @@ class _Parser:
     def parse_union(self) -> Spec:
         left = self.parse_atom()
         while self.at("and") and not self._conjunct_follows():
-            self.next()
+            self.pos += 1
             left = UnionSpec(left, self.parse_atom())
         return left
 
     def parse_atom(self) -> Spec:
         t = self.peek()
-        if self.at("{") and self.at("}", 1):
-            self.next()
-            self.next()
+        if t == "{" and self.at("}", 1):
+            self.pos += 2
             return EmptySpec()
-        if self.at("let"):
+        if t == "let":
             return self._parse_let()
         if self._at_frame_start():
             return BasicSpec(self.parse_basic())
-        if t.type != "ident":
+        if not _is_name(t):
             raise self.expected("a spec")
-        self.next()
-        loc = (t.line, t.col)
+        loc = self.loc()
+        self.pos += 1
         if self.at("["):
-            return InstSpec(t.value, self._bracketed(self.parse_argument, ";"), bracketed=True, loc=loc)
-        return InstSpec(t.value, (), bracketed=False, loc=loc)
+            return InstSpec(t, self._bracketed(self.parse_argument, ";"), bracketed=True, loc=loc)
+        return InstSpec(t, (), bracketed=False, loc=loc)
 
     def _parse_let(self) -> LetSpec:
         self.descend()
@@ -407,11 +441,11 @@ class _Parser:
     def parse_parameter(self) -> Parameter:
         optional = self.accept("?")
         braced = self.accept("{")
-        if not braced and self.peek().value not in _KIND_KEYWORDS:
+        if not braced and self.peek() not in _KIND_KEYWORDS:
             raise self.expected("a parameter kind")
         kind = self.expect_kind()
         self.expect_sym(":")
-        name = self.expect_ident().value
+        name = self.expect_ident()
         tail = None if braced else self._tail()
         constraints = self._parse_clauses(Name(name), _PARAM_CONSTRAINT_KEYWORDS)
         if braced:
@@ -420,18 +454,18 @@ class _Parser:
         return Parameter(kind, name, optional, tail, tuple(constraints))
 
     def _tail(self) -> str | None:
-        return self.expect_ident().value if self.accept("::") else None
+        return self.expect_ident() if self.accept("::") else None
 
     def _parse_given(self) -> tuple[str, ...]:
         if not self.accept("given"):
             return ()
-        return tuple(self.sep(lambda: self.expect_ident().value))
+        return tuple(self.sep(self.expect_ident))
 
     # --- top-level declarations ---
 
     def _parse_pattern(self, allow_given: bool = True) -> PatternDef:
         self.expect_ident("pattern")
-        name = self.expect_ident().value
+        name = self.expect_ident()
         params = self._bracketed(self.parse_parameter, ";")
         seen: set[str] = set()
         for p in params:
@@ -447,14 +481,14 @@ class _Parser:
 
     def _parse_ontology(self) -> OntologyDef:
         self.expect_ident("ontology")
-        name = self.expect_ident().value
+        name = self.expect_ident()
         imports = self._parse_given()
         self.expect_sym("=")
         return OntologyDef(name, self.parse_spec(), imports)
 
     def _parse_refinement(self) -> RefinementDef:
         self.expect_ident("refinement")
-        name = self.expect_ident().value
+        name = self.expect_ident()
         self.expect_sym("=")
         source = self.parse_spec()
         self.expect_ident("refined")
@@ -471,7 +505,7 @@ class _Parser:
     def parse_document(self) -> Document:
         decls: list[TopDecl] = []
         names: set[str] = set()
-        while self.peek().type != "eof":
+        while not self.at(_EOF):
             if self.at("pattern"):
                 decl: TopDecl = self._parse_pattern()
             elif self.at("ontology"):
@@ -498,9 +532,9 @@ def parse_document(text: str) -> Document:
 def parse_manchester_fragment(text: str) -> Ontology:
     """Parse a bare Manchester fragment (frames only, no pattern syntax)."""
     p = _Parser(text)
-    if p.peek().type == "eof":
+    if p.at(_EOF):
         return Ontology()
     ont = p.parse_basic()
-    if p.peek().type != "eof":
-        raise p.error(f"unexpected {p.peek().value!r} after frames")
+    if not p.at(_EOF):
+        raise p.error(f"unexpected {p.peek()!r} after frames")
     return ont

@@ -1,6 +1,8 @@
 """Surface syntax: pattern headers, specs, frames, and error reporting."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from conftest import GOLDEN, corpus_files
 from hypothesis import example, given, settings
@@ -34,6 +36,7 @@ from gdol import (
     render_document,
 )
 from gdol.errors import UnbalancedBracket, UnknownKeyword
+from gdol.parser import tokenize
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +333,47 @@ def test_errors_carry_positions():
         pytest.fail("expected a parse error")
 
 
+@pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.stem)
+def test_a_rejected_character_is_located_at_its_offset(path):
+    text = path.read_text()
+    rng = random.Random(path.name)
+    checked = 0
+    for i in sorted(rng.sample(range(len(text) + 1), 25)):
+        line_start = text.rfind("\n", 0, i) + 1
+        if "%%" in text[line_start:i] or text[max(i - 1, 0):i + 1] in ("%%", "|-", "->"):
+            continue  # inside a comment, or splitting `%%` or `|->`
+        with pytest.raises(ParseError, match="unexpected character '!'") as info:
+            parse_document(text[:i] + "!" + text[i:])
+        assert (info.value.line, info.value.column) == (text[:i].count("\n") + 1, i - line_start + 1)
+        checked += 1
+    assert checked >= 10
+
+
+def test_a_name_that_starts_with_a_non_decimal_digit_is_located():
+    with pytest.raises(ParseError) as info:
+        parse_document("ontology O = Class: A\n  SubClassOf: é3 and p some ²B\n")
+    assert str(info.value) == "2:29: unexpected character '²'"
+
+
+def test_instantiations_carry_their_line_and_column():
+    text = ("%% P and Q\n"
+            "pattern P [ Class: x ] = Class: x\n"
+            "\n"
+            "ontology O =\n"
+            "  Class: A\n"
+            "  and\n"
+            "\tP[B] then Q\n")
+    spec = parse_document(text).ontology_defs()["O"].spec
+    assert (spec.base.right.loc, spec.ext.loc) == ((7, 2), (7, 12))
+
+
+def test_token_list_ends_with_one_end_of_input():
+    text = "ontology O = P[a; b]  %% x\n"
+    toks = tokenize(text)
+    assert toks == ["ontology", "O", "=", "P", "[", "a", ";", "b", "]", ""]
+    assert toks.offsets == [0, 9, 11, 13, 14, 15, 16, 18, 19, len(text)]
+
+
 # --- round trip -------------------------------------------------------------
 
 @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.stem)
@@ -339,27 +383,18 @@ def test_corpus_documents_round_trip(path):
     assert again == doc
 
 
-def _chain(spec) -> list:
-    """The operands of a left-deep union or extension chain, with the
-    operator before each, so that comparing chains recurses no deeper than
-    comparing one operand."""
-    out = []
-    while True:
-        match spec:
-            case UnionSpec(left, right) | ExtensionSpec(left, right):
-                out.append((type(spec), right))
-                spec = left
-            case _:
-                return out + [spec]
-
-
 @pytest.mark.parametrize("op", ["and", "then"])
 def test_long_chains_round_trip(op):
-    doc = parse_document("ontology O = " + f" {op} ".join(
-        f"Class: C{i} SubClassOf: C{i + 1}" for i in range(3000)) + "\n")
-    (again,) = parse_document(render_document(doc)).decls
-    assert again.name == "O"
-    assert _chain(again.spec) == _chain(doc.decls[0].spec)
+    text = "ontology O = " + f" {op} ".join(
+        f"Class: C{i} SubClassOf: C{i + 1}" for i in range(3000)) + "\n"
+    doc = parse_document(text)
+    again = parse_document(render_document(doc))
+    assert again == doc and hash(again) == hash(doc)
+    # a chain that differs only in its innermost operand
+    assert parse_document(text.replace("C1 ", "D1 ", 1)) != doc
+    spec = doc.decls[0].spec
+    left, right = (getattr(spec, f) for f in type(spec).__match_args__)
+    assert hash(spec) == hash((left, right))
 
 
 # --- mutation fuzz ----------------------------------------------------------
