@@ -94,7 +94,10 @@ class SymbolKind(Enum):
 
     @classmethod
     def from_keyword(cls, kw: str) -> "SymbolKind":
-        return cls(kw)  # the value lookup raises ValueError for any other word
+        try:
+            return cls(kw)
+        except ValueError:
+            raise ValueError(f"not a symbol kind: {kw!r}") from None
 
 
 class Name(Node):
@@ -543,10 +546,11 @@ def _chain_eq(self, other: object) -> bool:
     a, b = self, other
     while a.__class__ in _CHAINS and a.__class__ is b.__class__ and a is not b:
         first, second = a.__match_args__
-        if not getattr(a, second) == getattr(b, second):
+        x, y = getattr(a, second), getattr(b, second)
+        if not (x is y or x == y):
             return False
         a, b = getattr(a, first), getattr(b, first)
-    return a == b
+    return a is b or a == b
 
 
 def _chain_hash(self) -> int:

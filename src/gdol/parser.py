@@ -167,8 +167,7 @@ class _Parser:
     def sep(self, item: Callable[[], _T], by: str = ",") -> list[_T]:
         """`item()`, then one more `item()` after each `by`."""
         items = [item()]
-        while self.toks[self.pos] == by:
-            self.pos += 1
+        while self.accept(by):
             items.append(item())
         return items
 
@@ -186,7 +185,7 @@ class _Parser:
             raise self.expected(repr(value), UnbalancedBracket if value in "]})" else ParseError)
 
     def expect_ident(self, value: str | None = None) -> str:
-        t = self.toks[self.pos]
+        t = self.peek()
         if t != value if value else not _is_name(t):
             raise self.expected(repr(value or "a name"))
         self.pos += 1
@@ -212,9 +211,8 @@ class _Parser:
 
     def parse_name(self) -> Name:
         t = self.expect_ident()
-        if self.toks[self.pos] != "[":
+        if not self.accept("["):
             return Name(t)
-        self.pos += 1
         self.descend()
         args = self.sep(self.parse_name)
         self.expect_sym("]")
@@ -372,23 +370,21 @@ class _Parser:
         return SymbolArg(self.parse_name())
 
     def parse_argument(self) -> Argument:
-        t = self.toks[self.pos]
+        t = self.peek()
         if t == ";" or t == "]":
             return EmptyArg()
-        if t == "{":
-            self.pos += 1
+        if self.accept("{"):
             self.expect_sym("}")
             return EmptyArg()
         if t == "[":
             return ListArg(self._bracketed(self._list_item, ","))
         kind: SymbolKind | None = None
-        if t in _KIND_KEYWORDS and self.toks[self.pos + 1] == ":":
+        if t in _KIND_KEYWORDS and self.at(":", 1):
             kind = SymbolKind.from_keyword(t)
             self.pos += 2
         arg: Argument = SymbolArg(self.parse_name(), kind)
-        if self.toks[self.pos] != "::":
+        if not self.accept("::"):
             return arg
-        self.pos += 1
         self.descend()
         tail = self.parse_argument()
         self.depth -= 1

@@ -44,8 +44,8 @@ from gdol import (
 )
 from gdol.errors import SubstitutionError
 from gdol.model import (
-    Max, axiom_names, class_exprs, map_axiom, node_key, stratify, subst_argument, subst_axiom,
-    union,
+    ExtensionSpec, Max, OntologyDef, PatternDef, UnionSpec, axiom_names, class_exprs,
+    map_axiom, node_key, stratify, subst_argument, subst_axiom, union,
 )
 
 A, B, C = Name("A"), Name("B"), Name("C")
@@ -508,8 +508,24 @@ def test_instantiations_differing_only_in_location_are_equal():
     assert here != InstSpec("Q", (SymbolArg(A),), True, (1, 2))
 
 
+@pytest.mark.parametrize("op", [UnionSpec, ExtensionSpec], ids=lambda c: c.__name__)
+def test_chains_sharing_a_node_compare_equal(op):
+    x, y = InstSpec("X"), InstSpec("Y")
+    inner = op(op(x, y), x)
+    u = op(inner, y)
+    assert u == u and not (u != u)
+    # distinct chains sharing an inner chain as first operand, or as second
+    assert op(inner, y) == u and op(inner, x) != u
+    assert op(y, inner) == op(y, inner) and op(y, inner) != op(x, inner)
+    # declarations sharing a body
+    assert OntologyDef("O", u) == OntologyDef("O", u)
+    assert PatternDef("P", (), u) == PatternDef("P", (), u)
+
+
 def test_checks_run_on_construction():
     with pytest.raises(ValueError):
         Name("a b")
+    with pytest.raises(ValueError, match="not a symbol kind: 'Klass'"):
+        SymbolKind.from_keyword("Klass")
     with pytest.raises(KindClash):
         Ontology(frozenset({(SymbolKind.CLASS, A), (SymbolKind.INDIVIDUAL, A)}))
