@@ -17,7 +17,6 @@ from .errors import GdolError
 from .expander import DEFAULT_DEPTH_BUDGET, ExpansionEnv
 from .model import Document, OntologyDef, RefinementDef
 from .parser import parse_document
-from .verifier import check_obligations, check_refinement, export_obligations
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -107,6 +106,10 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    # imported here, before any document is read, so `expand` never loads
+    # the verifier and its compile does not add to the loaded documents' peak
+    from .verifier import check_obligations, export_obligations
+
     env, defs = _prepare(args, OntologyDef, "ontology")
     obligations = tuple(ob for d in defs for ob in env.obligations(d.name))
     _print_diagnostics(env)
@@ -129,6 +132,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
+    from .verifier import check_refinement
+
     env, refs = _prepare(args, RefinementDef, "refinement")
     failed = False
     for ref in refs:

@@ -135,9 +135,9 @@ def _swapped(a: Axiom, nm) -> tuple[Name, str, str] | None:
 
 
 def _frames_text(o: Ontology, nm) -> str:
-    kinds: dict[Name, SymbolKind] = {}
-    for kind, name in sorted(o.decls, key=lambda d: name_key(d[1])):
-        kinds[name] = kind
+    # an Ontology gives each name one kind, so this map needs no order:
+    # names are keyed and sorted once, when the frames are written
+    kinds = {name: kind for kind, name in o.decls}
     clauses: dict[Name, list[tuple[int, object, str]]] = {n: [] for n in kinds}
     standalone: list[tuple[object, str]] = []
     for key, a in sorted(((node_key(a), a) for a in o.axioms), key=itemgetter(0)):
@@ -156,8 +156,9 @@ def _frames_text(o: Ontology, nm) -> str:
                 clauses[subject] = []
         clauses[subject].append((_CLAUSES[kw], key, f"{kw}: {value}"))
     lines: list[str] = []
+    frames = sorted(kinds.items(), key=lambda frame: name_key(frame[0]))
     for kind in _KIND_ORDER:
-        for name in sorted((n for n, k in kinds.items() if k is kind), key=name_key):
+        for name in (n for n, k in frames if k is kind):
             lines.append(f"{kind.keyword}: {nm(name)}")
             for _, _, text in sorted(clauses[name], key=lambda c: (c[0], c[1])):
                 lines.append(f"  {text}")

@@ -318,10 +318,46 @@ def test_exported_obligations_render_each_context_once(tmp_path, capsys, monkeyp
     }
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter without site or environment, and no bytecode written
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gdol.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(ROOT / "src")],
+def _fresh(code: str, *argv: str) -> tuple[int, str, str]:
+    """Run code in a fresh interpreter without site or environment, and no
+    bytecode written, with gdol's sources first on sys.path; argv follows
+    the sources' path in sys.argv."""
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c",
+                           "import sys; sys.path.insert(0, sys.argv[1])\n" + code,
+                           str(ROOT / "src"), *argv],
                           capture_output=True, text=True, check=False)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = ("import gdol.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    assert _fresh(code) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import gdol", []),
+    ("import gdol.cli", ["gdol.emitter"]),
+    ("from gdol import ExpansionEnv, parse_document", []),
+])
+def test_importing_loads_neither_verifier_nor_emitter_unless_used(statement, loaded):
+    code = (f"{statement}\n"
+            "print(sorted(m for m in ('gdol.verifier', 'gdol.emitter') if m in sys.modules))")
+    assert _fresh(code) == (0, f"{loaded}\n", "")
+
+
+@pytest.mark.parametrize("argv, verifier_loaded", [
+    (["expand", str(CORPUS / "logs" / "driver.gdol"), *LIBS, "--target", "Driver_log"], False),
+    (["check", str(CORPUS / "logs" / "data_driver.gdol"), *LIBS, "--strict"], True),
+    (["refine", str(CORPUS / "refinements" / "scoped_chain.gdol"), "--lib", PATTERNS], True),
+])
+def test_only_check_and_refine_load_the_verifier(tmp_path, argv, verifier_loaded):
+    if argv[0] == "expand":
+        argv = [*argv, "--out", str(tmp_path)]
+    code = ("import contextlib, io\n"
+            "from gdol.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+            "    rc = main(sys.argv[2:])\n"
+            "print(rc, 'gdol.verifier' in sys.modules)")
+    assert _fresh(code, *argv) == (0, f"0 {verifier_loaded}\n", "")
