@@ -50,12 +50,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(f: Path) -> Document:
+    try:
+        text = f.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GdolError(f"{f}: not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
+    return parse_document(text)
+
+
 def _load(files: list[Path], libs: list[Path]) -> tuple[list[Document], list[Document]]:
     seen: set[Path] = set()
     input_docs: list[Document] = []
     for f in files:
         seen.add(f.resolve())
-        input_docs.append(parse_document(f.read_text(encoding="utf-8")))
+        input_docs.append(_read(f))
     lib_docs: list[Document] = []
     lib_files: list[Path] = []
     for d in libs:
@@ -67,7 +75,7 @@ def _load(files: list[Path], libs: list[Path]) -> tuple[list[Document], list[Doc
         if r in seen:
             continue
         seen.add(r)
-        lib_docs.append(parse_document(f.read_text(encoding="utf-8")))
+        lib_docs.append(_read(f))
     return input_docs, lib_docs
 
 

@@ -229,27 +229,11 @@ def _parameter_text(p: Parameter) -> str:
 
 
 def _spec_text(s: Spec, indent: str = "  ") -> str:
-    # the parser builds union and extension chains left-deep: walk down the
-    # left operands in a loop, so a long chain costs no recursion
-    rights: list[tuple[str, Spec]] = []
-    while True:
-        match s:
-            case UnionSpec(left, right):
-                rights.append(("and", right))
-                s = left
-            case ExtensionSpec(base, ext):
-                rights.append(("then", ext))
-                s = base
-            case _:
-                break
-    parts = [_atom_text(s, indent)]
-    for kw, right in reversed(rights):
-        parts.append(f"\n{kw} {_spec_text(right, indent).lstrip()}")
-    return "".join(parts)
-
-
-def _atom_text(s: Spec, indent: str) -> str:
     match s:
+        case UnionSpec(ops) | ExtensionSpec(ops):
+            kw = "\nand " if isinstance(s, UnionSpec) else "\nthen "
+            texts = [_spec_text(op, indent) for op in ops]
+            return kw.join(texts[:1] + [t.lstrip() for t in texts[1:]])
         case BasicSpec(ontology):
             text = _frames_text(ontology, _loose_name)
             return "\n".join(indent + line for line in text.splitlines())

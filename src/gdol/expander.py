@@ -338,9 +338,9 @@ class ExpansionEnv:
         match spec:
             case BasicSpec(ontology):
                 self._add(ontology.decls, ontology.axioms, binding, out)
-            case UnionSpec(left, right) | ExtensionSpec(left, right):
-                self._work.append((_SPEC, right, scope, out, binding, depth))
-                self._work.append((_SPEC, left, scope, out, binding, depth))
+            case UnionSpec(ops) | ExtensionSpec(ops):
+                for op in reversed(ops):
+                    self._work.append((_SPEC, op, scope, out, binding, depth))
             case InstSpec():
                 args = subst_arguments(spec.args, binding)
                 if args is not None:  # else an argument mentions an empty-bound name

@@ -537,52 +537,17 @@ class BasicSpec(Node):
     ontology: Ontology
 
 
-def _chain_eq(self, other: object) -> bool:
-    """`Node`'s field-by-field eq, walking down the first operands of a
-    chain of unions and extensions in a loop, so that a long chain compares
-    without recursing once per operand."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    a, b = self, other
-    while a.__class__ in _CHAINS and a.__class__ is b.__class__ and a is not b:
-        first, second = a.__match_args__
-        x, y = getattr(a, second), getattr(b, second)
-        if not (x is y or x == y):
-            return False
-        a, b = getattr(a, first), getattr(b, first)
-    return a is b or a == b
-
-
-def _chain_hash(self) -> int:
-    """`Node`'s hash of the field tuple, computed bottom-up along the chain
-    of first operands and kept on each node, so that a long chain hashes
-    without recursing once per operand."""
-    spine = []
-    node = self
-    while node.__class__ in _CHAINS and "_hash" not in vars(node):
-        spine.append(node)
-        node = getattr(node, node.__match_args__[0])
-    for node in reversed(spine):
-        first, second = node.__match_args__
-        _setattr(node, "_hash", hash((getattr(node, first), getattr(node, second))))
-    return self._hash
-
-
 class UnionSpec(Node):
-    left: "Spec"
-    right: "Spec"
-
-    __eq__, __hash__ = _chain_eq, _chain_hash
+    """`A and B and ...`: the union of its operands, held flat in written
+    order, so a chain of any length is one node and comparing, hashing or
+    printing it does not recurse once per operand."""
+    operands: tuple["Spec", ...]
 
 
 class ExtensionSpec(Node):
-    base: "Spec"
-    ext: "Spec"
-
-    __eq__, __hash__ = _chain_eq, _chain_hash
-
-
-_CHAINS = (UnionSpec, ExtensionSpec)
+    """`A then B then ...`: also a union after flattening; its operands are
+    held as `UnionSpec`'s are."""
+    operands: tuple["Spec", ...]
 
 
 class InstSpec(Node, uncompared=("loc",)):
@@ -856,10 +821,8 @@ def substitute(spec: Spec, binding: Mapping[str, Argument]) -> Spec:
         case BasicSpec(o):
             axioms = [b for a in o.axioms if (b := subst_axiom(a, binding)) is not None]
             return BasicSpec(Ontology.of(subst_decls(o.decls, binding), axioms))
-        case UnionSpec(left, right):
-            return UnionSpec(substitute(left, binding), substitute(right, binding))
-        case ExtensionSpec(base, ext):
-            return ExtensionSpec(substitute(base, binding), substitute(ext, binding))
+        case UnionSpec(ops) | ExtensionSpec(ops):
+            return spec.__class__(tuple(substitute(op, binding) for op in ops))
         case InstSpec(pattern, args, bracketed, loc):
             new_args = subst_arguments(args, binding)
             if new_args is None:

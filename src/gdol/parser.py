@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from functools import reduce
 from itertools import accumulate
 from typing import Callable, TypeVar
 
@@ -393,14 +392,15 @@ class _Parser:
     # --- specs ---
 
     def parse_spec(self) -> Spec:
-        return reduce(ExtensionSpec, self.sep(self.parse_union, by="then"))
+        ops = self.sep(self.parse_union, by="then")
+        return ExtensionSpec(tuple(ops)) if len(ops) > 1 else ops[0]
 
     def parse_union(self) -> Spec:
-        left = self.parse_atom()
+        ops = [self.parse_atom()]
         while self.at("and") and not self._conjunct_follows():
             self.pos += 1
-            left = UnionSpec(left, self.parse_atom())
-        return left
+            ops.append(self.parse_atom())
+        return UnionSpec(tuple(ops)) if len(ops) > 1 else ops[0]
 
     def parse_atom(self) -> Spec:
         t = self.peek()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import ChainMap
 from copy import copy
+from itertools import count
 from pathlib import Path
 from typing import Iterable
 
@@ -404,14 +405,27 @@ def export_obligations(obligations: Iterable[Obligation], directory: Path) -> li
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    obligations = list(obligations)
     counters: dict[tuple[str, str, str], int] = {}
-    bodies: dict[Ontology, str] = {}
+    stems: list[tuple[str, int]] = []
     for ob in obligations:
         key = (ob.ontology, ob.pattern, ob.param)
-        k = counters.get(key, 0)
-        counters[key] = k + 1
-        name = f"{ob.ontology}__{ob.pattern}__{ob.param}__{k}.omn"
+        counters[key] = k = counters.get(key, -1) + 1
+        stems.append((f"{ob.ontology}__{ob.pattern}__{ob.param}", k))
+    # ontology `A` instantiating `B__C` and ontology `A__B` instantiating `C`
+    # give the same stem: a name met again takes the next number that no
+    # other obligation's name uses, so only a name that would overwrite a
+    # file this call wrote changes
+    taken = {f"{stem}__{k}" for stem, k in stems}
+    used: set[str] = set()
+    written: list[Path] = []
+    bodies: dict[Ontology, str] = {}
+    for ob, (stem, k) in zip(obligations, stems):
+        name = f"{stem}__{k}"
+        if name in used:
+            name = next(n for j in count(k + 1) if (n := f"{stem}__{j}") not in taken)
+            taken.add(name)
+        used.add(name)
         body = bodies.get(ob.context)
         if body is None:
             body = bodies[ob.context] = emit_manchester(ob.context)
@@ -420,7 +434,7 @@ def export_obligations(obligations: Iterable[Obligation], directory: Path) -> li
             f"%% goal: {axiom_text(ob.axiom)}\n"
             f"%% from: {ob.ontology} :: {ob.pattern}/{ob.param}#{ob.index}\n"
         )
-        path = directory / name
+        path = directory / f"{name}.omn"
         path.write_text(text, encoding="utf-8", newline="\n")
         written.append(path)
     return written

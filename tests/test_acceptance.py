@@ -88,7 +88,7 @@ def test_03_graded_value_set_expansion_matches_golden_with_merged_frame(expand):
 def test_04_final_data_instantiation_contributes_the_published_frames(env, expand):
     doc = parse_document((CORPUS / "logs" / "data_driver.gdol").read_text())
     spec = doc.ontology_defs()["Data_Driver_log"].spec
-    final_call = spec.right
+    final_call = spec.operands[-1]
     assert isinstance(final_call, InstSpec)
     assert final_call.pattern == "DATA_Driver_Role"
 

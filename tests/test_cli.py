@@ -53,6 +53,20 @@ def test_parse_errors_exit_with_two(tmp_path, capsys):
     assert capsys.readouterr().err.strip() != ""
 
 
+@pytest.mark.parametrize("where", ["input", "lib"])
+def test_a_file_that_is_not_utf8_exits_with_two(tmp_path, capsys, where):
+    bad = tmp_path / "lib" / "bad.gdol"
+    bad.parent.mkdir()
+    bad.write_bytes(b"ontology O = Class: A\xff\n")
+    good = tmp_path / "good.gdol"
+    good.write_text("ontology G = Class: B\n")
+    files = [str(bad)] if where == "input" else [str(good), "--lib", str(bad.parent)]
+    assert main(["expand", *files, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text: invalid start byte at byte offset 21\n")
+    assert not list(tmp_path.glob("*.omn"))
+
+
 def test_deeply_nested_document_exits_with_two(tmp_path, capsys):
     deep = tmp_path / "deep.gdol"
     deep.write_text("ontology O = " + "let pattern L [Class: X] = Class: X in " * 400 + "L[A]\n")

@@ -511,12 +511,16 @@ def test_instantiations_differing_only_in_location_are_equal():
 @pytest.mark.parametrize("op", [UnionSpec, ExtensionSpec], ids=lambda c: c.__name__)
 def test_chains_sharing_a_node_compare_equal(op):
     x, y = InstSpec("X"), InstSpec("Y")
-    inner = op(op(x, y), x)
-    u = op(inner, y)
+    inner = op((op((x, y)), x))
+    u = op((inner, y))
     assert u == u and not (u != u)
-    # distinct chains sharing an inner chain as first operand, or as second
-    assert op(inner, y) == u and op(inner, x) != u
-    assert op(y, inner) == op(y, inner) and op(y, inner) != op(x, inner)
+    # distinct chains sharing an inner chain as first operand, or as a later one
+    assert op((inner, y)) == u and op((inner, x)) != u
+    assert op((y, inner)) == op((y, inner)) and op((y, inner)) != op((x, inner))
+    assert op((inner, y)) != op((inner, y, x))
+    # a union and an extension of the same operands differ
+    other = ExtensionSpec if op is UnionSpec else UnionSpec
+    assert other((inner, y)) != u
     # declarations sharing a body
     assert OntologyDef("O", u) == OntologyDef("O", u)
     assert PatternDef("P", (), u) == PatternDef("P", (), u)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from conftest import GOLDEN, corpus_files
@@ -34,6 +35,7 @@ from gdol import (
     parse_document,
     parse_manchester_fragment,
     render_document,
+    substitute,
 )
 from gdol.errors import UnbalancedBracket, UnknownKeyword
 from gdol.parser import tokenize
@@ -92,11 +94,11 @@ def test_given_imports(corpus_patterns):
 def test_union_binds_tighter_than_extension():
     doc = parse_document("ontology O = P[x] and Q[y] then R[z]\n")
     spec = doc.ontology_defs()["O"].spec
-    assert isinstance(spec, ExtensionSpec)
-    assert isinstance(spec.base, UnionSpec)
-    assert spec.base.left.pattern == "P"
-    assert spec.base.right.pattern == "Q"
-    assert spec.ext.pattern == "R"
+    assert isinstance(spec, ExtensionSpec) and len(spec.operands) == 2
+    union, r = spec.operands
+    assert isinstance(union, UnionSpec)
+    assert [op.pattern for op in union.operands] == ["P", "Q"]
+    assert r.pattern == "R"
 
 
 def test_and_before_restriction_stays_inside_the_axiom():
@@ -111,8 +113,9 @@ def test_and_before_instantiation_starts_a_union():
     doc = parse_document("ontology O = Class: D SubClassOf: p some R and Q[y]\n")
     spec = doc.ontology_defs()["O"].spec
     assert isinstance(spec, UnionSpec)
-    assert isinstance(spec.left, BasicSpec)
-    assert spec.right == InstSpec("Q", (spec.right.args[0],))
+    basic, inst = spec.operands
+    assert isinstance(basic, BasicSpec)
+    assert inst == InstSpec("Q", (inst.args[0],))
 
 
 def test_bare_name_conjunct_needs_parentheses():
@@ -125,15 +128,16 @@ def test_bare_name_conjunct_needs_parentheses():
     without = parse_document("ontology O = Class: D SubClassOf: A and B\n")
     spec = without.ontology_defs()["O"].spec
     assert isinstance(spec, UnionSpec)
-    assert spec.right == InstSpec("B", (), bracketed=False)
+    assert spec.operands[1:] == (InstSpec("B", (), bracketed=False),)
 
 
 def test_empty_braces_are_an_argument_a_spec_or_end_an_expression():
     doc = parse_document("ontology O = P[{}; x] and {} and Class: D SubClassOf: A and {a, b}\n")
     spec = doc.ontology_defs()["O"].spec
-    assert spec.left.left == InstSpec("P", (EmptyArg(), SymbolArg(Name("x"))))
-    assert spec.left.right == EmptySpec()
-    (ax,) = spec.right.ontology.axioms
+    inst, empty, basic = spec.operands
+    assert inst == InstSpec("P", (EmptyArg(), SymbolArg(Name("x"))))
+    assert empty == EmptySpec()
+    (ax,) = basic.ontology.axioms
     assert ax.sup == And((Named(Name("A")), OneOf((Name("a"), Name("b")))))
 
 
@@ -364,7 +368,8 @@ def test_instantiations_carry_their_line_and_column():
             "  and\n"
             "\tP[B] then Q\n")
     spec = parse_document(text).ontology_defs()["O"].spec
-    assert (spec.base.right.loc, spec.ext.loc) == ((7, 2), (7, 12))
+    union, q = spec.operands
+    assert (union.operands[1].loc, q.loc) == ((7, 2), (7, 12))
 
 
 def test_token_list_ends_with_one_end_of_input():
@@ -387,14 +392,18 @@ def test_corpus_documents_round_trip(path):
 def test_long_chains_round_trip(op):
     text = "ontology O = " + f" {op} ".join(
         f"Class: C{i} SubClassOf: C{i + 1}" for i in range(3000)) + "\n"
+    assert sys.getrecursionlimit() == 1000
     doc = parse_document(text)
+    spec = doc.decls[0].spec
+    assert len(spec.operands) == 3000
     again = parse_document(render_document(doc))
     assert again == doc and hash(again) == hash(doc)
-    # a chain that differs only in its innermost operand
+    assert repr(again) == repr(doc)
+    # a chain that differs only in its first operand
     assert parse_document(text.replace("C1 ", "D1 ", 1)) != doc
-    spec = doc.decls[0].spec
-    left, right = (getattr(spec, f) for f in type(spec).__match_args__)
-    assert hash(spec) == hash((left, right))
+    assert hash(spec) == hash((spec.operands,))
+    renamed = parse_document(text.replace("C0 ", "D0 ", 1)).decls[0].spec
+    assert substitute(spec, {"C0": SymbolArg(Name("D0"))}) == renamed
 
 
 # --- mutation fuzz ----------------------------------------------------------

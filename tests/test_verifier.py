@@ -326,6 +326,20 @@ def test_export_writes_one_file_per_obligation(env, tmp_path):
     assert "ObjectProperty: licencedAs" in body
 
 
+def test_export_never_writes_two_obligations_to_one_file(tmp_path):
+    goal = SubClassOf(N("A"), N("B"))
+    # ontology A instantiating B__C and ontology A__B instantiating C both
+    # name their first obligation on X `A__B__C__X__0`
+    obs = [Obligation(goal, "A__B", "C", "X", 0), Obligation(goal, "A", "B__C", "X", 0),
+           Obligation(goal, "A", "B__C", "X", 1), Obligation(goal, "A__B", "C", "Y", 0)]
+    paths = export_obligations(obs, tmp_path)
+    assert [p.name for p in paths] == ["A__B__C__X__0.omn", "A__B__C__X__2.omn",
+                                       "A__B__C__X__1.omn", "A__B__C__Y__0.omn"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
+    for p, ob in zip(paths, obs):
+        assert p.read_text().endswith(f"%% from: {ob.ontology} :: {ob.pattern}/{ob.param}#{ob.index}\n")
+
+
 # --- shared theories: batch checking matches goal-at-a-time checking ------------
 
 CLASS_NAMES = [N(c) for c in "ABCDE"]
