@@ -1,29 +1,50 @@
 """Deterministic Manchester output and golden-file comparison."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
+import frames_reference
 import pytest
-from conftest import golden_files
+from conftest import CORPUS, ROOT, golden_files
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdol import (
+    And,
     ClassAssertion,
     DifferentIndividuals,
+    DisjointClasses,
+    Domain,
+    EquivalentClasses,
     ExpansionEnv,
     Functional,
+    GdolError,
+    InverseProps,
+    Max,
     Name,
     Named,
+    OneOf,
+    Only,
     Ontology,
     PropAssertion,
     PropExpr,
+    Range,
     Some,
     SubClassOf,
+    SubPropertyChain,
+    SubPropertyOf,
     SymbolKind,
+    Transitive,
     UnstratifiedName,
     diff_golden,
     emit_manchester,
     parse_manchester_fragment,
 )
+from gdol.cli import main
+from gdol.emitter import _frames_text, _loose_name, _strict_name
 
 
 def test_frame_layout():
@@ -108,3 +129,133 @@ def test_diff_reports_both_directions(expand):
     assert extra in d.only_in_actual
     assert some_axiom in d.only_in_golden
     assert "+" in d.report() and "-" in d.report()
+
+
+# --- clause order against the plain layout ------------------------------------
+
+_PLAIN = [Name(s) for s in "ABCDE"]
+_UNSTRATIFIED = [Name("f", (Name("A"),)), Name("g", (Name("B"), Name("C")))]
+
+
+def _layout_cases(faulty: bool):
+    """Declarations and axioms over few names, so that subjects are often
+    undeclared, symmetric axioms have a Named on one side, the other or
+    both, one subject gets several clauses of one rank, and standalone
+    axioms occur.  Faulty cases also use unstratified names, complex
+    subclass subjects and inverse subproperties."""
+    names = st.sampled_from(_PLAIN + _UNSTRATIFIED if faulty else _PLAIN)
+    props = st.builds(PropExpr, names, st.booleans())
+    named = st.builds(Named, names)
+    leaf = st.one_of(named, named, st.lists(names, min_size=1, max_size=3).map(
+        lambda xs: OneOf(tuple(xs))))
+    expr = st.one_of(
+        leaf, leaf,
+        st.builds(Some, props, leaf),
+        st.builds(Only, props, leaf),
+        st.builds(Max, st.integers(0, 2), props, leaf),
+        st.lists(leaf, min_size=2, max_size=3).map(lambda xs: And(tuple(xs))),
+    )
+    sub = expr if faulty else named
+    sub_prop = props if faulty else st.builds(PropExpr, names)
+    axiom = st.one_of(
+        st.builds(SubClassOf, sub, expr),
+        st.builds(EquivalentClasses, expr, expr),
+        st.builds(EquivalentClasses, named, named),
+        st.builds(DisjointClasses, expr, expr),
+        st.builds(DisjointClasses, named, named),
+        st.builds(SubPropertyOf, sub_prop, props),
+        st.builds(InverseProps, names, names),
+        st.builds(Domain, names, expr),
+        st.builds(Range, names, expr),
+        st.builds(Functional, names),
+        st.builds(Transitive, names),
+        st.builds(SubPropertyChain, names, st.lists(props, min_size=2, max_size=3).map(tuple)),
+        st.builds(ClassAssertion, expr, names),
+        st.builds(PropAssertion, names, names, names),
+        st.lists(names, min_size=1, max_size=3).map(lambda xs: DifferentIndividuals(tuple(xs))),
+    )
+    decls = st.dictionaries(names, st.sampled_from(list(SymbolKind)), max_size=4).map(
+        lambda kinds: [(k, n) for n, k in kinds.items()])
+    return st.tuples(decls, st.lists(axiom, min_size=1, max_size=10))
+
+
+def _layout(o: Ontology, frames, nm):
+    try:
+        return frames(o, nm)
+    except GdolError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_layout_cases(False), _layout_cases(True)), st.randoms(use_true_random=False))
+def test_frames_match_the_layout_that_sorts_every_axiom(case, rng):
+    """Same text, or the same first error, as placing every axiom in
+    `node_key` order, whatever order the ontology's sets iterate in."""
+    decls, axioms = case
+    shuffled = axioms[:]
+    rng.shuffle(shuffled)
+    for nm in (_strict_name, _loose_name):
+        want = _layout(Ontology.of(decls, axioms), frames_reference.frames_text, nm)
+        for order in (axioms, shuffled, shuffled[::-1]):
+            assert _layout(Ontology.of(decls, order), _frames_text, nm) == want
+
+
+_SEED_PROBE = """
+from gdol import *
+from gdol.emitter import _loose_name, _frames_text
+A, B, C, r = Name("A"), Name("B"), Name("C"), Name("r")
+fA = Name("f", (A,))
+decls = [(SymbolKind.CLASS, A), (SymbolKind.OBJECT_PROPERTY, r)]
+cases = [
+    [SubClassOf(Named(A), Named(B)), SubClassOf(Named(A), Named(C)),
+     SubClassOf(Named(A), Some(PropExpr(r), Named(B))), Functional(r), Transitive(r),
+     EquivalentClasses(Named(C), Named(A)), DisjointClasses(Named(B), Named(C)),
+     DisjointClasses(Named(C), Some(PropExpr(r), Named(A))), ClassAssertion(Named(A), B),
+     EquivalentClasses(Some(PropExpr(r), Named(A)), Only(PropExpr(r), Named(B))),
+     DifferentIndividuals((B, C))],
+    [SubClassOf(Named(A), Named(fA)), SubClassOf(Some(PropExpr(r), Named(A)), Named(B)),
+     SubPropertyOf(PropExpr(r, True), PropExpr(r)), ClassAssertion(Named(fA), B)],
+]
+for axioms in cases:
+    for nm in (emit_manchester, lambda o: _frames_text(o, _loose_name)):
+        try:
+            print(nm(Ontology.of(decls, axioms)), end="")
+        except GdolError as exc:
+            print(type(exc).__name__, exc)
+"""
+
+
+def test_frames_are_the_same_under_any_hash_seed():
+    outs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        r = subprocess.run([sys.executable, "-c", _SEED_PROBE],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        outs.add(r.stdout)
+    assert len(outs) == 1
+    (out,) = outs
+    assert "  SubClassOf: B\n  SubClassOf: C\n  SubClassOf: r some B\n" in out
+    assert out.count("UnstratifiedName") + out.count("GdolError") == 2
+
+
+# --- byte snapshots of the corpus logs' expansion -------------------------------
+
+SNAPSHOTS = ROOT / "tests" / "snapshots" / "expand"
+_LIBS = ["--lib", str(CORPUS / "patterns"), "--lib", str(CORPUS / "logs"),
+         "--lib", str(CORPUS / "aux")]
+
+
+@pytest.mark.parametrize("log", sorted(p.stem for p in (CORPUS / "logs").glob("*.gdol")))
+def test_expanding_a_corpus_log_writes_its_snapshot_bytes(tmp_path, capsys, log):
+    """`gdol expand corpus/logs/LOG.gdol --lib corpus/patterns --lib
+    corpus/logs --lib corpus/aux` writes the .omn files kept under
+    tests/snapshots/expand/LOG, byte for byte, and the warnings kept in its
+    stderr.txt."""
+    want = SNAPSHOTS / log
+    assert main(["expand", str(CORPUS / "logs" / f"{log}.gdol"), *_LIBS,
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == (want / "stderr.txt").read_text(encoding="utf-8")
+    written = {p.name: p.read_bytes() for p in tmp_path.glob("*.omn")}
+    assert written == {p.name: p.read_bytes() for p in want.glob("*.omn")}
