@@ -2,8 +2,9 @@
 
 Output layout is fixed so that two runs over the same input are byte
 identical: frames grouped by declaration kind (Class, Individual,
-ObjectProperty, DataProperty), names sorted within a group, clauses in a
-fixed order, two-space indents, LF line endings, one trailing newline.
+ObjectProperty, DataProperty), names sorted within a group, a frame's
+clauses by rank and, where two share one, by the axiom's key, two-space
+indents, LF line endings, one trailing newline.
 Standalone axioms that have no frame subject (DifferentIndividuals, and the
 rare equivalence or disjointness between two complex expressions) come after
 all frames.
@@ -138,12 +139,28 @@ def _frames_text(o: Ontology, nm) -> str:
     # an Ontology gives each name one kind, so this map needs no order:
     # names are keyed and sorted once, when the frames are written
     kinds = {name: kind for kind, name in o.decls}
-    clauses: dict[Name, list[tuple[int, object, str]]] = {n: [] for n in kinds}
-    standalone: list[tuple[object, str]] = []
-    for key, a in sorted(((node_key(a), a) for a in o.axioms), key=itemgetter(0)):
-        subject, inferred, kw, value = _placement(a, nm)
+    clauses: dict[Name, list[tuple[int, Axiom, str]]] = {n: [] for n in kinds}
+    # an axiom whose subject is declared goes to its frame as it comes; the
+    # others are placed in key order, which kind inference and the choice of
+    # a symmetric axiom's side depend on, and so is one that fails, so that
+    # the error raised is the first in key order
+    rest: list[tuple[Axiom, tuple | None]] = []
+    for a in o.axioms:
+        try:
+            placed = _placement(a, nm)
+        except GdolError:
+            rest.append((a, None))
+            continue
+        subject, _, kw, value = placed
+        if subject in kinds:
+            clauses[subject].append((_CLAUSES[kw], a, f"{kw}: {value}"))
+        else:
+            rest.append((a, placed))
+    standalone: list[str] = []
+    for a, placed in sorted(rest, key=lambda r: node_key(r[0])):
+        subject, inferred, kw, value = placed or _placement(a, nm)
         if subject is None:
-            standalone.append((key, f"{kw}: {value}"))
+            standalone.append(f"{kw}: {value}")
             continue
         if subject not in kinds:
             # canonical pair order may have led with an undeclared name;
@@ -154,16 +171,19 @@ def _frames_text(o: Ontology, nm) -> str:
             else:
                 kinds[subject] = inferred
                 clauses[subject] = []
-        clauses[subject].append((_CLAUSES[kw], key, f"{kw}: {value}"))
+        clauses[subject].append((_CLAUSES[kw], a, f"{kw}: {value}"))
     lines: list[str] = []
     frames = sorted(kinds.items(), key=lambda frame: name_key(frame[0]))
     for kind in _KIND_ORDER:
         for name in (n for n, k in frames if k is kind):
             lines.append(f"{kind.keyword}: {nm(name)}")
-            for _, _, text in sorted(clauses[name], key=lambda c: (c[0], c[1])):
-                lines.append(f"  {text}")
-    for _, text in sorted(standalone, key=lambda s: s[0]):
-        lines.append(text)
+            frame = clauses[name]
+            frame.sort(key=itemgetter(0))  # by rank, then by key where ranks tie
+            tied = {c[0] for c, d in zip(frame, frame[1:]) if c[0] == d[0]}
+            if tied:
+                frame.sort(key=lambda c: (c[0], node_key(c[1]) if c[0] in tied else ()))
+            lines.extend(f"  {text}" for _, _, text in frame)
+    lines.extend(standalone)
     return "\n".join(lines) + "\n" if lines else ""
 
 

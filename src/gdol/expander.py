@@ -40,7 +40,6 @@ caches it and adds it to the builder that referenced it.
 from __future__ import annotations
 
 from collections import ChainMap
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -51,7 +50,7 @@ from .model import (
     Argument, Axiom, BasicSpec, ConsArg, Decl, Document, EmptyArg, EmptySpec,
     ExtensionSpec, InstSpec, LetSpec, ListArg, Name, Node, Obligation, Ontology,
     OntologyBuilder, OntologyDef, Parameter, PatternDef, Spec, SymbolArg,
-    SymbolKind, TopDecl, UnionSpec, axiom_names, canon_axiom, dedupe, stratify,
+    SymbolKind, TopDecl, UnionSpec, axiom_names, stratify,
     subst_arguments, subst_axiom, subst_decls,
 )
 
@@ -99,34 +98,28 @@ def bind_arguments(pdef: PatternDef, args: tuple[Argument, ...]) -> Binding:
         raise ArityMismatch(pdef.name, len(pdef.params), len(args))
     mapping: dict[str, Argument] = {}
     lists: dict[str, tuple[Argument, ...]] = {}
-    lengths: dict[str, int] = {}
     for param, arg in zip(pdef.params, args):
-        if isinstance(arg, SymbolArg) and arg.kind is not None and arg.kind is not param.kind:
+        t = type(arg)
+        if t is SymbolArg and arg.kind is not None and arg.kind is not param.kind:
             raise KindMismatch(pdef.name, param.name, param.kind.value, arg.kind.value)
-        if param.is_list:
-            items = _as_list(pdef.name, param.name, arg)
+        if param.list_tail is not None:
+            items = arg.items if t is ListArg else _as_list(pdef.name, param.name, arg)
             lists[param.name] = items
-            lengths[param.name] = len(items)
             mapping[param.name] = items[0] if items else EmptyArg()
-            assert param.list_tail is not None
-            mapping[param.list_tail] = ListArg(items[1:]) if items else ListArg()
+            mapping[param.list_tail] = ListArg(items[1:])
+        elif t is SymbolArg:
+            mapping[param.name] = arg
+        elif t is EmptyArg:
+            if not param.optional:
+                raise EmptyForRequired(pdef.name, param.name)
+            mapping[param.name] = arg
         else:
-            match arg:
-                case EmptyArg():
-                    if not param.optional:
-                        raise EmptyForRequired(pdef.name, param.name)
-                    mapping[param.name] = EmptyArg()
-                case SymbolArg(_, _):
-                    mapping[param.name] = arg
-                case _:
-                    raise SubstitutionError(
-                        f"{pdef.name}: parameter {param.name!r} needs a single name"
-                    )
-    if len(set(lengths.values())) > 1:
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(lengths.items()))
+            raise SubstitutionError(f"{pdef.name}: parameter {param.name!r} needs a single name")
+    lengths = {len(items) for items in lists.values()}
+    if len(lengths) > 1:
+        detail = ", ".join(f"{k}={len(v)}" for k, v in sorted(lists.items()))
         raise ListLengthMismatch(pdef.name, detail)
-    exhausted = bool(lengths) and all(v == 0 for v in lengths.values())
-    return Binding(mapping, lists, exhausted)
+    return Binding(mapping, lists, lengths == {0})
 
 
 # --- environment -------------------------------------------------------------
@@ -264,8 +257,11 @@ class ExpansionEnv:
 
     @staticmethod
     def _finalize(sink: list[_Found], name: str, context: Ontology) -> tuple[Obligation, ...]:
+        first: dict[Axiom, _Found] = {}  # the first raised of each axiom, in order
+        for found in sink:
+            first.setdefault(found[0], found)
         return tuple(Obligation(axiom, name, pattern, param, index, context)
-                     for axiom, pattern, param, index in dedupe(sink, itemgetter(0)))
+                     for axiom, pattern, param, index in first.values())
 
     # --- spec walking ---
 
@@ -361,8 +357,8 @@ class ExpansionEnv:
                 raise TypeError(f"not a spec: {spec!r}")
 
     def _subst_axioms(self, axioms: Iterable[Axiom], binding: Mapping[str, Argument]) -> list[Axiom]:
-        """Substitute, stratify and canonicalize axioms.  One deleted by an
-        empty binding leaves none of its names queued."""
+        """Substitute, stratify and canonicalize axioms in one rebuild each.
+        One deleted by an empty binding leaves none of its names queued."""
         kept = []
         for a in axioms:
             mark = len(self._queued)
@@ -370,7 +366,7 @@ class ExpansionEnv:
             if b is None:
                 del self._queued[mark:]
             else:
-                kept.append(canon_axiom(b))
+                kept.append(b)
         return kept
 
     def _add(self, decls: Iterable[Decl], axioms: Iterable[Axiom],

@@ -5,7 +5,9 @@ accumulator an expansion collects its ontology in before freezing it.  The
 three primitive operations the rest of the compiler builds on live here too:
 stratification of parameterized names, ontology union under
 Same-Name-Same-Thing, and simultaneous substitution of arguments for
-parameter names, which also renames every name it builds in the same pass.
+parameter names, which also renames every name it builds in the same pass
+and returns canonical axioms: it builds each And, OneOf, symmetric pair
+and DifferentIndividuals through that shape's canonical constructor.
 
 Every value class derives from `Node`, a frozen record of the fields its
 class body annotates.  The jobs that only follow the structure of axioms,
@@ -274,7 +276,7 @@ _CLASS_EXPRS = frozenset(get_args(ClassExpr))
 
 
 def name_key(n: Name):
-    return (n.base, tuple(name_key(a) for a in n.args))
+    return (n.base, tuple(name_key(a) for a in n.args)) if n.args else (n.base, ())
 
 
 def node_key(x):
@@ -335,61 +337,54 @@ def axiom_names(a: Axiom) -> set[Name]:
 
 
 # --- canonicalization ---------------------------------------------------
+# Five shapes have a canonical constructor, which takes canonical fields: the
+# substitution rebuild applies it to the nodes it builds, and canon_expr and
+# canon_axiom to parsed and hand-built ones.
 
-def dedupe(seq, key):
-    """The items of seq in order, each kept only if no earlier one has its key."""
-    seen = set()
-    out = []
-    for x in seq:
-        k = key(x)
-        if k not in seen:
-            seen.add(k)
-            out.append(x)
-    return out
+def _and(operands) -> ClassExpr:
+    """Nested conjunctions flattened, the operands sorted and deduplicated;
+    a single operand stands alone."""
+    flat = [d for c in operands for d in (c.operands if type(c) is And else (c,))]
+    keyed = {node_key(c): c for c in flat}  # equal keys, equal operands
+    return flat[0] if len(keyed) == 1 else And(tuple(keyed[k] for k in sorted(keyed)))
 
 
-def _canon_fields(x):
-    """x with every class expression field canonical; x itself when none
-    changes."""
+def _pair(cls):
+    return lambda x, y: cls(*sorted((x, y), key=node_key))
+
+
+_CANON: dict[type, Callable] = {
+    And: _and,
+    OneOf: lambda members: OneOf(tuple(dict.fromkeys(members))),  # written order
+    EquivalentClasses: _pair(EquivalentClasses),
+    DisjointClasses: _pair(DisjointClasses),
+    DifferentIndividuals: lambda members: DifferentIndividuals(tuple(sorted(set(members), key=name_key))),
+}
+
+
+def canon_axiom(a: Axiom) -> Axiom:
+    """a with its class expressions canonical and its shape's canonical
+    constructor applied; a itself when it has none and nothing changes.
+    Class expressions other than And are canonicalized the same way."""
     vals = []
     changed = False
-    for f in _FIELDS[type(x)][1]:
-        v = getattr(x, f)
+    for f in _FIELDS[type(a)][1]:
+        v = getattr(a, f)
         if type(v) in _CLASS_EXPRS:
             c = canon_expr(v)
             changed = changed or c is not v
             v = c
         vals.append(v)
-    return type(x)(*vals) if changed else x
+    make = _CANON.get(type(a))
+    if make is not None:
+        return make(*vals)
+    return type(a)(*vals) if changed else a
 
 
 def canon_expr(e: ClassExpr) -> ClassExpr:
-    match e:
-        case And(operands):
-            flat: list[ClassExpr] = []
-            for c in operands:
-                c = canon_expr(c)
-                if isinstance(c, And):
-                    flat.extend(c.operands)
-                else:
-                    flat.append(c)
-            flat = dedupe(sorted(flat, key=node_key), node_key)
-            if len(flat) == 1:
-                return flat[0]
-            return And(tuple(flat))
-        case OneOf(members):
-            return OneOf(tuple(dedupe(members, name_key)))
-    return _canon_fields(e)
-
-
-def canon_axiom(a: Axiom) -> Axiom:
-    match a:
-        case EquivalentClasses(x, y) | DisjointClasses(x, y):
-            x, y = sorted((canon_expr(x), canon_expr(y)), key=node_key)
-            return type(a)(x, y)
-        case DifferentIndividuals(members):
-            return DifferentIndividuals(tuple(dedupe(sorted(members, key=name_key), name_key)))
-    return _canon_fields(a)
+    if type(e) is And:
+        return _and([canon_expr(c) for c in e.operands])
+    return canon_axiom(e)  # type: ignore[arg-type]
 
 
 # --- ontologies ----------------------------------------------------------
@@ -678,9 +673,11 @@ def _subst_members(members: tuple[Name, ...], binding: Mapping[str, Argument],
 
 
 def _subst(x, binding: Mapping[str, Argument], fn: NameFn):
-    """Rebuild a node with every name substituted and then passed to fn."""
+    """Rebuild a node with every name substituted and then passed to fn,
+    through its shape's canonical constructor where it has one."""
+    cls = type(x)
     vals = []
-    for f in _FIELDS[type(x)][1]:
+    for f in _FIELDS[cls][1]:
         v = getattr(x, f)
         t = type(v)
         if t is Name:
@@ -693,14 +690,15 @@ def _subst(x, binding: Mapping[str, Argument], fn: NameFn):
         elif t in _FIELDS:
             v = _subst(v, binding, fn)
         vals.append(v)
-    return type(x)(*vals)
+    return _CANON.get(cls, cls)(*vals)
 
 
 def subst_axiom(a: Axiom, binding: Mapping[str, Argument], fn: NameFn = _same) -> Axiom | None:
     """Substitute into one axiom and apply fn to every name of the result,
-    in one rebuild; None when it mentions an empty-bound name and is
-    therefore deleted.  fn may already have seen some names of a deleted
-    axiom."""
+    in one rebuild that returns it canonical, as canon_axiom would; None
+    when it mentions an empty-bound name and is therefore deleted.  fn may
+    already have seen some names of a deleted axiom, and sees names that
+    canonicalization then drops as repeats."""
     try:
         return _subst(a, binding, fn)
     except _MentionsEmpty:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -45,6 +46,7 @@ from gdol import (
     expand_spec_standalone,
     parse_document,
 )
+from gdol import emitter, expander, model
 from gdol.model import OntologyBuilder, axiom_names
 
 
@@ -481,6 +483,59 @@ def test_kind_clash_work_grows_linearly(monkeypatch):
         assert (info.value.name, info.value.kinds) == (f"g{n - 1}", ("Class", "ObjectProperty"))
     small, large = counts
     assert large <= 4.5 * small, counts
+
+
+def _ordgrade(corpus_docs, n: int) -> Ontology:
+    values = ", ".join(f"g{i}" for i in range(n))
+    doc = parse_document(f"ontology Deep = OrdGRADE[Top; Grade; [{values}]]\n")
+    return ExpansionEnv.from_documents([*corpus_docs, doc]).expand_named("Deep")
+
+
+def _counted(counts: Counter, fn):
+    def counting(*args):
+        counts[fn.__name__] += 1
+        return fn(*args)
+    return counting
+
+
+def test_substitution_canonicalizes_in_its_one_rebuild(corpus_docs, monkeypatch):
+    """Each substituted axiom is built canonical, so expanding OrdGRADE over
+    200 values canonicalizes nothing a second time."""
+    counts: Counter = Counter()
+    with monkeypatch.context() as m:
+        for module in (model, expander):
+            if hasattr(module, "canon_axiom"):
+                m.setattr(module, "canon_axiom", _counted(counts, model.canon_axiom))
+        o = _ordgrade(corpus_docs, 200)
+    assert counts["canon_axiom"] == 0
+    assert len(o.axioms) == 415
+    assert all(model.canon_axiom(a) == a for a in o.axioms)
+
+
+def _standalone_and_tied(text: str) -> int:
+    """Standalone axioms, plus clauses whose keyword (so rank) another
+    clause of their frame has too."""
+    frames: list[list[str]] = []
+    standalone = 0
+    for line in text.splitlines():
+        keyword = line.split(":")[0]
+        if line.startswith("  "):
+            frames[-1].append(keyword)
+        elif keyword in ("Class", "Individual", "ObjectProperty", "DataProperty"):
+            frames.append([])
+        else:
+            standalone += 1
+    return standalone + sum(n for f in frames for n in Counter(f).values() if n > 1)
+
+
+def test_emission_keys_only_standalone_and_tied_clauses(corpus_docs, monkeypatch):
+    """Clauses order by rank, so a clause's key is built only where two
+    clauses of one frame share a rank; standalone axioms are keyed too."""
+    o = _ordgrade(corpus_docs, 200)
+    counts: Counter = Counter()
+    monkeypatch.setattr(emitter, "node_key", _counted(counts, model.node_key))
+    text = emitter.emit_manchester(o)
+    assert counts["node_key"] == _standalone_and_tied(text) == 1
 
 
 # --- kind clashes through expansion ---------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import re
 
 import pytest
@@ -153,9 +154,39 @@ def test_the_walk_reaches_every_field(a):
 
     renamed = subst_axiom(a, {n.base: SymbolArg(Name(n.base + "_r")) for n in names})
     assert _written_names(renamed) == {Name(n.base + "_r") for n in names}
-    assert subst_axiom(renamed, {n.base + "_r": SymbolArg(n) for n in names}) == a
+    assert subst_axiom(renamed, {n.base + "_r": SymbolArg(n) for n in names}) == canon_axiom(a)
     for n in names:
         assert subst_axiom(a, {n.base: EmptyArg()}) is None
+
+
+@pytest.mark.parametrize("a", _every_shape()[1], ids=lambda a: type(a).__name__)
+def test_substitution_returns_canonical_axioms(a):
+    """Seeded random bindings that merge names, reorder them, splice lists
+    into enumerations and delete by empty arguments: whatever survives the
+    rebuild is canonical already."""
+    rng = random.Random(type(a).__name__)
+    names = sorted(b.base for b in _written_names(a))
+    pool = [Name(s) for s in ("A", "B", "n0")] + [Name("f", (A,)), Name("f", (B,))]
+
+    def argument():
+        r = rng.random()
+        if r < 0.75:
+            return SymbolArg(rng.choice(pool))
+        if r < 0.95:
+            return ListArg(tuple(SymbolArg(rng.choice(pool)) for _ in range(rng.randrange(3))))
+        return EmptyArg()
+
+    kept = 0
+    for _ in range(200):
+        binding = {n: argument() for n in names if rng.random() < 0.6}
+        try:
+            b = subst_axiom(a, binding)
+        except SubstitutionError:  # a list where a single name is expected
+            continue
+        if b is not None:
+            kept += 1
+            assert b == canon_axiom(b)
+    assert kept >= 10
 
 
 def test_class_exprs_of_an_expression_include_itself():
@@ -420,9 +451,11 @@ def test_stratifying_while_substituting_matches_stratifying_after(a, binding):
 
 def test_fused_substitution_splices_and_deletes():
     members = DifferentIndividuals((Name("vs"), _fX, Name("f_A")))
+    spliced: list[Name] = []  # dedupe hides one f_A, so check what fn saw
     assert subst_axiom(members, {"vs": ListArg((SymbolArg(_fX), SymbolArg(A))),
-                                 "X": SymbolArg(A)}, _strat) == \
-        DifferentIndividuals((Name("f_X"), A, Name("f_A"), Name("f_A")))
+                                 "X": SymbolArg(A)}, lambda n: spliced.append(n) or _strat(n)) == \
+        DifferentIndividuals((A, Name("f_A"), Name("f_X")))
+    assert spliced == [_fX, A, Name("f", (A,)), Name("f_A")]
     assert subst_axiom(members, {"vs": ListArg((EmptyArg(),))}, _strat) is None
     assert subst_axiom(Domain(_fX, Named(A)), {"X": EmptyArg()}, _strat) is None
     seen: list[Name] = []  # fn sees each name of the result, not the names inside it
