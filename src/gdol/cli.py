@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from codecs import BOM_UTF8
 from pathlib import Path
 
 from .emitter import axiom_text, emit_manchester
@@ -52,9 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(f: Path) -> Document:
     try:
-        text = f.read_text(encoding="utf-8")
+        text = f.read_text(encoding="utf-8-sig")  # drops the byte-order mark some editors write
     except UnicodeDecodeError as exc:
-        raise GdolError(f"{f}: not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
+        # the offset counts from after a dropped mark; report it in the file
+        start = exc.start + (len(BOM_UTF8) if f.read_bytes().startswith(BOM_UTF8) else 0)
+        raise GdolError(f"{f}: not UTF-8 text: {exc.reason} at byte offset {start}") from None
     return parse_document(text)
 
 

@@ -67,6 +67,42 @@ def test_a_file_that_is_not_utf8_exits_with_two(tmp_path, capsys, where):
     assert not list(tmp_path.glob("*.omn"))
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("where", ["input", "lib"])
+def test_a_byte_order_mark_is_dropped(tmp_path, capsys, where):
+    source = tmp_path / "lib" / "marked.gdol"
+    source.parent.mkdir()
+    source.write_bytes(_BOM + b"pattern P [ Class: X ] = Class: X SubClassOf: Top\n"
+                       b"ontology O = P[A]\n")
+    user = tmp_path / "user.gdol"
+    user.write_text("ontology U = P[B]\n")
+    files = [str(source)] if where == "input" else [str(user), "--lib", str(source.parent)]
+    assert main(["expand", *files, "--out", str(tmp_path / "out")]) == 0
+    name = "O" if where == "input" else "U"
+    letter = "A" if where == "input" else "B"
+    assert (tmp_path / "out" / f"{name}.omn").read_text() == (
+        f"Class: {letter}\n  SubClassOf: Top\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_errors_in_a_marked_file_are_located_as_without_the_mark(tmp_path, capsys):
+    body = b"ontology O =\n  Class: A SubClassOf: ]\n"
+    errors = []
+    for prefix in (b"", _BOM):
+        source = tmp_path / "doc.gdol"
+        source.write_bytes(prefix + body)
+        assert main(["expand", str(source), "--out", str(tmp_path)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].startswith("error: 2:")
+    # an undecodable byte is reported at its offset in the file, mark included
+    source.write_bytes(_BOM + b"ontology O = Class: A\xff\n")
+    assert main(["expand", str(source), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {source}: not UTF-8 text: invalid start byte at byte offset 24\n")
+
+
 def test_deeply_nested_document_exits_with_two(tmp_path, capsys):
     deep = tmp_path / "deep.gdol"
     deep.write_text("ontology O = " + "let pattern L [Class: X] = Class: X in " * 400 + "L[A]\n")
