@@ -638,16 +638,17 @@ def _subst_name(n: Name, binding: Mapping[str, Argument], fn: NameFn = _same) ->
     bound = binding.get(n.base)
     if bound is None:
         return fn(Name(n.base, new_args) if n.args else n)
-    match bound:
-        case SymbolArg(name=repl):
-            # a parameterized replacement keeps its own arguments in front
-            return fn(Name(repl.base, repl.args + new_args) if new_args else repl)
-        case EmptyArg():
-            raise _MentionsEmpty
-        case ListArg(_) | ConsArg(_, _):
-            raise SubstitutionError(
-                f"list argument bound to {n.base!r} used where a single name is expected"
-            )
+    t = type(bound)
+    if t is SymbolArg:
+        # a parameterized replacement keeps its own arguments in front
+        repl = bound.name
+        return fn(Name(repl.base, repl.args + new_args) if new_args else repl)
+    if t is EmptyArg:
+        raise _MentionsEmpty
+    if t is ListArg or t is ConsArg:
+        raise SubstitutionError(
+            f"list argument bound to {n.base!r} used where a single name is expected"
+        )
     raise TypeError(f"not an argument: {bound!r}")
 
 
