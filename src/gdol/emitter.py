@@ -62,7 +62,11 @@ def expr_text(e: ClassExpr, nm=_strict_name) -> str:
         case Max(n, prop, f):
             return f"{prop_text(prop, nm)} max {n} {filler(f)}"
         case And(operands):
-            return " and ".join(expr_text(c, nm) for c in operands)
+            texts = [expr_text(c, nm) for c in operands]
+            if nm is _loose_name:  # in a document body a bare name after `and` starts a spec
+                texts[1:] = [f"({t})" if isinstance(c, Named) else t
+                             for c, t in zip(operands[1:], texts[1:])]
+            return " and ".join(texts)
         case OneOf(members):
             return "{" + ", ".join(nm(m) for m in members) + "}"
     raise TypeError(f"not a class expression: {e!r}")

@@ -11,8 +11,19 @@ references to other named ontologies reuse a memoized expansion.  A local's
 body and constraints are substituted under that binding with the local's
 own parameters over it, so an argument is substituted once, where it is
 written, and no name in it is captured.  Verification obligations are
-collected per named ontology as instantiations are encountered.  A name
-takes part in a merge warning only once the value it belongs to is kept.
+collected per named ontology as instantiations are encountered, and cached
+with its expansion.  A name takes part in a merge warning only once the
+value it belongs to is kept.
+
+A let's scope is a dict of the local patterns in force: a copy of the
+enclosing let's, then this let's own, which close over that same dict so
+that siblings can call each other.  A name that is not a local is looked
+up among the top-level definitions of the environment.
+
+A frame walks its parameters once: each raises its constraints as
+obligations (for a list, once per element, with every list parameter bound
+to its element at that index) and gives its declarations, which go into
+the builder in one batch after all the obligations.
 
 List recursion consumes one element per frame and hands its tail on as the
 very tuple it bound, so a frame recognises tails an earlier frame of the same
@@ -39,7 +50,6 @@ caches it and adds it to the builder that referenced it.
 
 from __future__ import annotations
 
-from collections import ChainMap
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -54,7 +64,7 @@ from .model import (
     subst_arguments, subst_axiom, subst_decls,
 )
 
-_Found = tuple[Axiom, str, str, int]  # an obligation's axiom, pattern, param, index
+_Found = tuple[str, str, int]  # where an obligation was raised: pattern, param, index
 
 DEFAULT_DEPTH_BUDGET = 10000
 
@@ -126,7 +136,7 @@ def bind_arguments(pdef: PatternDef, args: tuple[Argument, ...]) -> Binding:
 
 class _Closure(Node, eq=False):  # hashed by identity, as a key of _Run.frames
     pdef: PatternDef
-    scope: Mapping[str, object]
+    scope: dict[str, _Closure]  # the local patterns its body sees; {} at top level
     binding: Mapping[str, Argument]  # in force where its let is walked; {} at top level
 
 
@@ -143,7 +153,8 @@ def _mentions(axioms: Iterable[Axiom], names: set[str]) -> bool:
 class _Run:
     """State of one named-ontology or standalone-spec expansion: its name,
     the builder its nodes go into and the builder its result goes into once
-    complete (None for the outermost run), and its obligations.
+    complete (None for the outermost run), and its obligations: where each
+    axiom was first raised.
 
     `declared` and `frames` remember list tails by identity; each entry keeps
     the tuples (and closure) it is keyed by alive, so no other object can
@@ -154,7 +165,7 @@ class _Run:
         self.name = name  # None for a standalone spec
         self.into = into
         self.out = OntologyBuilder()
-        self.sink: list[_Found] = []
+        self.sink: dict[Axiom, _Found] = {}
         self.declared: dict[tuple[int, SymbolKind], tuple[Argument, ...]] = {}
         self.frames: dict[tuple, tuple] = {}
 
@@ -194,19 +205,17 @@ class ExpansionEnv:
     def __init__(self, library: Mapping[str, TopDecl], depth_budget: int = DEFAULT_DEPTH_BUDGET):
         self.depth_budget = depth_budget
         self.diagnostics: list[str] = []
-        self.library: dict[str, TopDecl] = dict(library)
-        self._cache: dict[str, Ontology] = {}
-        self._cache_obs: dict[str, tuple[Obligation, ...]] = {}
+        # every top-level name, a pattern as a closure over no locals
+        self._global: dict[str, _Closure | TopDecl] = {
+            name: _Closure(decl, {}, {}) if isinstance(decl, PatternDef) else decl
+            for name, decl in library.items()}
+        self._cache: dict[str, tuple[Ontology, tuple[Obligation, ...]]] = {}
         self._stratified: set[str] = set()
         self._plain: set[str] = set()
         self._warned: set[str] = set()
         self._queued: list[tuple[str, bool]] = []  # (flat name, stratified) for _note
         self._work: list[tuple] = []  # the current walk's items, see _walk
         self._runs: list[_Run] = []  # the current walk's open runs, innermost last
-        scope: dict[str, object] = {}
-        for name, decl in self.library.items():
-            scope[name] = _Closure(decl, scope, {}) if isinstance(decl, PatternDef) else decl
-        self._global_scope: Mapping[str, object] = scope
 
     @classmethod
     def from_documents(cls, docs: Iterable[Document], depth_budget: int = DEFAULT_DEPTH_BUDGET) -> "ExpansionEnv":
@@ -249,19 +258,11 @@ class ExpansionEnv:
     def expand_named(self, name: str) -> Ontology:
         if name not in self._cache:
             self._walk(name, None)
-        return self._cache[name]
+        return self._cache[name][0]
 
     def obligations(self, name: str) -> tuple[Obligation, ...]:
         self.expand_named(name)
-        return self._cache_obs[name]
-
-    @staticmethod
-    def _finalize(sink: list[_Found], name: str, context: Ontology) -> tuple[Obligation, ...]:
-        first: dict[Axiom, _Found] = {}  # the first raised of each axiom, in order
-        for found in sink:
-            first.setdefault(found[0], found)
-        return tuple(Obligation(axiom, name, pattern, param, index, context)
-                     for axiom, pattern, param, index in first.values())
+        return self._cache[name][1]
 
     # --- spec walking ---
 
@@ -291,10 +292,10 @@ class ExpansionEnv:
             else:
                 run = runs.pop()
                 result = run.out.freeze()
-                obligations = self._finalize(run.sink, run.name or "", result)
+                obligations = tuple(Obligation(axiom, run.name or "", *found, result)
+                                    for axiom, found in run.sink.items())
                 if run.name is not None:
-                    self._cache[run.name] = result
-                    self._cache_obs[run.name] = obligations
+                    self._cache[run.name] = result, obligations
                 if run.into is None:
                     return result, obligations
                 run.into.add(result)
@@ -308,26 +309,26 @@ class ExpansionEnv:
         work.append((_CLOSE,))
         for imp in reversed(imports):
             work.append((_NAMED, imp, run.out, depth))
-        work.append((_SPEC, spec, self._global_scope, run.out, {}, depth))
+        work.append((_SPEC, spec, {}, run.out, {}, depth))
 
     def _reference(self, name: str, into: OntologyBuilder | None, depth: int) -> None:
         """Add a named ontology to into, opening a run for it unless cached."""
         cached = self._cache.get(name)
         if cached is not None:
             assert into is not None
-            into.add(cached)
+            into.add(cached[0])
             return
         open_names = [run.name for run in self._runs]
         if name in open_names:
             raise CyclicImport(tuple(open_names[open_names.index(name):]) + (name,))
-        decl = self.library.get(name)
+        decl = self._global.get(name)
         if decl is None:
             raise UnknownPattern(name)
         if not isinstance(decl, OntologyDef):
             raise GdolError(f"{name!r} is a pattern; a reference must name an ontology")
         self._open(name, decl.spec, decl.imports, into, depth)
 
-    def _spec(self, spec: Spec, scope: Mapping[str, object], out: OntologyBuilder,
+    def _spec(self, spec: Spec, scope: dict[str, _Closure], out: OntologyBuilder,
               binding: Mapping[str, Argument], depth: int) -> None:
         """Expand one spec node with binding substituted into it on the way;
         queue its children."""
@@ -342,15 +343,14 @@ class ExpansionEnv:
                 if args is not None:  # else an argument mentions an empty-bound name
                     self._instantiate(spec, args, scope, out, depth)
             case LetSpec(locals_, body):
-                inner: dict[str, object] = {}
-                chained: Mapping[str, object] = ChainMap(inner, scope)
+                inner = dict(scope)  # the locals share it, so siblings see each other
                 for p in locals_:
                     shadowed = sorted(p.param_names & binding.keys())
                     if shadowed:
                         self._warn(f"parameters {shadowed} of local pattern {p.name!r}"
                                    " shadow outer bindings")
-                    inner[p.name] = _Closure(p, chained, binding)
-                self._work.append((_SPEC, body, chained, out, binding, depth))
+                    inner[p.name] = _Closure(p, inner, binding)
+                self._work.append((_SPEC, body, inner, out, binding, depth))
             case EmptySpec():
                 pass
             case _:
@@ -381,10 +381,11 @@ class ExpansionEnv:
         self._note()
 
     def _instantiate(self, spec: InstSpec, args: tuple[Argument, ...],
-                     scope: Mapping[str, object], out: OntologyBuilder, depth: int) -> None:
-        """Open a frame one level deeper: obligations and parameter
-        declarations now, then the given imports and the body in order."""
-        target = scope.get(spec.pattern)
+                     scope: dict[str, _Closure], out: OntologyBuilder, depth: int) -> None:
+        """Open a frame one level deeper: one pass over the parameters raises
+        their obligations and gathers their declarations, added after all
+        the obligations; then the given imports and the body in order."""
+        target = scope.get(spec.pattern) or self._global.get(spec.pattern)
         if target is None:
             raise UnknownPattern(spec.pattern)
         if isinstance(target, OntologyDef):
@@ -401,57 +402,41 @@ class ExpansionEnv:
         if binding.exhausted:
             return
         mapping = {**target.binding, **binding.mapping}  # own names shadow outer ones
-        self._collect_obligations(target, binding, mapping)
-        self._add(self._param_decls(pdef, binding), (), {}, out)
-        self._work.append((_SPEC, pdef.body, target.scope, out, mapping, depth))
-        for imp in reversed(pdef.imports):
-            self._work.append((_NAMED, imp, out, depth))
-
-    def _param_decls(self, pdef: PatternDef, binding: Binding) -> list[Decl]:
+        run = self._runs[-1]
+        oblige = any(p.constraints for p in pdef.params) and not run.repeats(target, binding)
         decls: list[Decl] = []
         for param in pdef.params:
             if param.is_list:
                 items = binding.lists[param.name]
-                tail = binding.mapping[param.list_tail]
-                assert isinstance(tail, ListArg)
-                if self._runs[-1].undeclared(param.kind, items, tail.items):
+                if oblige and param.constraints:
+                    for i in range(len(items)):
+                        # every list runs in parallel: element i of each
+                        element_view = dict(mapping)
+                        for other, elements in binding.lists.items():
+                            element_view[other] = elements[i]
+                        self._oblige(pdef.name, param, i, element_view)
+                if run.undeclared(param.kind, items, binding.mapping[param.list_tail].items):
                     decls.extend((param.kind, item.name) for item in items
                                  if isinstance(item, SymbolArg))
             else:
                 bound = binding.mapping[param.name]
                 if isinstance(bound, SymbolArg):
+                    if oblige and param.constraints:
+                        self._oblige(pdef.name, param, 0, mapping)
                     decls.append((param.kind, bound.name))
-        return decls
+        self._add(decls, (), {}, out)
+        self._work.append((_SPEC, pdef.body, target.scope, out, mapping, depth))
+        for imp in reversed(pdef.imports):
+            self._work.append((_NAMED, imp, out, depth))
 
-    # --- obligations ---
-
-    def _collect_obligations(self, closure: _Closure, binding: Binding,
-                             mapping: Mapping[str, Argument]) -> None:
-        """Raise the frame's obligations: each constraint substituted under
-        mapping, the closure's binding with the frame's own over it."""
-        pdef = closure.pdef
-        if not any(param.constraints for param in pdef.params) or self._runs[-1].repeats(closure, binding):
-            return
-        for param in pdef.params:
-            if not param.constraints:
-                continue
-            if param.is_list:
-                for i in range(len(binding.lists[param.name])):
-                    # every list runs in parallel: element i of each
-                    element_view = dict(mapping)
-                    for other, items in binding.lists.items():
-                        element_view[other] = items[i]
-                    self._emit_obligations(pdef.name, param, i, element_view)
-            else:
-                if isinstance(mapping[param.name], EmptyArg):
-                    continue
-                self._emit_obligations(pdef.name, param, 0, mapping)
-
-    def _emit_obligations(self, pattern: str, param: Parameter, index: int,
-                          view: Mapping[str, Argument]) -> None:
+    def _oblige(self, pattern: str, param: Parameter, index: int,
+                view: Mapping[str, Argument]) -> None:
+        """Raise param's constraints, substituted under view, as obligations
+        of the innermost run."""
         self._queued.clear()
+        sink = self._runs[-1].sink
         for ax in self._subst_axioms(param.constraints, view):
-            self._runs[-1].sink.append((ax, pattern, param.name, index))
+            sink.setdefault(ax, (pattern, param.name, index))
         self._note()
 
 

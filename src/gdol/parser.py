@@ -22,11 +22,15 @@ punctuation, and the parser decides what an identifier means from its
 position.
 
 The one real ambiguity in the grammar is `and`, which both joins specs and
-joins conjuncts inside a class expression.  We resolve it with bounded
-lookahead: after `and`, a parenthesis, an `inverse`, a non-empty brace
-enumeration, or a name followed by some/only/max continues the expression;
-anything else returns control to the spec level.  A bare class name used as
-a conjunct directly after `and` therefore needs parentheses.
+joins conjuncts inside a class expression.  It arises only at the top of a
+clause value in a document body: inside parentheses, and anywhere in a
+Manchester fragment, where there is no spec level, `and` always continues
+the class expression.  At the top of a clause value we resolve it with
+bounded lookahead: after `and`, a parenthesis, an `inverse`, a non-empty
+brace enumeration, or a name followed by some/only/max continues the
+expression; anything else returns control to the spec level.  A bare class
+name used as a conjunct directly after `and` there therefore needs
+parentheses: `A and (B)`.
 """
 
 from __future__ import annotations
@@ -136,6 +140,10 @@ def _is_name(t: str) -> bool:
     return t.isidentifier() or t[:1].isalpha() or t[:1] == "_"
 
 
+def _conjunction(parts: list[ClassExpr]) -> ClassExpr:
+    return parts[0] if len(parts) == 1 else And(tuple(parts))
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
@@ -227,7 +235,8 @@ class _Parser:
         return self.peek() in keywords and self.at(":", 1)
 
     def _conjunct_follows(self) -> bool:
-        # called with the cursor on `and`; decide expression vs spec level
+        # called with the cursor on `and` at the top of a clause value;
+        # decide expression vs spec level
         if self.at("(", 1) or self.at("inverse", 1):
             return True
         if self.at("{", 1):
@@ -247,16 +256,17 @@ class _Parser:
         return toks[k] in _RESTRICTIONS
 
     def parse_expr(self) -> ClassExpr:
+        """A class expression at the top of a clause value."""
         parts = [self.parse_conjunct()]
         while self.at("and") and self._conjunct_follows():
             self.pos += 1
             parts.append(self.parse_conjunct())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+        return _conjunction(parts)
 
     def parse_conjunct(self) -> ClassExpr:
         if self.accept("("):
             self.descend()
-            e = self.parse_expr()
+            e = _conjunction(self.sep(self.parse_conjunct, by="and"))
             self.expect_sym(")")
             self.depth -= 1
             return e
@@ -525,9 +535,16 @@ def parse_document(text: str) -> Document:
         raise p.error("nesting too deep") from None
 
 
+class _FragmentParser(_Parser):
+    """A fragment has no spec level, so `and` always joins conjuncts."""
+
+    def _conjunct_follows(self) -> bool:
+        return True
+
+
 def parse_manchester_fragment(text: str) -> Ontology:
     """Parse a bare Manchester fragment (frames only, no pattern syntax)."""
-    p = _Parser(text)
+    p = _FragmentParser(text)
     if p.at(_EOF):
         return Ontology()
     ont = p.parse_basic()

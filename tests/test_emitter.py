@@ -259,3 +259,32 @@ def test_expanding_a_corpus_log_writes_its_snapshot_bytes(tmp_path, capsys, log)
     assert capsys.readouterr().err == (want / "stderr.txt").read_text(encoding="utf-8")
     written = {p.name: p.read_bytes() for p in tmp_path.glob("*.omn")}
     assert written == {p.name: p.read_bytes() for p in want.glob("*.omn")}
+
+
+# --- emitted Manchester parses back ---------------------------------------------
+
+@settings(max_examples=400, deadline=None)
+@given(_layout_cases(False))
+def test_emitted_frames_parse_back_to_the_same_axioms(case):
+    """Every intersection the emitter writes, `B and C` at the top of a
+    clause and `r some (B and C)` in a filler, reads back as one."""
+    decls, axioms = case
+    o = Ontology.of(decls, axioms)
+    again = parse_manchester_fragment(emit_manchester(o))
+    assert again.axioms == o.axioms
+    assert again.decls >= o.decls  # the emitter declares undeclared subjects
+
+
+@pytest.mark.parametrize("log", ["driver", "change_pd"])
+def test_exported_obligations_parse_back_to_their_context(tmp_path, capsys, corpus_docs, log):
+    main(["check", str(CORPUS / "logs" / f"{log}.gdol"), *_LIBS,
+          "--emit-obligations", str(tmp_path)])
+    files = sorted(tmp_path.glob("*.omn"))
+    assert len(files) == {"driver": 12, "change_pd": 4}[log]
+    env = ExpansionEnv.from_documents(corpus_docs)
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        context = env.expand_named(text.split("%% from: ", 1)[1].split(" ::", 1)[0])
+        again = parse_manchester_fragment(text)
+        assert again.axioms == context.axioms, path.name
+        assert again.decls >= context.decls, path.name

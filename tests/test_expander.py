@@ -325,6 +325,36 @@ def test_a_local_does_not_capture_an_outer_argument():
     assert [ob.axiom for ob in env.obligations("O")] == [goal]
 
 
+def test_let_scopes_resolve_siblings_shadowing_and_nesting():
+    # Even and Odd call each other; the local L shadows the global L inside
+    # the let, and the nested let's N reaches both Odd and that local L; the
+    # L[g] before the let, and the one in O, reach the global L
+    doc = parse_document(
+        "pattern L [ Class: X ] = Class: X SubClassOf: Global\n"
+        "pattern P [ Class: g :: gs ] =\n"
+        "  L[g] and\n"
+        "  let\n"
+        "    pattern Even [ Class: x :: xs ] = Class: x SubClassOf: EvenC then Odd[xs]\n"
+        "    pattern Odd [ Class: x :: xs ] = Class: x SubClassOf: OddC then Even[xs]\n"
+        "    pattern L [ Class: X ] = Class: X SubClassOf: Local\n"
+        "  in Even[g :: gs] and L[g] and\n"
+        "    let pattern N [ Class: y ] = Odd[[y]] and L[y]\n"
+        "    in N[n]\n"
+        "ontology O = P[[a, b, c]] and L[h]\n")
+    env = ExpansionEnv.from_documents([doc])
+
+    def sub(c, d):
+        return SubClassOf(Named(Name(c)), Named(Name(d)))
+
+    assert env.expand_named("O").axioms == {
+        sub("a", "Global"), sub("h", "Global"),
+        sub("a", "EvenC"), sub("b", "OddC"), sub("c", "EvenC"),
+        sub("a", "Local"),
+        sub("n", "OddC"), sub("n", "Local"),
+    }
+    assert env.diagnostics == []
+
+
 def test_given_imports_are_unioned_into_the_instantiation(expand):
     o = expand("Change_PD_Vehicle_log")
     assert (SymbolKind.CLASS, Name("Manifestation")) in o.decls

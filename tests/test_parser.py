@@ -388,6 +388,18 @@ def test_corpus_documents_round_trip(path):
     assert again == doc
 
 
+@pytest.mark.parametrize("text", [
+    "ontology O = EquivalentClasses: A and (B), r some C\n",
+    "pattern P [ {Individual: v Types: A and (B)} ] = Individual: v\n",
+    "ontology O = Class: A SubClassOf: r some (B and C) and (D) and (f[E])\n",
+])
+def test_intersections_of_named_classes_round_trip(text):
+    # canonical order puts a bare name right after `and`, where a document
+    # body would read it as a spec
+    doc = parse_document(text)
+    assert parse_document(render_document(doc)) == doc
+
+
 @pytest.mark.parametrize("op", ["and", "then"])
 def test_long_chains_round_trip(op):
     text = "ontology O = " + f" {op} ".join(
