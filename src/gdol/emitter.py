@@ -8,6 +8,10 @@ indents, LF line endings, one trailing newline.
 Standalone axioms that have no frame subject (DifferentIndividuals, and the
 rare equivalence or disjointness between two complex expressions) come after
 all frames.
+
+Where an axiom goes (its frame, clause keyword and value text) comes from a
+table keyed by the axiom's class; writing class expressions and rendering
+pattern-language source still use `match`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ _KIND_ORDER = (
     SymbolKind.OBJECT_PROPERTY,
     SymbolKind.DATA_PROPERTY,
 )
+_KIND_RANK = {kind: rank for rank, kind in enumerate(_KIND_ORDER)}
+_HEADERS = tuple(f"{kind.keyword}: " for kind in _KIND_ORDER)
 
 
 def _strict_name(n: Name) -> str:
@@ -48,6 +54,9 @@ def prop_text(p: PropExpr, nm=_strict_name) -> str:
 
 
 def expr_text(e: ClassExpr, nm=_strict_name) -> str:
+    if e.__class__ is Named:
+        return nm(e.name)
+
     def filler(f: ClassExpr) -> str:
         text = expr_text(f, nm)
         return f"({text})" if isinstance(f, And) else text
@@ -79,46 +88,56 @@ _CLAUSES = {
     "SubPropertyOf": 8, "InverseOf": 9, "SubPropertyChain": 10,
 }
 
+_C, _P, _I = SymbolKind.CLASS, SymbolKind.OBJECT_PROPERTY, SymbolKind.INDIVIDUAL
+
+
+def _subclass(x: SubClassOf, nm):
+    if x.sub.__class__ is not Named:
+        raise GdolError(f"cannot emit a subclass axiom with complex subject {expr_text(x.sub, _loose_name)!r}")
+    return x.sub.name, _C, "SubClassOf", expr_text(x.sup, nm)
+
+
+def _pair(frame_kw: str, standalone_kw: str):
+    def place(x, nm):
+        if x.a.__class__ is Named:
+            return x.a.name, _C, frame_kw, expr_text(x.b, nm)
+        return None, _C, standalone_kw, f"{expr_text(x.a, nm)}, {expr_text(x.b, nm)}"
+    return place
+
+
+def _subproperty(x: SubPropertyOf, nm):
+    if x.sub.inverse:
+        raise GdolError("cannot emit a subproperty axiom for an inverse")
+    return x.sub.name, _P, "SubPropertyOf", prop_text(x.sup, nm)
+
+
+# where an axiom goes, by its class: (frame subject or None, inferred kind,
+# clause keyword, clause value text); subject None means standalone
+_PLACEMENT = {
+    SubClassOf: _subclass,
+    EquivalentClasses: _pair("EquivalentTo", "EquivalentClasses"),
+    DisjointClasses: _pair("DisjointWith", "DisjointClasses"),
+    SubPropertyOf: _subproperty,
+    InverseProps: lambda x, nm: (x.a, _P, "InverseOf", nm(x.b)),
+    Domain: lambda x, nm: (x.prop, _P, "Domain", expr_text(x.cls, nm)),
+    Range: lambda x, nm: (x.prop, _P, "Range", expr_text(x.cls, nm)),
+    Functional: lambda x, nm: (x.prop, _P, "Characteristics", "Functional"),
+    Transitive: lambda x, nm: (x.prop, _P, "Characteristics", "Transitive"),
+    SubPropertyChain: lambda x, nm: (x.prop, _P, "SubPropertyChain",
+                                     " o ".join(prop_text(q, nm) for q in x.chain)),
+    ClassAssertion: lambda x, nm: (x.individual, _I, "Types", expr_text(x.cls, nm)),
+    PropAssertion: lambda x, nm: (x.subject, _I, "Facts", f"{nm(x.prop)} {nm(x.obj)}"),
+    DifferentIndividuals: lambda x, nm: (None, _I, "DifferentIndividuals",
+                                         ", ".join(nm(m) for m in x.members)),
+}
+
 
 def _placement(a: Axiom, nm) -> tuple[Name | None, SymbolKind, str, str]:
-    """Where an axiom goes: (frame subject or None, inferred kind, clause
-    keyword, clause value text).  Subject None means standalone."""
-    match a:
-        case SubClassOf(Named(sub), sup):
-            return sub, SymbolKind.CLASS, "SubClassOf", expr_text(sup, nm)
-        case SubClassOf(sub, _):
-            raise GdolError(f"cannot emit a subclass axiom with complex subject {expr_text(sub, _loose_name)!r}")
-        case EquivalentClasses(Named(x), y):
-            return x, SymbolKind.CLASS, "EquivalentTo", expr_text(y, nm)
-        case EquivalentClasses(x, y):
-            return None, SymbolKind.CLASS, "EquivalentClasses", f"{expr_text(x, nm)}, {expr_text(y, nm)}"
-        case DisjointClasses(Named(x), y):
-            return x, SymbolKind.CLASS, "DisjointWith", expr_text(y, nm)
-        case DisjointClasses(x, y):
-            return None, SymbolKind.CLASS, "DisjointClasses", f"{expr_text(x, nm)}, {expr_text(y, nm)}"
-        case SubPropertyOf(sub, sup):
-            if sub.inverse:
-                raise GdolError("cannot emit a subproperty axiom for an inverse")
-            return sub.name, SymbolKind.OBJECT_PROPERTY, "SubPropertyOf", prop_text(sup, nm)
-        case InverseProps(x, y):
-            return x, SymbolKind.OBJECT_PROPERTY, "InverseOf", nm(y)
-        case Domain(p, c):
-            return p, SymbolKind.OBJECT_PROPERTY, "Domain", expr_text(c, nm)
-        case Range(p, c):
-            return p, SymbolKind.OBJECT_PROPERTY, "Range", expr_text(c, nm)
-        case Functional(p):
-            return p, SymbolKind.OBJECT_PROPERTY, "Characteristics", "Functional"
-        case Transitive(p):
-            return p, SymbolKind.OBJECT_PROPERTY, "Characteristics", "Transitive"
-        case SubPropertyChain(p, chain):
-            return p, SymbolKind.OBJECT_PROPERTY, "SubPropertyChain", " o ".join(prop_text(q, nm) for q in chain)
-        case ClassAssertion(c, i):
-            return i, SymbolKind.INDIVIDUAL, "Types", expr_text(c, nm)
-        case PropAssertion(p, s, o):
-            return s, SymbolKind.INDIVIDUAL, "Facts", f"{nm(p)} {nm(o)}"
-        case DifferentIndividuals(members):
-            return None, SymbolKind.INDIVIDUAL, "DifferentIndividuals", ", ".join(nm(m) for m in members)
-    raise TypeError(f"not an axiom: {a!r}")
+    """Where an axiom goes, from its class's entry in `_PLACEMENT`."""
+    place = _PLACEMENT.get(a.__class__)
+    if place is None:
+        raise TypeError(f"not an axiom: {a!r}")
+    return place(a, nm)
 
 
 def axiom_text(a: Axiom, nm=_strict_name) -> str:
@@ -140,10 +159,11 @@ def _swapped(a: Axiom, nm) -> tuple[Name, str, str] | None:
 
 
 def _frames_text(o: Ontology, nm) -> str:
-    # an Ontology gives each name one kind, so this map needs no order:
-    # names are keyed and sorted once, when the frames are written
-    kinds = {name: kind for kind, name in o.decls}
-    clauses: dict[Name, list[tuple[int, Axiom, str]]] = {n: [] for n in kinds}
+    # name -> (its kind, its clauses); an Ontology gives each name one kind,
+    # so this map needs no order: names are keyed and sorted once, when the
+    # frames are written
+    frames: dict[Name, tuple[SymbolKind, list[tuple[int, Axiom, str]]]] = {
+        name: (kind, []) for kind, name in o.decls}
     # an axiom whose subject is declared goes to its frame as it comes; the
     # others are placed in key order, which kind inference and the choice of
     # a symmetric axiom's side depend on, and so is one that fails, so that
@@ -155,38 +175,42 @@ def _frames_text(o: Ontology, nm) -> str:
         except GdolError:
             rest.append((a, None))
             continue
-        subject, _, kw, value = placed
-        if subject in kinds:
-            clauses[subject].append((_CLAUSES[kw], a, f"{kw}: {value}"))
-        else:
+        frame = frames.get(placed[0])
+        if frame is None:
             rest.append((a, placed))
+        else:
+            kw = placed[2]
+            frame[1].append((_CLAUSES[kw], a, f"{kw}: {placed[3]}"))
     standalone: list[str] = []
     for a, placed in sorted(rest, key=lambda r: node_key(r[0])):
         subject, inferred, kw, value = placed or _placement(a, nm)
         if subject is None:
             standalone.append(f"{kw}: {value}")
             continue
-        if subject not in kinds:
+        frame = frames.get(subject)
+        if frame is None:
             # canonical pair order may have led with an undeclared name;
             # prefer a declared subject so no new declaration is implied
             alt = _swapped(a, nm)
-            if alt is not None and alt[0] in kinds:
+            if alt is not None and alt[0] in frames:
                 subject, kw, value = alt
+                frame = frames[subject]
             else:
-                kinds[subject] = inferred
-                clauses[subject] = []
-        clauses[subject].append((_CLAUSES[kw], a, f"{kw}: {value}"))
+                frame = frames[subject] = (inferred, [])
+        frame[1].append((_CLAUSES[kw], a, f"{kw}: {value}"))
+    # distinct names have distinct keys, so the sort never compares names
+    order = sorted([(_KIND_RANK[kind], name_key(name), name, clauses)
+                    for name, (kind, clauses) in frames.items()])
     lines: list[str] = []
-    frames = sorted(kinds.items(), key=lambda frame: name_key(frame[0]))
-    for kind in _KIND_ORDER:
-        for name in (n for n, k in frames if k is kind):
-            lines.append(f"{kind.keyword}: {nm(name)}")
-            frame = clauses[name]
-            frame.sort(key=itemgetter(0))  # by rank, then by key where ranks tie
-            tied = {c[0] for c, d in zip(frame, frame[1:]) if c[0] == d[0]}
+    for rank, _, name, clauses in order:
+        lines.append(_HEADERS[rank] + nm(name))
+        if len(clauses) > 1:
+            clauses.sort(key=itemgetter(0))  # by rank, then by key where ranks tie
+            tied = {c[0] for c, d in zip(clauses, clauses[1:]) if c[0] == d[0]}
             if tied:
-                frame.sort(key=lambda c: (c[0], node_key(c[1]) if c[0] in tied else ()))
-            lines.extend(f"  {text}" for _, _, text in frame)
+                clauses.sort(key=lambda c: (c[0], node_key(c[1]) if c[0] in tied else ()))
+        for clause in clauses:
+            lines.append("  " + clause[2])
     lines.extend(standalone)
     return "\n".join(lines) + "\n" if lines else ""
 

@@ -31,6 +31,15 @@ expansion has seen: their items are declared once, and a frame whose
 obligations provably repeat an earlier frame's is not asked for them again.
 That keeps the work per frame proportional to what the frame adds.
 
+What depends only on a pattern is worked out once per environment and
+kept on it: each pattern's shape (whether it has constraints, its list and
+scalar parameters, whether a frame can repeat an earlier one's
+obligations), each parameterized name's stratified form, and for each
+pattern body axiom and constraint a plan, a closure tree that substitutes
+a binding into it and builds the result canonical.  A named ontology's own
+axioms, substituted under no binding and walked once, are rebuilt
+directly.  The walk decides by a node's exact class, not by `match`.
+
 A kind clash is reported where the walk first adds a declaration that
 contradicts the builder it goes into, whether a node's own or a referenced
 ontology's once expanded, naming the least clashing flat name there in
@@ -50,7 +59,8 @@ caches it and adds it to the builder that referenced it.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import weakref
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     ArityMismatch, CyclicImport, DepthExceeded, EmptyForRequired, GdolError,
@@ -60,7 +70,7 @@ from .model import (
     Argument, Axiom, BasicSpec, ConsArg, Decl, Document, EmptyArg, EmptySpec,
     ExtensionSpec, InstSpec, LetSpec, ListArg, Name, Node, Obligation, Ontology,
     OntologyBuilder, OntologyDef, Parameter, PatternDef, Spec, SymbolArg,
-    SymbolKind, TopDecl, UnionSpec, axiom_names, stratify,
+    SymbolKind, TopDecl, UnionSpec, axiom_names, plan_axiom, stratify,
     subst_arguments, subst_axiom, subst_decls,
 )
 
@@ -69,6 +79,8 @@ _Found = tuple[str, str, int]  # where an obligation was raised: pattern, param,
 DEFAULT_DEPTH_BUDGET = 10000
 
 _SPEC, _NAMED, _CLOSE = range(3)  # work item tags, see ExpansionEnv._walk
+
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 def run_deep(fn, depth_budget=DEFAULT_DEPTH_BUDGET):
@@ -176,27 +188,38 @@ class _Run:
         self.declared[id(tail), kind] = tail
         return (id(items), kind) not in self.declared
 
-    def repeats(self, closure: _Closure, binding: Binding) -> bool:
+    def repeats(self, closure: _Closure, binding: Binding, shape: _Shape) -> bool:
         """Whether every obligation of this frame was already raised by an
         earlier frame of the same closure (so under the same outer binding)
         that bound each list to one more element and every other parameter
-        alike.  Element i here then sees what element i + 1 saw there, unless
-        a constraint mentions a tail, or a scalar parameter's constraint
-        mentions a list head."""
-        pdef = closure.pdef
-        lists = [p for p in pdef.params if p.is_list]
-        if not lists:
-            return False
-        scalars = tuple(binding.mapping[p.name] for p in pdef.params if not p.is_list)
-        tails = tuple(binding.mapping[p.list_tail].items for p in lists)
-        seen = self.frames.get((closure, *(id(binding.lists[p.name]) for p in lists)))
+        alike.  Element i here then sees what element i + 1 saw there; the
+        caller asks only when `shape.may_repeat`, as no constraint mentions
+        a tail, nor a scalar parameter's constraint a list head."""
+        mapping = binding.mapping
+        scalars = tuple(mapping[p.name] for p in shape.scalars)
+        tails = tuple(mapping[p.list_tail].items for p in shape.lists)
+        seen = self.frames.get((closure, *(id(binding.lists[p.name]) for p in shape.lists)))
         self.frames[(closure, *map(id, tails))] = (tails, scalars)
-        if seen is None or seen[1] != scalars:
-            return False
-        tail_names = {p.list_tail for p in lists}
-        head_names = {p.name for p in lists}
-        return not any(_mentions(p.constraints, tail_names if p.is_list else tail_names | head_names)
-                       for p in pdef.params)
+        return seen is not None and seen[1] == scalars
+
+
+class _Shape:
+    """What every frame of one pattern shares: whether any parameter has
+    constraints, the list and the scalar parameters, and whether a frame
+    can repeat an earlier frame's obligations (see `_Run.repeats`)."""
+
+    __slots__ = ("pdef", "constrained", "lists", "scalars", "may_repeat")
+
+    def __init__(self, pdef: PatternDef) -> None:
+        self.pdef = pdef  # keeps the id it is cached under taken
+        self.constrained = any(p.constraints for p in pdef.params)
+        self.lists = tuple(p for p in pdef.params if p.list_tail is not None)
+        self.scalars = tuple(p for p in pdef.params if p.list_tail is None)
+        tails = {p.list_tail for p in self.lists}
+        heads = tails | {p.name for p in self.lists}
+        self.may_repeat = bool(self.lists) and not any(
+            _mentions(p.constraints, tails if p.list_tail is not None else heads)
+            for p in pdef.params)
 
 
 class ExpansionEnv:
@@ -213,9 +236,22 @@ class ExpansionEnv:
         self._stratified: set[str] = set()
         self._plain: set[str] = set()
         self._warned: set[str] = set()
-        self._queued: list[tuple[str, bool]] = []  # (flat name, stratified) for _note
+        # names of the value being built, for _note: the plain ones, and each
+        # stratified one with the number of plain ones queued before it
+        self._queued: list[str] = []
+        self._queued_flat: list[tuple[int, str]] = []
+        # worked out once per environment; an id-keyed entry holds its key's
+        # object, so no other object can take the id
+        self._flat: dict[Name, Name] = {}  # parameterized name -> stratified name
+        self._plans: dict[int, tuple[Axiom, Callable]] = {}  # axiom id -> (axiom, its plan)
+        self._shapes: dict[int, _Shape] = {}  # pattern id -> its frames' shape
         self._work: list[tuple] = []  # the current walk's items, see _walk
         self._runs: list[_Run] = []  # the current walk's open runs, innermost last
+        # plans reach _strat through a weak reference: a plan that held the
+        # environment would make a cycle, and a dropped environment, with
+        # every expansion it caches, would wait for the cycle collector
+        env = weakref.ref(self)
+        self._strat_weakly: Callable[[Name], Name] = lambda n: env()._strat(n)
 
     @classmethod
     def from_documents(cls, docs: Iterable[Document], depth_budget: int = DEFAULT_DEPTH_BUDGET) -> "ExpansionEnv":
@@ -233,20 +269,39 @@ class ExpansionEnv:
     def _strat(self, n: Name) -> Name:
         """Stratify a name of a value under substitution; queue it for `_note`."""
         if not n.args:
-            self._queued.append((n.base, False))
+            self._queued.append(n.base)
             return n
-        flat = stratify(n)
-        self._queued.append((flat, True))
-        return Name(flat)
+        flat = self._flat.get(n)
+        if flat is None:
+            flat = self._flat[n] = Name(stratify(n))
+        self._queued_flat.append((len(self._queued), flat.base))
+        return flat
 
     def _note(self) -> None:
         """Record the queued names of a kept value; warn once for each flat
-        name that is both a stratified and a plain name."""
-        for flat, stratified in self._queued:
-            (self._stratified if stratified else self._plain).add(flat)
-            if flat in self._stratified and flat in self._plain:
-                self._warn(f"stratified name {flat!r} coincides with a plain name; the two merge")
-        self._queued.clear()
+        name that is both a stratified and a plain name.  The queue is
+        walked in order only when one of its names meets such a name."""
+        plain, flat = self._queued, self._queued_flat
+        names = {name for _, name in flat} if flat else _NO_NAMES
+        if (self._stratified.isdisjoint(plain) and names.isdisjoint(plain)
+                and self._plain.isdisjoint(names)):
+            self._plain.update(plain)
+            self._stratified.update(names)
+        else:
+            done = 0
+            for at, name in [*flat, (len(plain), None)]:
+                for p in plain[done:at]:
+                    self._meet(p, self._plain)
+                done = at
+                if name is not None:
+                    self._meet(name, self._stratified)
+        plain.clear()
+        flat.clear()
+
+    def _meet(self, name: str, into: set[str]) -> None:
+        into.add(name)
+        if name in self._stratified and name in self._plain:
+            self._warn(f"stratified name {name!r} coincides with a plain name; the two merge")
 
     def _warn(self, message: str) -> None:
         if message not in self._warned:
@@ -332,39 +387,47 @@ class ExpansionEnv:
               binding: Mapping[str, Argument], depth: int) -> None:
         """Expand one spec node with binding substituted into it on the way;
         queue its children."""
-        match spec:
-            case BasicSpec(ontology):
-                self._add(ontology.decls, ontology.axioms, binding, out)
-            case UnionSpec(ops) | ExtensionSpec(ops):
-                for op in reversed(ops):
-                    self._work.append((_SPEC, op, scope, out, binding, depth))
-            case InstSpec():
-                args = subst_arguments(spec.args, binding)
-                if args is not None:  # else an argument mentions an empty-bound name
-                    self._instantiate(spec, args, scope, out, depth)
-            case LetSpec(locals_, body):
-                inner = dict(scope)  # the locals share it, so siblings see each other
-                for p in locals_:
-                    shadowed = sorted(p.param_names & binding.keys())
-                    if shadowed:
-                        self._warn(f"parameters {shadowed} of local pattern {p.name!r}"
-                                   " shadow outer bindings")
-                    inner[p.name] = _Closure(p, inner, binding)
-                self._work.append((_SPEC, body, inner, out, binding, depth))
-            case EmptySpec():
-                pass
-            case _:
-                raise TypeError(f"not a spec: {spec!r}")
+        cls = spec.__class__
+        if cls is BasicSpec:
+            self._add(spec.ontology.decls, spec.ontology.axioms, binding, out)
+        elif cls is UnionSpec or cls is ExtensionSpec:
+            for op in reversed(spec.operands):
+                self._work.append((_SPEC, op, scope, out, binding, depth))
+        elif cls is InstSpec:
+            args = subst_arguments(spec.args, binding)
+            if args is not None:  # else an argument mentions an empty-bound name
+                self._instantiate(spec, args, scope, out, depth)
+        elif cls is LetSpec:
+            inner = dict(scope)  # the locals share it, so siblings see each other
+            for p in spec.locals:
+                shadowed = sorted(p.param_names & binding.keys())
+                if shadowed:
+                    self._warn(f"parameters {shadowed} of local pattern {p.name!r}"
+                               " shadow outer bindings")
+                inner[p.name] = _Closure(p, inner, binding)
+            self._work.append((_SPEC, spec.body, inner, out, binding, depth))
+        elif cls is not EmptySpec:
+            raise TypeError(f"not a spec: {spec!r}")
 
     def _subst_axioms(self, axioms: Iterable[Axiom], binding: Mapping[str, Argument]) -> list[Axiom]:
-        """Substitute, stratify and canonicalize axioms in one rebuild each.
-        One deleted by an empty binding leaves none of its names queued."""
+        """Substitute, stratify and canonicalize axioms in one rebuild each:
+        under a binding through the axiom's plan, built once per
+        environment, and with none (a named ontology's own axioms, walked
+        once) directly.  One deleted by an empty binding leaves none of its
+        names queued."""
         kept = []
+        plain, flat, plans = self._queued, self._queued_flat, self._plans
         for a in axioms:
-            mark = len(self._queued)
-            b = subst_axiom(a, binding, self._strat)
+            mark, flat_mark = len(plain), len(flat)
+            if binding:
+                plan = plans.get(id(a))
+                if plan is None:
+                    plan = plans[id(a)] = a, plan_axiom(a, self._strat_weakly, plain)
+                b = plan[1](binding)
+            else:
+                b = subst_axiom(a, binding, self._strat)
             if b is None:
-                del self._queued[mark:]
+                del plain[mark:], flat[flat_mark:]
             else:
                 kept.append(b)
         return kept
@@ -375,6 +438,7 @@ class ExpansionEnv:
         record its names.  A declaration that contradicts out raises the
         KindClash of the least clashing flat name."""
         self._queued.clear()
+        self._queued_flat.clear()
         decls = subst_decls(decls, binding, self._strat)
         axioms = self._subst_axioms(axioms, binding)
         out.extend(decls, axioms)
@@ -403,10 +467,13 @@ class ExpansionEnv:
             return
         mapping = {**target.binding, **binding.mapping}  # own names shadow outer ones
         run = self._runs[-1]
-        oblige = any(p.constraints for p in pdef.params) and not run.repeats(target, binding)
+        shape = self._shapes.get(id(pdef))
+        if shape is None:
+            shape = self._shapes[id(pdef)] = _Shape(pdef)
+        oblige = shape.constrained and not (shape.may_repeat and run.repeats(target, binding, shape))
         decls: list[Decl] = []
         for param in pdef.params:
-            if param.is_list:
+            if param.list_tail is not None:
                 items = binding.lists[param.name]
                 if oblige and param.constraints:
                     for i in range(len(items)):
@@ -434,6 +501,7 @@ class ExpansionEnv:
         """Raise param's constraints, substituted under view, as obligations
         of the innermost run."""
         self._queued.clear()
+        self._queued_flat.clear()
         sink = self._runs[-1].sink
         for ax in self._subst_axioms(param.constraints, view):
             sink.setdefault(ax, (pattern, param.name, index))

@@ -8,6 +8,8 @@ Same-Name-Same-Thing, and simultaneous substitution of arguments for
 parameter names, which also renames every name it builds in the same pass
 and returns canonical axioms: it builds each And, OneOf, symmetric pair
 and DifferentIndividuals through that shape's canonical constructor.
+`plan_axiom` compiles that rebuild once for an axiom substituted under
+many bindings.
 
 Every value class derives from `Node`, a frozen record of the fields its
 class body annotates.  The jobs that only follow the structure of axioms,
@@ -382,7 +384,9 @@ def canon_axiom(a: Axiom) -> Axiom:
 
 
 def canon_expr(e: ClassExpr) -> ClassExpr:
-    if type(e) is And:
+    if e.__class__ is Named:
+        return e
+    if e.__class__ is And:
         return _and([canon_expr(c) for c in e.operands])
     return canon_axiom(e)  # type: ignore[arg-type]
 
@@ -706,10 +710,73 @@ def subst_axiom(a: Axiom, binding: Mapping[str, Argument], fn: NameFn = _same) -
         return None
 
 
+def plan_axiom(a: Axiom, fn: NameFn, plain: list[str]) -> Callable[[Mapping[str, Argument]], Axiom | None]:
+    """`subst_axiom(a, binding, fn)` compiled for a's shape, for an axiom
+    substituted under many non-empty bindings: the returned function takes
+    the binding.  fn must treat a plain name n as appending n.base to plain
+    and returning n; the compiled tree does that itself for the names it
+    keeps or takes from a bound argument, so only the others reach fn.
+    (The tree's functions take what they use as defaults, which costs less
+    memory and time than closure cells.)"""
+    def subst(binding: Mapping[str, Argument], run=_plan(a, fn, plain)) -> Axiom | None:
+        try:
+            return run(binding)
+        except _MentionsEmpty:
+            return None
+    return subst
+
+
+def _plan_name(n: Name, fn: NameFn, plain: list[str]):
+    if n.args:
+        return lambda b, n=n, fn=fn: _subst_name(n, b, fn)
+
+    def name(b, base=n.base, n=n, plain=plain, fn=fn):
+        bound = b.get(base)
+        if bound is None:
+            plain.append(base)
+            return n
+        if bound.__class__ is SymbolArg:
+            repl = bound.name
+            if not repl.args:
+                plain.append(repl.base)
+                return repl
+        return _subst_name(n, b, fn)  # stratified, or raises as _subst would
+    return name
+
+
+def _plan(x, fn: NameFn, plain: list[str]):
+    """A function of a binding that rebuilds x as `_subst` would, its
+    fields in the same order."""
+    parts = []
+    for f in _FIELDS[x.__class__][1]:
+        v = getattr(x, f)
+        t = type(v)
+        if t is Name:
+            parts.append(_plan_name(v, fn, plain))
+        elif t is tuple and v and type(v[0]) is Name:
+            parts.append(lambda b, v=v, fn=fn: _subst_members(v, b, fn))
+        elif t is tuple:
+            subs = tuple(_plan(c, fn, plain) for c in v)
+            parts.append(lambda b, subs=subs: tuple([s(b) for s in subs]))
+        elif t in _FIELDS:
+            parts.append(_plan(v, fn, plain))
+        else:
+            parts.append(lambda b, v=v: v)
+    make = _CANON.get(x.__class__, x.__class__)
+    if len(parts) == 1:
+        return lambda b, make=make, p=parts[0]: make(p(b))
+    if len(parts) == 2:
+        return lambda b, make=make, p=parts[0], q=parts[1]: make(p(b), q(b))
+    p, q, r = parts  # no node has more than three fields
+    return lambda b, make=make, p=p, q=q, r=r: make(p(b), q(b), r(b))
+
+
 def subst_decls(decls: Iterable[Decl], binding: Mapping[str, Argument],
                 fn: NameFn = _same) -> list[Decl]:
     """Substitute into declarations, then apply fn to each name; those
     naming an empty-bound parameter are dropped."""
+    if not binding:
+        return [(kind, fn(name)) for kind, name in decls]
     out: list[Decl] = []
     for kind, name in decls:
         try:

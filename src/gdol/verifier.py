@@ -20,6 +20,11 @@ are cached with the steps they took, and a goal is charged that cost the
 first time it uses one, so each goal pays exactly the steps a fresh engine
 would spend on it alone, and no verdict depends on the order goals are
 checked in.
+
+Told axioms are indexed, and goals proven, through tables keyed by the
+axiom's class.  And-nodes are looked for only inside class-expression
+fields that are not a bare name, and a goal whose class-expression fields
+are all bare names is checked against the context's theory itself.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import MapKindMismatch
 from .model import (
     And, Axiom, ClassAssertion, ClassExpr, DifferentIndividuals,
     DisjointClasses, Domain, EquivalentClasses, Functional, InverseProps,
-    Name, Node, Obligation, OneOf, Ontology, PropAssertion, Range, RefinementDef,
+    Name, Named, Node, Obligation, OneOf, Ontology, PropAssertion, Range, RefinementDef,
     SubClassOf, SubPropertyChain, SubPropertyOf, Transitive, axiom_names,
     canon_axiom, class_exprs, map_ontology, node_key,
 )
@@ -103,50 +108,15 @@ class _Theory:
         self._prop_cache: dict[_PropNode, tuple[set[_PropNode], int]] = {}
 
         for a in self.axioms:
+            cls = a.__class__
             if "R3" in r:
-                for e in class_exprs(a):
-                    if isinstance(e, And):
-                        self.and_nodes.add(e)
-            match a:
-                case SubClassOf(sub, sup):
-                    if "R1" in r:
-                        self._class_edge(sub, sup)
-                case EquivalentClasses(x, y):
-                    if "R2" in r:
-                        self._class_edge(x, y)
-                        self._class_edge(y, x)
-                    if "R7" in r:
-                        for side, other in ((x, y), (y, x)):
-                            if isinstance(side, OneOf):
-                                for m in side.members:
-                                    self.types.setdefault(m, set()).add(other)
-                case DisjointClasses(x, y):
-                    self.disjoints.append((x, y))
-                case SubPropertyOf(sub, sup):
-                    if "R4" in r:
-                        self._prop_edge((sub.name, sub.inverse), (sup.name, sup.inverse))
-                        self._prop_edge((sub.name, not sub.inverse), (sup.name, not sup.inverse))
-                case InverseProps(x, y):
-                    if "R4" in r:
-                        self._prop_edge((x, False), (y, True))
-                        self._prop_edge((y, True), (x, False))
-                        self._prop_edge((x, True), (y, False))
-                        self._prop_edge((y, False), (x, True))
-                case Domain(p, c):
-                    self.domains.setdefault((p, False), set()).add(c)
-                case Range(p, c):
-                    self.domains.setdefault((p, True), set()).add(c)
-                case Functional(p):
-                    self.func_nodes.add((p, False))
-                case ClassAssertion(c, i):
-                    self.types.setdefault(i, set()).add(c)
-                case PropAssertion(p, s, o):
-                    self.holds.setdefault((s, o), set()).add((p, False))
-                    self.holds.setdefault((o, s), set()).add((p, True))
-                case DifferentIndividuals(members):
-                    self.diffs.append(frozenset(members))
-                case _:
-                    pass
+                for f in _EXPR_FIELDS.get(cls, ()):
+                    e = getattr(a, f)
+                    if e.__class__ is not Named:
+                        self.and_nodes.update(x for x in class_exprs(e) if x.__class__ is And)
+            told = _TOLD.get(cls)
+            if told is not None:
+                told(self, a, r)
         if "R3" in r:
             for an in self.and_nodes:
                 for op in an.operands:
@@ -165,7 +135,12 @@ class _Theory:
         its own class-reach cache.  Property reach never depends on goal.
         Canonical And-nodes never have And operands, so the step count of
         a class walk does not depend on the order of and_nodes."""
-        new = {e for e in class_exprs(goal) if isinstance(e, And)} - self.and_nodes
+        for f in _EXPR_FIELDS.get(goal.__class__, ()):
+            if getattr(goal, f).__class__ is not Named:
+                break
+        else:
+            return self
+        new = {e for e in class_exprs(goal) if e.__class__ is And} - self.and_nodes
         if not new:
             return self
         view = copy(self)
@@ -253,56 +228,124 @@ class _Theory:
         return False
 
     def prove(self, goal: Axiom, counter: _Counter) -> bool:
-        r = self.config.rules
-        match goal:
-            case SubClassOf(sub, sup):
-                return self._subclass(sub, sup, counter)
-            case EquivalentClasses(x, y):
-                return self._subclass(x, y, counter) and self._subclass(y, x, counter)
-            case DisjointClasses(x, y):
-                for c, d in self.disjoints:
-                    if (self._subclass(x, c, counter) and self._subclass(y, d, counter)) or (
-                        self._subclass(x, d, counter) and self._subclass(y, c, counter)
-                    ):
-                        return True
-                return False
-            case SubPropertyOf(sub, sup):
-                target = (sup.name, sup.inverse)
-                return "R4" in r and target in self.prop_reach((sub.name, sub.inverse), counter)
-            case InverseProps(x, y):
-                if "R4" not in r:
-                    return False
-                return (y, True) in self.prop_reach((x, False), counter) and (
-                    (x, False) in self.prop_reach((y, True), counter)
-                )
-            case Domain(p, c):
-                return self._domain_goal((p, False), c, counter)
-            case Range(p, c):
-                return self._domain_goal((p, True), c, counter)
-            case Functional(p):
-                if "R7" not in r:
-                    return False
-                return bool(self.prop_reach((p, False), counter) & self.func_nodes)
-            case Transitive(_) | SubPropertyChain(_, _):
-                return goal in self.axioms
-            case ClassAssertion(c, i):
-                if "R7" not in r:
-                    return False
-                for have in self.types.get(i, ()):
-                    if self._subclass(have, c, counter):
-                        return True
-                return False
-            case PropAssertion(p, s, o):
-                if "R6" not in r:
-                    return False
-                asserted = self.holds.get((s, o), set())
-                if not asserted:
-                    return False
-                return bool(self.prop_reach_back((p, False), counter) & asserted)
-            case DifferentIndividuals(members):
-                want = frozenset(members)
-                return any(want <= have for have in self.diffs)
-        raise TypeError(f"not an axiom: {goal!r}")
+        prove = _GOALS.get(goal.__class__)
+        if prove is None:
+            raise TypeError(f"not an axiom: {goal!r}")
+        return prove(self, goal, counter)
+
+    def _disjoint_goal(self, g: DisjointClasses, counter: _Counter) -> bool:
+        for c, d in self.disjoints:
+            if (self._subclass(g.a, c, counter) and self._subclass(g.b, d, counter)) or (
+                self._subclass(g.a, d, counter) and self._subclass(g.b, c, counter)
+            ):
+                return True
+        return False
+
+    def _inverse_goal(self, g: InverseProps, counter: _Counter) -> bool:
+        if "R4" not in self.config.rules:
+            return False
+        return (g.b, True) in self.prop_reach((g.a, False), counter) and (
+            (g.a, False) in self.prop_reach((g.b, True), counter)
+        )
+
+    def _type_goal(self, g: ClassAssertion, counter: _Counter) -> bool:
+        if "R7" not in self.config.rules:
+            return False
+        for have in self.types.get(g.individual, ()):
+            if self._subclass(have, g.cls, counter):
+                return True
+        return False
+
+    def _fact_goal(self, g: PropAssertion, counter: _Counter) -> bool:
+        if "R6" not in self.config.rules:
+            return False
+        asserted = self.holds.get((g.subject, g.obj), set())
+        if not asserted:
+            return False
+        return bool(self.prop_reach_back((g.prop, False), counter) & asserted)
+
+
+# --- told axioms and goals, by class --------------------------------------------
+
+# the fields of each axiom class that hold a class expression, last first,
+# which is the order `class_exprs` meets them in
+_EXPR_FIELDS = {
+    SubClassOf: ("sup", "sub"), EquivalentClasses: ("b", "a"), DisjointClasses: ("b", "a"),
+    Domain: ("cls",), Range: ("cls",), ClassAssertion: ("cls",),
+}
+
+
+def _told_subclass(t: _Theory, a: SubClassOf, r) -> None:
+    if "R1" in r:
+        t._class_edge(a.sub, a.sup)
+
+
+def _told_equivalent(t: _Theory, a: EquivalentClasses, r) -> None:
+    x, y = a.a, a.b
+    if "R2" in r:
+        t._class_edge(x, y)
+        t._class_edge(y, x)
+    if "R7" in r:
+        for side, other in ((x, y), (y, x)):
+            if side.__class__ is OneOf:
+                for m in side.members:
+                    t.types.setdefault(m, set()).add(other)
+
+
+def _told_subproperty(t: _Theory, a: SubPropertyOf, r) -> None:
+    if "R4" in r:
+        sub, sup = a.sub, a.sup
+        t._prop_edge((sub.name, sub.inverse), (sup.name, sup.inverse))
+        t._prop_edge((sub.name, not sub.inverse), (sup.name, not sup.inverse))
+
+
+def _told_inverse(t: _Theory, a: InverseProps, r) -> None:
+    if "R4" in r:
+        x, y = a.a, a.b
+        t._prop_edge((x, False), (y, True))
+        t._prop_edge((y, True), (x, False))
+        t._prop_edge((x, True), (y, False))
+        t._prop_edge((y, False), (x, True))
+
+
+def _told_fact(t: _Theory, a: PropAssertion, r) -> None:
+    t.holds.setdefault((a.subject, a.obj), set()).add((a.prop, False))
+    t.holds.setdefault((a.obj, a.subject), set()).add((a.prop, True))
+
+
+# what each told axiom adds to a theory's index; Transitive and chains add nothing
+_TOLD = {
+    SubClassOf: _told_subclass,
+    EquivalentClasses: _told_equivalent,
+    DisjointClasses: lambda t, a, r: t.disjoints.append((a.a, a.b)),
+    SubPropertyOf: _told_subproperty,
+    InverseProps: _told_inverse,
+    Domain: lambda t, a, r: t.domains.setdefault((a.prop, False), set()).add(a.cls),
+    Range: lambda t, a, r: t.domains.setdefault((a.prop, True), set()).add(a.cls),
+    Functional: lambda t, a, r: t.func_nodes.add((a.prop, False)),
+    ClassAssertion: lambda t, a, r: t.types.setdefault(a.individual, set()).add(a.cls),
+    PropAssertion: _told_fact,
+    DifferentIndividuals: lambda t, a, r: t.diffs.append(frozenset(a.members)),
+}
+
+# how each goal class is proven
+_GOALS = {
+    SubClassOf: lambda t, g, c: t._subclass(g.sub, g.sup, c),
+    EquivalentClasses: lambda t, g, c: t._subclass(g.a, g.b, c) and t._subclass(g.b, g.a, c),
+    DisjointClasses: _Theory._disjoint_goal,
+    SubPropertyOf: lambda t, g, c: "R4" in t.config.rules and (
+        (g.sup.name, g.sup.inverse) in t.prop_reach((g.sub.name, g.sub.inverse), c)),
+    InverseProps: _Theory._inverse_goal,
+    Domain: lambda t, g, c: t._domain_goal((g.prop, False), g.cls, c),
+    Range: lambda t, g, c: t._domain_goal((g.prop, True), g.cls, c),
+    Functional: lambda t, g, c: "R7" in t.config.rules and bool(
+        t.prop_reach((g.prop, False), c) & t.func_nodes),
+    Transitive: lambda t, g, c: g in t.axioms,
+    SubPropertyChain: lambda t, g, c: g in t.axioms,
+    ClassAssertion: _Theory._type_goal,
+    PropAssertion: _Theory._fact_goal,
+    DifferentIndividuals: lambda t, g, c: any(frozenset(g.members) <= have for have in t.diffs),
+}
 
 
 class _Slot:

@@ -9,7 +9,7 @@ import sys
 import frames_reference
 import pytest
 from conftest import CORPUS, ROOT, golden_files
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdol import (
@@ -186,8 +186,28 @@ def _layout(o: Ontology, frames, nm):
         return type(exc).__name__, str(exc)
 
 
+# the two axioms the emitter cannot place, each beside one it can
+_COMPLEX_SUBJECT = ([], [SubClassOf(Some(PropExpr(Name("A")), Named(Name("B"))), Named(Name("C"))),
+                         SubClassOf(Named(Name("A")), Named(Name("B")))])
+_INVERSE_SUBPROPERTY = ([], [SubPropertyOf(PropExpr(Name("A"), True), PropExpr(Name("B"))),
+                             Functional(Name("A"))])
+
+
+@pytest.mark.parametrize("case, message", [
+    (_COMPLEX_SUBJECT, "cannot emit a subclass axiom with complex subject 'A some B'"),
+    (_INVERSE_SUBPROPERTY, "cannot emit a subproperty axiom for an inverse"),
+], ids=["complex-subject", "inverse-subproperty"])
+def test_the_layout_differential_meets_both_placement_errors(case, message):
+    decls, axioms = case
+    for frames in (frames_reference.frames_text, _frames_text):
+        for nm in (_strict_name, _loose_name):
+            assert _layout(Ontology.of(decls, axioms), frames, nm) == ("GdolError", message)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_layout_cases(False), _layout_cases(True)), st.randoms(use_true_random=False))
+@example(_COMPLEX_SUBJECT, random.Random(0))
+@example(_INVERSE_SUBPROPERTY, random.Random(0))
 def test_frames_match_the_layout_that_sorts_every_axiom(case, rng):
     """Same text, or the same first error, as placing every axiom in
     `node_key` order, whatever order the ontology's sets iterate in."""

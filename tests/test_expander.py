@@ -1,8 +1,10 @@
 """Expansion: argument binding, elision, list recursion, scoping, guards."""
 from __future__ import annotations
 
+import gc
 import sys
 import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -453,12 +455,17 @@ def test_named_ontologies_sharing_a_list_each_get_every_obligation(list_env):
 # --- expansion work -------------------------------------------------------------
 
 def _expansion_work(corpus_docs, monkeypatch, n):
-    counts = {"strat": 0, "construct": 0, "checked_decls": 0}
-    strat, init = ExpansionEnv._strat, Ontology.__init__
+    counts = {"strat": 0, "noted": 0, "construct": 0, "checked_decls": 0}
+    strat, note, init = ExpansionEnv._strat, ExpansionEnv._note, Ontology.__init__
 
     def counting_strat(self, name):
         counts["strat"] += 1
         return strat(self, name)
+
+    def counting_note(self):
+        # a plan queues the plain names it builds without calling _strat
+        counts["noted"] += len(self._queued) + len(self._queued_flat)
+        note(self)
 
     def counting_init(self, *args, **kwargs):
         counts["construct"] += 1
@@ -470,6 +477,7 @@ def _expansion_work(corpus_docs, monkeypatch, n):
     env = ExpansionEnv.from_documents([*corpus_docs, doc])
     with monkeypatch.context() as m:
         m.setattr(ExpansionEnv, "_strat", counting_strat)
+        m.setattr(ExpansionEnv, "_note", counting_note)
         m.setattr(Ontology, "__init__", counting_init)
         env.expand_named("Deep")
     return counts
@@ -478,7 +486,7 @@ def _expansion_work(corpus_docs, monkeypatch, n):
 def test_list_recursion_work_grows_linearly(corpus_docs, monkeypatch):
     small = _expansion_work(corpus_docs, monkeypatch, 40)
     large = _expansion_work(corpus_docs, monkeypatch, 160)
-    for what in ("strat", "construct", "checked_decls"):
+    for what in ("strat", "noted", "construct", "checked_decls"):
         assert large[what] <= 4.5 * small[what], (what, small, large)
 
 
@@ -566,6 +574,136 @@ def test_emission_keys_only_standalone_and_tied_clauses(corpus_docs, monkeypatch
     monkeypatch.setattr(emitter, "node_key", _counted(counts, model.node_key))
     text = emitter.emit_manchester(o)
     assert counts["node_key"] == _standalone_and_tied(text) == 1
+
+
+# --- work done once per environment ------------------------------------------------
+
+def test_each_parameterized_name_is_stratified_once(corpus_docs, monkeypatch):
+    """OrdGRADE's 200 OrderStep frames each name gt[Grade]; the environment
+    stratifies it once."""
+    stratified: list[Name] = []
+
+    def recording(n):
+        stratified.append(n)
+        return model.stratify(n)
+
+    monkeypatch.setattr(expander, "stratify", recording)
+    o = _ordgrade(corpus_docs, 200)
+    assert len(o.axioms) == 415
+    assert Name("gt", (Name("Grade"),)) in stratified
+    assert len(stratified) == len(set(stratified))
+
+
+def _data_roles(m: int) -> str:
+    """m ontologies each instantiating DATA_Role over their own names, every
+    other one with axioms of its own, as in the many-contexts benchmark."""
+    lines = []
+    for k in range(m):
+        spec = f"DATA_Role[R{k}; P{k}; does{k}; V{k}; by{k}; perf{k}; prov{k}; rle{k}]"
+        if k % 2 == 0:
+            spec += f" then ObjectProperty: does{k} Domain: P{k} Range: R{k}"
+        lines.append(f"ontology O{k} = {spec}\n")
+    return "".join(lines)
+
+
+def test_a_plan_is_built_once_per_pattern_axiom(corpus_docs, monkeypatch):
+    """400 DATA_Role instantiations substitute its 5 body axioms and 4
+    constraints through 9 plans; the ontologies' own axioms, substituted
+    under no binding, get none."""
+    planned: list = []
+
+    def recording(a, fn, plain):
+        planned.append(a)
+        return model.plan_axiom(a, fn, plain)
+
+    monkeypatch.setattr(expander, "plan_axiom", recording)
+    doc = parse_document(_data_roles(400))
+    env = ExpansionEnv.from_documents([*corpus_docs, doc])
+    for name in doc.ontology_defs():
+        env.expand_named(name)
+        assert len(env.obligations(name)) == 4
+    pdef = next(d for c in corpus_docs for d in c.decls if d.name == "DATA_Role")
+    pattern_axioms = [*pdef.body.ontology.axioms, *(c for p in pdef.params for c in p.constraints)]
+    assert len(pattern_axioms) == 9
+    assert sorted(map(id, planned)) == sorted(map(id, pattern_axioms))
+
+
+def test_the_repeat_analysis_runs_once_per_pattern(corpus_docs, monkeypatch):
+    """AND_nRels over 100 properties asks in each frame whether it repeats
+    the last one's obligations; which constraints mention a tail or a head
+    is worked out once, one `_mentions` per parameter."""
+    calls: list = []
+
+    def recording(axioms, names):
+        calls.append(names)
+        return mentions(axioms, names)
+
+    mentions = expander._mentions
+    monkeypatch.setattr(expander, "_mentions", recording)
+    props = ", ".join(f"q{i}" for i in range(100))
+    doc = parse_document(f"ontology Shared = AND_nRels[S; T; r; [{props}]]\n")
+    env = ExpansionEnv.from_documents([*corpus_docs, doc])
+    assert len(env.obligations("Shared")) == 200
+    assert len(calls) == 4  # S, T, r and the list p :: ps
+
+
+def _everything(env: ExpansionEnv, names) -> list:
+    return [(env.expand_named(n), env.obligations(n)) for n in names] + [env.diagnostics]
+
+
+def _caches(env: ExpansionEnv) -> tuple:
+    return env._flat, env._plans, env._shapes
+
+
+_OWN_PATTERNS = """pattern Role [ Class: R; ObjectProperty: p Domain: R; Individual: i; Individual: j ] =
+  Individual: i Types: R Facts: p j
+pattern Chain [ Class: C; Individual: x :: xs ] =
+  Individual: x Types: C then Chain[C; xs]
+"""
+
+
+def test_work_done_once_is_cached_per_environment():
+    """A fresh environment starts with empty caches and expanding in one
+    leaves another's empty.  An id-keyed entry holds its object, so once an
+    environment and its documents are dropped, axioms parsed later cannot
+    be taken for theirs."""
+    uses = "".join(f"ontology O{k} = Role[R{k}; p{k}; i{k}; j{k}] and Chain[f[C]; [a{k}, b{k}]]\n"
+                   for k in range(20))
+    names = [f"O{k}" for k in range(20)]
+    first, other = (ExpansionEnv.from_documents([parse_document(_OWN_PATTERNS + uses)])
+                    for _ in range(2))
+    assert _caches(first) == _caches(other) == ({}, {}, {})
+    _everything(first, names)
+    assert all(_caches(first)) and _caches(other) == ({}, {}, {})
+    assert all(id(a) == key for key, (a, _) in first._plans.items())
+    assert all(id(shape.pdef) == key for key, shape in first._shapes.items())
+    del first
+    gc.collect()
+    # other pattern bodies, parsed into objects that may take the dropped ids
+    changed = _OWN_PATTERNS.replace("Types: R Facts: p j", "Facts: p i").replace(
+        "Types: C then", "Types: C Facts: r x then")
+    again = ExpansionEnv.from_documents([parse_document(changed + uses)])
+    got = _everything(again, names)
+    assert got == _everything(ExpansionEnv.from_documents([parse_document(changed + uses)]), names)
+    assert got != _everything(other, names)
+
+
+def test_a_dropped_environment_is_freed_at_once():
+    """Nothing an environment caches refers back to it, so dropping it
+    frees it, with every expansion it holds, without the cycle collector."""
+    uses = "".join(f"ontology O{k} = Role[R{k}; p{k}; i{k}; j{k}] and Chain[f[C]; [a{k}]]\n"
+                   for k in range(3))
+    doc = parse_document(_OWN_PATTERNS + uses)
+    gc.disable()
+    try:
+        env = ExpansionEnv.from_documents([doc])
+        _everything(env, ["O0", "O1", "O2"])
+        assert all(_caches(env))
+        dropped = weakref.ref(env)
+        del env
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 # --- kind clashes through expansion ---------------------------------------------
@@ -708,7 +846,7 @@ def test_shortcuts_match_one_union_per_spec_node(corpus_docs, monkeypatch, seed)
     fast = _expand_all(corpus_docs, doc)
     with monkeypatch.context() as m:
         m.setattr(_Run, "undeclared", lambda self, kind, items, tail: True)
-        m.setattr(_Run, "repeats", lambda self, pdef, binding: False)
+        m.setattr(_Run, "repeats", lambda self, *frame: False)
         reference = _expand_all(corpus_docs, doc)
     assert fast == reference
 

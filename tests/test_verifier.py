@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from prover_reference import ReferenceTheory
 
 from gdol import (
     And,
@@ -39,7 +40,7 @@ from gdol import (
     parse_manchester_fragment,
 )
 from gdol import verifier
-from gdol.model import map_axiom, map_ontology, union
+from gdol.model import canon_axiom, map_axiom, map_ontology, union
 from gdol.verifier import ALL_RULES
 
 
@@ -490,6 +491,47 @@ def test_batches_over_corpus_and_generated_contexts_match_single_goals(
     assert len({id(ob.context) for ob in obs}) > 10
     for step_limit in STEP_LIMITS:
         _assert_batch_matches_single_goals(monkeypatch, obs, RuleEngineConfig(rules, step_limit))
+
+
+# iteration order too: a goal that stops at its first success is charged
+# the steps of the walks it made before it
+_INDEX = ("class_edges", "and_nodes", "prop_edges", "prop_redges", "domains", "func_nodes",
+          "holds", "types", "diffs", "disjoints")
+
+
+def _in_order(value):
+    if isinstance(value, dict):
+        return [(k, _in_order(v)) for k, v in value.items()]
+    return list(value)
+
+
+def _charged(told, goal) -> tuple[bool | None, int]:
+    counter = verifier._Counter(RuleEngineConfig().step_limit)
+    try:
+        proven = told.for_goal(goal).prove(goal, counter)
+    except verifier._StepLimit:
+        proven = None
+    return proven, counter.n
+
+
+@pytest.mark.parametrize("rules", RULE_SUBSETS, ids=_dropped)
+def test_told_index_and_steps_match_the_structural_reference(rules):
+    """The class tables index a context as the structural `match` does,
+    field by field and in iteration order, and charge every goal the same
+    steps, so no verdict under any step limit can move."""
+    config = RuleEngineConfig(rules)
+    for seed in range(12):
+        obs = _random_obligations(seed)
+        theories = {}
+        for ob in obs:
+            if id(ob.context) not in theories:
+                told, ref = verifier._Theory(ob.context, config), ReferenceTheory(ob.context, config)
+                for field in _INDEX:
+                    assert _in_order(getattr(told, field)) == _in_order(getattr(ref, field)), field
+                theories[id(ob.context)] = told, ref
+            told, ref = theories[id(ob.context)]
+            goal = canon_axiom(ob.axiom)
+            assert _charged(told, goal) == _charged(ref, goal), goal
 
 
 def test_random_goals_reach_every_verdict():
