@@ -98,9 +98,7 @@ def _prepare(args: argparse.Namespace, cls: type, what: str) -> tuple[ExpansionE
 
 
 def _print_diagnostics(env: ExpansionEnv) -> None:
-    # sorted: the order they were found in follows set iteration, which
-    # changes with the hash seed
-    for d in sorted(env.diagnostics):
+    for d in env.diagnostics:
         print(f"warning: {d}", file=sys.stderr)
 
 

@@ -12,8 +12,15 @@ body and constraints are substituted under that binding with the local's
 own parameters over it, so an argument is substituted once, where it is
 written, and no name in it is captured.  Verification obligations are
 collected per named ontology as instantiations are encountered, and cached
-with its expansion.  A name takes part in a merge warning only once the
-value it belongs to is kept.
+with its expansion.
+
+Merge warnings are read off two sets of flat names, the stratified and the
+plain names of the values expansion kept: a name in both is a stratified
+name that merges with a plain one.  A value's names are queued while it is
+built and recorded only once it is kept, so the names of an axiom an empty
+binding deletes never warn.  `diagnostics` lists these warnings and those
+of local parameters shadowing outer bindings sorted, the same under any
+hash seed.
 
 A let's scope is a dict of the local patterns in force: a copy of the
 enclosing let's, then this let's own, which close over that same dict so
@@ -37,8 +44,8 @@ scalar parameters, whether a frame can repeat an earlier one's
 obligations), each parameterized name's stratified form, and for each
 pattern body axiom and constraint a plan, a closure tree that substitutes
 a binding into it and builds the result canonical.  A named ontology's own
-axioms, substituted under no binding and walked once, are rebuilt
-directly.  The walk decides by a node's exact class, not by `match`.
+axioms, substituted under no binding and walked once, get a plan for that
+one use.  The walk decides by a node's exact class, not by `match`.
 
 A kind clash is reported where the walk first adds a declaration that
 contradicts the builder it goes into, whether a node's own or a referenced
@@ -59,7 +66,6 @@ caches it and adds it to the builder that referenced it.
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -79,8 +85,6 @@ _Found = tuple[str, str, int]  # where an obligation was raised: pattern, param,
 DEFAULT_DEPTH_BUDGET = 10000
 
 _SPEC, _NAMED, _CLOSE = range(3)  # work item tags, see ExpansionEnv._walk
-
-_NO_NAMES: frozenset[str] = frozenset()
 
 
 def run_deep(fn, depth_budget=DEFAULT_DEPTH_BUDGET):
@@ -227,19 +231,19 @@ class ExpansionEnv:
 
     def __init__(self, library: Mapping[str, TopDecl], depth_budget: int = DEFAULT_DEPTH_BUDGET):
         self.depth_budget = depth_budget
-        self.diagnostics: list[str] = []
+        self._shadowing: set[str] = set()  # warnings of local parameters shadowing outer ones
         # every top-level name, a pattern as a closure over no locals
         self._global: dict[str, _Closure | TopDecl] = {
             name: _Closure(decl, {}, {}) if isinstance(decl, PatternDef) else decl
             for name, decl in library.items()}
         self._cache: dict[str, tuple[Ontology, tuple[Obligation, ...]]] = {}
+        # the flat names of kept values, stratified and plain; a name in both
+        # is a merge warning
         self._stratified: set[str] = set()
         self._plain: set[str] = set()
-        self._warned: set[str] = set()
-        # names of the value being built, for _note: the plain ones, and each
-        # stratified one with the number of plain ones queued before it
+        # the names of the value being built, plain and stratified, for _note
         self._queued: list[str] = []
-        self._queued_flat: list[tuple[int, str]] = []
+        self._queued_flat: list[str] = []
         # worked out once per environment; an id-keyed entry holds its key's
         # object, so no other object can take the id
         self._flat: dict[Name, Name] = {}  # parameterized name -> stratified name
@@ -247,11 +251,22 @@ class ExpansionEnv:
         self._shapes: dict[int, _Shape] = {}  # pattern id -> its frames' shape
         self._work: list[tuple] = []  # the current walk's items, see _walk
         self._runs: list[_Run] = []  # the current walk's open runs, innermost last
-        # plans reach _strat through a weak reference: a plan that held the
-        # environment would make a cycle, and a dropped environment, with
-        # every expansion it caches, would wait for the cycle collector
-        env = weakref.ref(self)
-        self._strat_weakly: Callable[[Name], Name] = lambda n: env()._strat(n)
+        flat_names, plain, flat = self._flat, self._queued, self._queued_flat
+
+        def strat(n: Name) -> Name:
+            """Stratify a name of a value under substitution; queue its flat
+            name for `_note`.  Plans hold this function, and it holds no
+            reference to the environment, so a dropped environment, with
+            every expansion it caches, is freed at once."""
+            if not n.args:
+                plain.append(n.base)
+                return n
+            name = flat_names.get(n)
+            if name is None:
+                name = flat_names[n] = Name(stratify(n))
+            flat.append(name.base)
+            return name
+        self._strat: Callable[[Name], Name] = strat
 
     @classmethod
     def from_documents(cls, docs: Iterable[Document], depth_budget: int = DEFAULT_DEPTH_BUDGET) -> "ExpansionEnv":
@@ -264,49 +279,21 @@ class ExpansionEnv:
                     library[decl.name] = decl
         return cls(library, depth_budget)
 
-    # --- name stratification with collision tracking ---
-
-    def _strat(self, n: Name) -> Name:
-        """Stratify a name of a value under substitution; queue it for `_note`."""
-        if not n.args:
-            self._queued.append(n.base)
-            return n
-        flat = self._flat.get(n)
-        if flat is None:
-            flat = self._flat[n] = Name(stratify(n))
-        self._queued_flat.append((len(self._queued), flat.base))
-        return flat
+    @property
+    def diagnostics(self) -> list[str]:
+        """The warnings so far, sorted: each local parameter shadowing an
+        outer binding, and each flat name that is both a stratified and a
+        plain name of kept values, which merge."""
+        merged = (f"stratified name {name!r} coincides with a plain name; the two merge"
+                  for name in self._stratified & self._plain)
+        return sorted([*self._shadowing, *merged])
 
     def _note(self) -> None:
-        """Record the queued names of a kept value; warn once for each flat
-        name that is both a stratified and a plain name.  The queue is
-        walked in order only when one of its names meets such a name."""
-        plain, flat = self._queued, self._queued_flat
-        names = {name for _, name in flat} if flat else _NO_NAMES
-        if (self._stratified.isdisjoint(plain) and names.isdisjoint(plain)
-                and self._plain.isdisjoint(names)):
-            self._plain.update(plain)
-            self._stratified.update(names)
-        else:
-            done = 0
-            for at, name in [*flat, (len(plain), None)]:
-                for p in plain[done:at]:
-                    self._meet(p, self._plain)
-                done = at
-                if name is not None:
-                    self._meet(name, self._stratified)
-        plain.clear()
-        flat.clear()
-
-    def _meet(self, name: str, into: set[str]) -> None:
-        into.add(name)
-        if name in self._stratified and name in self._plain:
-            self._warn(f"stratified name {name!r} coincides with a plain name; the two merge")
-
-    def _warn(self, message: str) -> None:
-        if message not in self._warned:
-            self._warned.add(message)
-            self.diagnostics.append(message)
+        """Record the queued names of a kept value."""
+        self._plain.update(self._queued)
+        self._stratified.update(self._queued_flat)
+        self._queued.clear()
+        self._queued_flat.clear()
 
     # --- named ontologies ---
 
@@ -402,19 +389,19 @@ class ExpansionEnv:
             for p in spec.locals:
                 shadowed = sorted(p.param_names & binding.keys())
                 if shadowed:
-                    self._warn(f"parameters {shadowed} of local pattern {p.name!r}"
-                               " shadow outer bindings")
+                    self._shadowing.add(f"parameters {shadowed} of local pattern {p.name!r}"
+                                        " shadow outer bindings")
                 inner[p.name] = _Closure(p, inner, binding)
             self._work.append((_SPEC, spec.body, inner, out, binding, depth))
         elif cls is not EmptySpec:
             raise TypeError(f"not a spec: {spec!r}")
 
     def _subst_axioms(self, axioms: Iterable[Axiom], binding: Mapping[str, Argument]) -> list[Axiom]:
-        """Substitute, stratify and canonicalize axioms in one rebuild each:
-        under a binding through the axiom's plan, built once per
+        """Substitute, stratify and canonicalize axioms in one rebuild each,
+        through the axiom's plan: under a binding one built once per
         environment, and with none (a named ontology's own axioms, walked
-        once) directly.  One deleted by an empty binding leaves none of its
-        names queued."""
+        once) one built for that use.  One deleted by an empty binding
+        leaves none of its names queued."""
         kept = []
         plain, flat, plans = self._queued, self._queued_flat, self._plans
         for a in axioms:
@@ -422,7 +409,7 @@ class ExpansionEnv:
             if binding:
                 plan = plans.get(id(a))
                 if plan is None:
-                    plan = plans[id(a)] = a, plan_axiom(a, self._strat_weakly, plain)
+                    plan = plans[id(a)] = a, plan_axiom(a, self._strat, plain)
                 b = plan[1](binding)
             else:
                 b = subst_axiom(a, binding, self._strat)

@@ -7,9 +7,11 @@ stratification of parameterized names, ontology union under
 Same-Name-Same-Thing, and simultaneous substitution of arguments for
 parameter names, which also renames every name it builds in the same pass
 and returns canonical axioms: it builds each And, OneOf, symmetric pair
-and DifferentIndividuals through that shape's canonical constructor.
-`plan_axiom` compiles that rebuild once for an axiom substituted under
-many bindings.
+and DifferentIndividuals through that shape's canonical constructor.  The
+one engine for that rebuild is a plan, `plan_axiom`: a function of the
+binding compiled for an axiom's shape.  `subst_axiom` and `map_axiom` build
+one and apply it once; the expander keeps one per pattern axiom, applied
+under many bindings.
 
 Every value class derives from `Node`, a frozen record of the fields its
 class body annotates.  The jobs that only follow the structure of axioms,
@@ -486,10 +488,10 @@ def map_axiom(a: Axiom, fn: NameFn) -> Axiom:
 
 
 def map_ontology(o: Ontology, fn: NameFn) -> Ontology:
-    return Ontology.of(
-        ((kind, fn(name)) for kind, name in o.decls),
-        (map_axiom(a, fn) for a in o.axioms),
-    )
+    """Apply fn to every name of an ontology; its axioms come out of
+    map_axiom canonical, so they are not canonicalized again."""
+    return Ontology(frozenset([(kind, fn(name)) for kind, name in o.decls]),
+                    frozenset([map_axiom(a, fn) for a in o.axioms]))
 
 
 # --- arguments ------------------------------------------------------------
@@ -677,47 +679,15 @@ def _subst_members(members: tuple[Name, ...], binding: Mapping[str, Argument],
     return tuple(out)
 
 
-def _subst(x, binding: Mapping[str, Argument], fn: NameFn):
-    """Rebuild a node with every name substituted and then passed to fn,
-    through its shape's canonical constructor where it has one."""
-    cls = type(x)
-    vals = []
-    for f in _FIELDS[cls][1]:
-        v = getattr(x, f)
-        t = type(v)
-        if t is Name:
-            v = _subst_name(v, binding, fn)
-        elif t is tuple:
-            if v and type(v[0]) is Name:
-                v = _subst_members(v, binding, fn)
-            else:
-                v = tuple([_subst(c, binding, fn) for c in v])
-        elif t in _FIELDS:
-            v = _subst(v, binding, fn)
-        vals.append(v)
-    return _CANON.get(cls, cls)(*vals)
-
-
-def subst_axiom(a: Axiom, binding: Mapping[str, Argument], fn: NameFn = _same) -> Axiom | None:
-    """Substitute into one axiom and apply fn to every name of the result,
-    in one rebuild that returns it canonical, as canon_axiom would; None
-    when it mentions an empty-bound name and is therefore deleted.  fn may
-    already have seen some names of a deleted axiom, and sees names that
-    canonicalization then drops as repeats."""
-    try:
-        return _subst(a, binding, fn)
-    except _MentionsEmpty:
-        return None
-
-
-def plan_axiom(a: Axiom, fn: NameFn, plain: list[str]) -> Callable[[Mapping[str, Argument]], Axiom | None]:
-    """`subst_axiom(a, binding, fn)` compiled for a's shape, for an axiom
-    substituted under many non-empty bindings: the returned function takes
-    the binding.  fn must treat a plain name n as appending n.base to plain
-    and returning n; the compiled tree does that itself for the names it
-    keeps or takes from a bound argument, so only the others reach fn.
-    (The tree's functions take what they use as defaults, which costs less
-    memory and time than closure cells.)"""
+def plan_axiom(a: Axiom, fn: NameFn,
+               plain: list[str] | None = None) -> Callable[[Mapping[str, Argument]], Axiom | None]:
+    """`subst_axiom(a, binding, fn)` compiled for a's shape: the returned
+    function takes the binding, so an axiom substituted under many bindings
+    is planned once.  With plain given, fn must treat a plain name n as
+    appending n.base to plain and returning n; the compiled tree does that
+    itself for the names it keeps or takes from a bound argument, so only
+    the others reach fn.  (The tree's functions take what they use as
+    defaults, which costs less memory and time than closure cells.)"""
     def subst(binding: Mapping[str, Argument], run=_plan(a, fn, plain)) -> Axiom | None:
         try:
             return run(binding)
@@ -726,8 +696,8 @@ def plan_axiom(a: Axiom, fn: NameFn, plain: list[str]) -> Callable[[Mapping[str,
     return subst
 
 
-def _plan_name(n: Name, fn: NameFn, plain: list[str]):
-    if n.args:
+def _plan_name(n: Name, fn: NameFn, plain: list[str] | None):
+    if n.args or plain is None:
         return lambda b, n=n, fn=fn: _subst_name(n, b, fn)
 
     def name(b, base=n.base, n=n, plain=plain, fn=fn):
@@ -740,13 +710,14 @@ def _plan_name(n: Name, fn: NameFn, plain: list[str]):
             if not repl.args:
                 plain.append(repl.base)
                 return repl
-        return _subst_name(n, b, fn)  # stratified, or raises as _subst would
+        return _subst_name(n, b, fn)  # stratified, or raises as for any name
     return name
 
 
-def _plan(x, fn: NameFn, plain: list[str]):
-    """A function of a binding that rebuilds x as `_subst` would, its
-    fields in the same order."""
+def _plan(x, fn: NameFn, plain: list[str] | None):
+    """A function of a binding that rebuilds x with every name substituted
+    and then passed to fn, field by field in order, through its shape's
+    canonical constructor where it has one."""
     parts = []
     for f in _FIELDS[x.__class__][1]:
         v = getattr(x, f)
@@ -769,6 +740,15 @@ def _plan(x, fn: NameFn, plain: list[str]):
         return lambda b, make=make, p=parts[0], q=parts[1]: make(p(b), q(b))
     p, q, r = parts  # no node has more than three fields
     return lambda b, make=make, p=p, q=q, r=r: make(p(b), q(b), r(b))
+
+
+def subst_axiom(a: Axiom, binding: Mapping[str, Argument], fn: NameFn = _same) -> Axiom | None:
+    """Substitute into one axiom and apply fn to every name of the result,
+    in one rebuild that returns it canonical, as canon_axiom would; None
+    when it mentions an empty-bound name and is therefore deleted.  fn may
+    already have seen some names of a deleted axiom, and sees names that
+    canonicalization then drops as repeats."""
+    return plan_axiom(a, fn)(binding)
 
 
 def subst_decls(decls: Iterable[Decl], binding: Mapping[str, Argument],

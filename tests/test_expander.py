@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import gc
+import json
+import os
+import subprocess
 import sys
 import threading
 import weakref
@@ -287,6 +290,41 @@ def test_names_of_deleted_axioms_and_obligations_never_merge():
     assert env.diagnostics == ["stratified name 'h_a' coincides with a plain name; the two merge"]
 
 
+_DIAGNOSTICS_PROBE = """
+import json
+from gdol import parse_document
+from gdol.expander import ExpansionEnv
+doc = parse_document(
+    "pattern P [ Class: X ] =\\n"
+    "  Class: f[X] Class: g[X] Class: h[X] Class: k[X]\\n"
+    "  Class: f_a Class: g_a Class: h_a Class: k_a\\n"
+    "  and let pattern L [ Class: X ] = Class: X in L[X]\\n"
+    "ontology O = P[a]\\n")
+env = ExpansionEnv.from_documents([doc])
+env.expand_named("O")
+print(json.dumps(env.diagnostics))
+"""
+
+
+def test_diagnostics_are_sorted_the_same_under_any_hash_seed():
+    """Four merges found in one fragment, whose declarations are a set, and
+    a shadowed parameter: the list is the same whatever the hash seed."""
+    src = os.path.dirname(os.path.dirname(expander.__file__))
+    outs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        r = subprocess.run([sys.executable, "-c", _DIAGNOSTICS_PROBE],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        outs.add(r.stdout)
+    assert len(outs) == 1
+    assert json.loads(outs.pop()) == [
+        "parameters ['X'] of local pattern 'L' shadow outer bindings",
+        *(f"stratified name '{c}_a' coincides with a plain name; the two merge" for c in "fghk"),
+    ]
+
+
 def test_shadowing_warns_but_expands():
     doc = parse_document(
         "pattern Outer [ Class: X ] =\n"
@@ -456,14 +494,10 @@ def test_named_ontologies_sharing_a_list_each_get_every_obligation(list_env):
 
 def _expansion_work(corpus_docs, monkeypatch, n):
     counts = {"strat": 0, "noted": 0, "construct": 0, "checked_decls": 0}
-    strat, note, init = ExpansionEnv._strat, ExpansionEnv._note, Ontology.__init__
-
-    def counting_strat(self, name):
-        counts["strat"] += 1
-        return strat(self, name)
+    note, init = ExpansionEnv._note, Ontology.__init__
 
     def counting_note(self):
-        # a plan queues the plain names it builds without calling _strat
+        # a plan queues the plain names it builds without calling the stratifier
         counts["noted"] += len(self._queued) + len(self._queued_flat)
         note(self)
 
@@ -475,8 +509,14 @@ def _expansion_work(corpus_docs, monkeypatch, n):
     values = ", ".join(f"g{i}" for i in range(n))
     doc = parse_document(f"ontology Deep = OrdGRADE[Top; Grade; [{values}]]\n")
     env = ExpansionEnv.from_documents([*corpus_docs, doc])
+    strat = env._strat  # the plans built while expanding take the wrapper
+
+    def counting_strat(name):
+        counts["strat"] += 1
+        return strat(name)
+
     with monkeypatch.context() as m:
-        m.setattr(ExpansionEnv, "_strat", counting_strat)
+        m.setattr(env, "_strat", counting_strat)
         m.setattr(ExpansionEnv, "_note", counting_note)
         m.setattr(Ontology, "__init__", counting_init)
         env.expand_named("Deep")
