@@ -169,10 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_refine(args)
-    except GdolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GdolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

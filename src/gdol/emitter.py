@@ -62,8 +62,6 @@ def expr_text(e: ClassExpr, nm=_strict_name) -> str:
         return f"({text})" if isinstance(f, And) else text
 
     match e:
-        case Named(name):
-            return nm(name)
         case Some(prop, f):
             return f"{prop_text(prop, nm)} some {filler(f)}"
         case Only(prop, f):
@@ -148,16 +146,6 @@ def axiom_text(a: Axiom, nm=_strict_name) -> str:
     return f"{nm(subject)} {kw}: {value}"
 
 
-def _swapped(a: Axiom, nm) -> tuple[Name, str, str] | None:
-    """Symmetric axioms can hang off either operand; offer the other side."""
-    match a:
-        case EquivalentClasses(x, Named(y)):
-            return y, "EquivalentTo", expr_text(x, nm)
-        case DisjointClasses(x, Named(y)):
-            return y, "DisjointWith", expr_text(x, nm)
-    return None
-
-
 def _frames_text(o: Ontology, nm) -> str:
     # name -> (its kind, its clauses); an Ontology gives each name one kind,
     # so this map needs no order: names are keyed and sorted once, when the
@@ -189,11 +177,13 @@ def _frames_text(o: Ontology, nm) -> str:
             continue
         frame = frames.get(subject)
         if frame is None:
-            # canonical pair order may have led with an undeclared name;
-            # prefer a declared subject so no new declaration is implied
-            alt = _swapped(a, nm)
-            if alt is not None and alt[0] in frames:
-                subject, kw, value = alt
+            # canonical pair order may have led with an undeclared name; a
+            # pair whose other side is a declared name hangs off that one,
+            # placed with its sides exchanged, so no new declaration is implied
+            cls = a.__class__
+            if (cls in (EquivalentClasses, DisjointClasses) and a.b.__class__ is Named
+                    and a.b.name in frames):
+                subject, _, kw, value = _PLACEMENT[cls](cls(a.b, a.a), nm)
                 frame = frames[subject]
             else:
                 frame = frames[subject] = (inferred, [])

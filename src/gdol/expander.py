@@ -32,6 +32,8 @@ obligations (for a list, once per element, with every list parameter bound
 to its element at that index) and gives its declarations, which go into
 the builder in one batch after all the obligations.
 
+An argument written `h :: t` stays a cons under substitution; `_as_list`,
+binding it to a list parameter, is the one place a cons becomes a list.
 List recursion consumes one element per frame and hands its tail on as the
 very tuple it bound, so a frame recognises tails an earlier frame of the same
 expansion has seen: their items are declared once, and a frame whose
@@ -103,19 +105,19 @@ class Binding(Node):
 
 
 def _as_list(pattern: str, param: str, arg: Argument) -> tuple[Argument, ...]:
+    """The elements of an argument bound to a list parameter: a cons's heads
+    in front of the list its tail ends in."""
     heads: list[Argument] = []
-    while isinstance(arg, ConsArg):
+    while type(arg) is ConsArg:
         heads.append(arg.head)
         arg = arg.tail
-    match arg:
-        case ListArg(items):
-            return (*heads, *items) if heads else items  # a list as given keeps its identity
-        case EmptyArg():
-            return tuple(heads)
-        case SymbolArg(name, _):
-            raise SubstitutionError(
-                f"{pattern}: parameter {param!r} needs a list, got name {name}"
-            )
+    t = type(arg)
+    if t is ListArg:
+        return (*heads, *arg.items) if heads else arg.items  # a list as given keeps its identity
+    if t is EmptyArg:
+        return tuple(heads)
+    if t is SymbolArg:
+        raise SubstitutionError(f"{pattern}: parameter {param!r} needs a list, got name {arg.name}")
     raise TypeError(f"not an argument: {arg!r}")
 
 

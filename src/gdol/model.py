@@ -441,10 +441,6 @@ class Ontology(Node):
 EMPTY_ONTOLOGY = Ontology()
 
 
-def union(a: Ontology, b: Ontology) -> Ontology:
-    return a.union(b)
-
-
 class OntologyBuilder:
     """Mutable accumulator for the union of many ontologies.
 
@@ -510,8 +506,8 @@ class EmptyArg(Node):
 
 
 class ConsArg(Node):
-    """Head :: tail written in argument position; collapses to ListArg once
-    the tail is known."""
+    """Head :: tail written in argument position; the expander unrolls it
+    into a list when it binds it to a list parameter."""
 
     head: "Argument"
     tail: "Argument"
@@ -665,15 +661,15 @@ def _subst_members(members: tuple[Name, ...], binding: Mapping[str, Argument],
     out: list[Name] = []
     for m in members:
         bound = binding.get(m.base) if m.is_plain else None
-        if isinstance(bound, ListArg):
+        if type(bound) is ListArg:
             for item in bound.items:
-                match item:
-                    case SymbolArg(name=nm):
-                        out.append(fn(nm))
-                    case EmptyArg():
-                        raise _MentionsEmpty
-                    case _:
-                        raise SubstitutionError("nested list in individual enumeration")
+                t = type(item)
+                if t is SymbolArg:
+                    out.append(fn(item.name))
+                elif t is EmptyArg:
+                    raise _MentionsEmpty
+                else:
+                    raise SubstitutionError("nested list in individual enumeration")
         else:
             out.append(_subst_name(m, binding, fn))
     return tuple(out)
@@ -767,36 +763,32 @@ def subst_decls(decls: Iterable[Decl], binding: Mapping[str, Argument],
 
 
 def subst_argument(arg: Argument, binding: Mapping[str, Argument]) -> Argument:
-    """Substitute inside an instantiation argument.  Raises _MentionsEmpty
+    """Substitute inside an instantiation argument; a cons keeps its shape
+    (the expander's `_as_list` unrolls it).  Raises _MentionsEmpty
     internally when the argument mentions an empty-bound name; callers inside
     this module turn that into the whole-instantiation elision rule."""
-    match arg:
-        case SymbolArg(name=n, kind=k):
-            if n.is_plain and n.base in binding:
-                bound = binding[n.base]
-                if isinstance(bound, EmptyArg):
-                    raise _MentionsEmpty
-                return bound
-            return SymbolArg(_subst_name(n, binding), k)
-        case ListArg(items):
-            out: list[Argument] = []
-            for item in items:
-                sub = subst_argument(item, binding)
-                if isinstance(sub, ListArg):
-                    out.extend(sub.items)
-                else:
-                    out.append(sub)
-            return ListArg(tuple(out))
-        case EmptyArg():
-            return arg
-        case ConsArg(head, tail):
-            new_head = subst_argument(head, binding)
-            new_tail = subst_argument(tail, binding)
-            if isinstance(new_tail, ListArg):
-                return ListArg((new_head,) + new_tail.items)
-            if isinstance(new_tail, EmptyArg):
-                return ListArg((new_head,))
-            return ConsArg(new_head, new_tail)
+    t = type(arg)
+    if t is SymbolArg:
+        n = arg.name
+        if n.is_plain and n.base in binding:
+            bound = binding[n.base]
+            if type(bound) is EmptyArg:
+                raise _MentionsEmpty
+            return bound
+        return SymbolArg(_subst_name(n, binding), arg.kind)
+    if t is ListArg:
+        out: list[Argument] = []
+        for item in arg.items:
+            sub = subst_argument(item, binding)
+            if type(sub) is ListArg:
+                out.extend(sub.items)
+            else:
+                out.append(sub)
+        return ListArg(tuple(out))
+    if t is ConsArg:
+        return ConsArg(subst_argument(arg.head, binding), subst_argument(arg.tail, binding))
+    if t is EmptyArg:
+        return arg
     raise TypeError(f"not an argument: {arg!r}")
 
 

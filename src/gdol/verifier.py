@@ -10,7 +10,10 @@ contribute nothing to global domain or range goals.
 
 Every verdict is per goal axiom, monotone in the theory, and bounded by a
 step limit counted in visited nodes and traversed edges; hitting the limit
-reports the goal unproven and flags the result rather than failing.
+reports the goal unproven and flags the result rather than failing.  One
+function, `_walk`, walks both graphs.  A goal that stops at the first
+candidate proving it (an individual's types, the domains and ranges along
+the property graph) tries them in key order, the same under any hash seed.
 
 What a context says (its graphs, domains, facts and And-nodes) is built once
 and shared by every goal checked against it in a batch: consecutive
@@ -41,7 +44,7 @@ from .model import (
     DisjointClasses, Domain, EquivalentClasses, Functional, InverseProps,
     Name, Named, Node, Obligation, OneOf, Ontology, PropAssertion, Range, RefinementDef,
     SubClassOf, SubPropertyChain, SubPropertyOf, Transitive, axiom_names,
-    canon_axiom, class_exprs, map_ontology, node_key,
+    canon_axiom, class_exprs, map_ontology, name_key, node_key,
 )
 
 ALL_RULES = frozenset({"R1", "R2", "R3", "R4", "R5", "R6", "R7"})
@@ -82,6 +85,30 @@ class _Counter:
 
 
 _PropNode = tuple[Name, bool]
+
+
+def _walk(start, edges: dict, counter: _Counter, and_nodes: Iterable[And] = ()) -> set:
+    """Every node reachable from start along edges, at one step per node
+    popped and per edge followed.  Each time the frontier drains, every
+    And-node of and_nodes whose operands are all reached is introduced, at
+    one step each, and the walk goes on from those."""
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        counter.tick()
+        for y in edges.get(x, ()):
+            counter.tick()
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+        if not frontier:
+            for an in and_nodes:
+                if an not in reached and all(op in reached for op in an.operands):
+                    counter.tick()
+                    reached.add(an)
+                    frontier.append(an)
+    return reached
 
 
 class _Theory:
@@ -168,50 +195,15 @@ class _Theory:
         return hit[0]
 
     def class_reach(self, start: ClassExpr, counter: _Counter) -> set[ClassExpr]:
-        return self._cached(self._class_cache, "class", start, self._walk_classes, counter)
-
-    def _walk_classes(self, start: ClassExpr, counter: _Counter) -> set[ClassExpr]:
-        reached = {start}
-        frontier = [start]
-        while True:
-            while frontier:
-                x = frontier.pop()
-                counter.tick()
-                for y in self.class_edges.get(x, ()):
-                    counter.tick()
-                    if y not in reached:
-                        reached.add(y)
-                        frontier.append(y)
-            grew = False
-            for an in self.and_nodes:
-                if an not in reached and all(op in reached for op in an.operands):
-                    counter.tick()
-                    reached.add(an)
-                    frontier.append(an)
-                    grew = True
-            if not grew:
-                break
-        return reached
-
-    def _walk_props(self, start: _PropNode, edges: dict, counter: _Counter) -> set[_PropNode]:
-        reached = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            counter.tick()
-            for y in edges.get(x, ()):
-                counter.tick()
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-        return reached
+        return self._cached(self._class_cache, "class", start,
+                            lambda s, c: _walk(s, self.class_edges, c, self.and_nodes), counter)
 
     def prop_reach(self, start: _PropNode, counter: _Counter) -> set[_PropNode]:
         return self._cached(self._prop_cache, "prop", start,
-                            lambda s, c: self._walk_props(s, self.prop_edges, c), counter)
+                            lambda s, c: _walk(s, self.prop_edges, c), counter)
 
     def prop_reach_back(self, start: _PropNode, counter: _Counter) -> set[_PropNode]:
-        return self._walk_props(start, self.prop_redges, counter)
+        return _walk(start, self.prop_redges, counter)
 
     # --- goals ---
 
@@ -221,8 +213,9 @@ class _Theory:
     def _domain_goal(self, node: _PropNode, cls: ClassExpr, counter: _Counter) -> bool:
         if "R5" not in self.config.rules:
             return False
-        for n in self.prop_reach(node, counter):
-            for have in self.domains.get(n, ()):
+        nodes = [n for n in self.prop_reach(node, counter) if n in self.domains]
+        for n in _in_key_order(nodes, _prop_key):
+            for have in _in_key_order(self.domains[n], node_key):
                 if self._subclass(have, cls, counter):
                     return True
         return False
@@ -251,7 +244,7 @@ class _Theory:
     def _type_goal(self, g: ClassAssertion, counter: _Counter) -> bool:
         if "R7" not in self.config.rules:
             return False
-        for have in self.types.get(g.individual, ()):
+        for have in _in_key_order(self.types.get(g.individual, ()), node_key):
             if self._subclass(have, g.cls, counter):
                 return True
         return False
@@ -263,6 +256,18 @@ class _Theory:
         if not asserted:
             return False
         return bool(self.prop_reach_back((g.prop, False), counter) & asserted)
+
+
+def _in_key_order(candidates, key):
+    """A goal's candidates in key order when there are two or more.  A goal
+    stops at the first that proves it and pays only for the walks it made,
+    so this keeps its steps, and its verdict near the step limit, the same
+    under any hash seed."""
+    return sorted(candidates, key=key) if len(candidates) > 1 else candidates
+
+
+def _prop_key(n: _PropNode):
+    return name_key(n[0]), n[1]
 
 
 # --- told axioms and goals, by class --------------------------------------------

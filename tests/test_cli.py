@@ -216,6 +216,58 @@ def test_bad_cardinality_is_a_located_parse_error(tmp_path, capsys, cardinality,
     assert "Traceback" not in err
 
 
+_L = "pattern L [ Class: x :: xs ] = Class: x then L[xs]\n"
+_S = "pattern S [ Class: x ] = Class: x\n"
+
+
+def _user_error(capsys, argv: list[str]) -> str:
+    """What a user error prints to stderr, once it has exited with 2 and
+    printed nothing to stdout."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
+@pytest.mark.parametrize("text, message", [
+    (_S + "ontology O = S[[a, b]]\n", "S: parameter 'x' needs a single name"),
+    # a cons under a binding stays a cons, and a scalar parameter refuses it too
+    (_S + "pattern P [ Class: y :: ys ] = S[y :: ys]\nontology O = P[[a, b]]\n",
+     "S: parameter 'x' needs a single name"),
+    (_L + "ontology O = L[a]\n", "L: parameter 'x' needs a list, got name a"),
+    (_L + "ontology O = L[a :: b]\n", "L: parameter 'x' needs a list, got name b"),
+    (_L + "pattern P [ Class: y ] = L[a :: y]\nontology O = P[B]\n",
+     "L: parameter 'x' needs a list, got name B"),
+    ("ontology Base = Class: A\nontology O = Base[x]\n",
+     "'Base' names an ontology and takes no arguments"),
+    ("pattern Q [ Individual: w :: ws ] = Class: E EquivalentTo: {w, ws}\n"
+     "pattern R [ Individual: x :: xs ] = Q[x :: xs :: xs]\nontology O = R[[a, b]]\n",
+     "nested list in individual enumeration"),
+], ids=["scalar-list", "scalar-cons", "list-name", "list-cons-name", "list-cons-bound-name",
+        "ontology-arguments", "nested-enumeration"])
+def test_argument_errors_exit_with_two_and_one_line(tmp_path, capsys, text, message):
+    src = tmp_path / "doc.gdol"
+    src.write_text(text)
+    assert _user_error(capsys, ["expand", str(src), "--out", str(tmp_path)]) == f"error: {message}\n"
+    assert not list(tmp_path.glob("*.omn"))
+
+
+def test_a_pattern_defined_in_two_documents_exits_with_two(tmp_path, capsys):
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "lib" / "dup.gdol").write_text(_S)
+    src = tmp_path / "doc.gdol"
+    src.write_text(_S + "ontology O = S[A]\n")
+    err = _user_error(capsys, ["expand", str(src), "--lib", str(tmp_path / "lib"), "--out", str(tmp_path)])
+    assert err == "error: duplicate definition of 'S' across documents\n"
+
+
+def test_a_lib_that_is_a_file_exits_with_two(tmp_path, capsys):
+    src = tmp_path / "doc.gdol"
+    src.write_text(_S)
+    err = _user_error(capsys, ["expand", str(src), "--lib", str(src), "--out", str(tmp_path)])
+    assert err == f"error: --lib {src} is not a directory\n"
+
+
 def test_shadowing_is_one_warning_line(tmp_path):
     src = tmp_path / "shadow.gdol"
     src.write_text(

@@ -105,6 +105,21 @@ def test_cons_arguments_prepend(corpus_docs):
     assert b.lists["v0"] == (S("g0"), S("g1"))
 
 
+def test_list_literals_splice_and_cons_cells_end_under_a_binding():
+    doc = parse_document(
+        "pattern L [ Class: x :: xs ] = Class: x SubClassOf: Top then L[xs]\n"
+        "pattern M [ Class: y :: ys ] = L[[y, ys]]\n"
+        "pattern N [ Class: a ] = L[a :: {}]\n"
+        "ontology O1 = M[[c, d, e]]\nontology O2 = N[f]\n")
+    env = ExpansionEnv.from_documents([doc])
+
+    def under_top(*names):
+        return {SubClassOf(Named(Name(n)), Named(Name("Top"))) for n in names}
+
+    assert env.expand_named("O1").axioms == under_top("c", "d", "e")
+    assert env.expand_named("O2").axioms == under_top("f")
+
+
 def test_unequal_list_lengths_are_rejected(corpus_docs):
     defs = {}
     for d in corpus_docs:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gdol import (
     And,
     ClassAssertion,
+    ConsArg,
     DifferentIndividuals,
     DisjointClasses,
     Domain,
@@ -46,7 +47,7 @@ from gdol import (
 from gdol.errors import SubstitutionError
 from gdol.model import (
     ExtensionSpec, Max, OntologyDef, PatternDef, UnionSpec, axiom_names, class_exprs,
-    map_axiom, node_key, plan_axiom, stratify, subst_argument, subst_axiom, union,
+    map_axiom, node_key, plan_axiom, stratify, subst_argument, subst_axiom,
 )
 
 A, B, C = Name("A"), Name("B"), Name("C")
@@ -212,7 +213,7 @@ def test_union_merges_and_deduplicates():
     left = _ont([(SymbolKind.CLASS, A)], [SubClassOf(Named(A), Named(B))])
     right = _ont([(SymbolKind.CLASS, A), (SymbolKind.CLASS, B)],
                  [SubClassOf(Named(A), Named(B))])
-    u = union(left, right)
+    u = left.union(right)
     assert u.decls == left.decls | right.decls
     assert u.axioms == {canon_axiom(SubClassOf(Named(A), Named(B)))}
 
@@ -221,8 +222,7 @@ def test_same_name_with_two_kinds_is_rejected():
     with pytest.raises(KindClash):
         _ont([(SymbolKind.CLASS, A), (SymbolKind.INDIVIDUAL, A)])
     with pytest.raises(KindClash):
-        union(_ont([(SymbolKind.CLASS, A)]),
-              _ont([(SymbolKind.OBJECT_PROPERTY, A)]))
+        _ont([(SymbolKind.CLASS, A)]).union(_ont([(SymbolKind.OBJECT_PROPERTY, A)]))
 
 
 _names = st.sampled_from([Name(s) for s in "ABCXYZ"])
@@ -282,10 +282,10 @@ def test_canonicalization_is_idempotent(a):
 
 @given(_onts, _onts, _onts)
 def test_union_is_commutative_associative_idempotent(a, b, c):
-    assert union(a, b) == union(b, a)
-    assert union(a, union(b, c)) == union(union(a, b), c)
-    assert union(a, a) == a
-    assert union(a, _ont()) == a
+    assert a.union(b) == b.union(a)
+    assert a.union(b.union(c)) == a.union(b).union(c)
+    assert a.union(a) == a
+    assert a.union(_ont()) == a
 
 
 # --- substitution -------------------------------------------------------------
@@ -319,6 +319,13 @@ def test_list_argument_splices_into_enumerations():
 def test_instantiation_with_an_empty_argument_collapses():
     spec = InstSpec("P", (SymbolArg(Name("f", (Name("X"),))),))
     assert substitute(spec, {"X": EmptyArg()}) == EmptySpec()
+
+
+def test_a_substituted_cons_stays_a_cons():
+    a, b, c = (SymbolArg(n) for n in (A, B, C))
+    spec = InstSpec("L", (ConsArg(a, SymbolArg(Name("xs"))), ConsArg(a, EmptyArg())))
+    out = substitute(spec, {"xs": ListArg((b,)), "A": c})
+    assert out.args == (ConsArg(c, ListArg((b,))), ConsArg(c, EmptyArg()))
 
 
 def test_let_locals_shadow_outer_parameters():

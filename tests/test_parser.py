@@ -26,6 +26,7 @@ from gdol import (
     ParseError,
     Range,
     Some,
+    SubClassOf,
     SymbolArg,
     SymbolKind,
     UnionSpec,
@@ -359,6 +360,12 @@ def test_a_name_that_starts_with_a_non_decimal_digit_is_located():
     assert str(info.value) == "2:29: unexpected character '²'"
 
 
+def test_a_non_decimal_digit_may_continue_a_name():
+    o = parse_manchester_fragment("Class: a² SubClassOf: b①\nClass: b①\n")
+    assert o.decls == {(SymbolKind.CLASS, Name("a²")), (SymbolKind.CLASS, Name("b①"))}
+    assert o.axioms == {SubClassOf(Named(Name("a²")), Named(Name("b①")))}
+
+
 def test_instantiations_carry_their_line_and_column():
     text = ("%% P and Q\n"
             "pattern P [ Class: x ] = Class: x\n"
@@ -396,6 +403,16 @@ def test_corpus_documents_round_trip(path):
 def test_intersections_of_named_classes_round_trip(text):
     # canonical order puts a bare name right after `and`, where a document
     # body would read it as a spec
+    doc = parse_document(text)
+    assert parse_document(render_document(doc)) == doc
+
+
+@pytest.mark.parametrize("text", [
+    "ontology O = {}\n",
+    "ontology O = P[A] and {}\n",
+    "refinement R = P[A] refined to Q[B] with A |-> B, p |-> q\n",
+])
+def test_empty_specs_and_symbol_maps_round_trip(text):
     doc = parse_document(text)
     assert parse_document(render_document(doc)) == doc
 

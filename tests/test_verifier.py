@@ -1,7 +1,11 @@
 """Entailment rules, obligation checking, refinement, and export."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from prover_reference import ReferenceTheory
@@ -40,7 +44,7 @@ from gdol import (
     parse_manchester_fragment,
 )
 from gdol import verifier
-from gdol.model import canon_axiom, map_axiom, map_ontology, union
+from gdol.model import canon_axiom, map_axiom, map_ontology
 from gdol.verifier import ALL_RULES
 
 
@@ -201,7 +205,7 @@ def test_rules_can_be_disabled_individually():
 def test_entailment_is_monotone_under_union(env):
     theory = parse_manchester_fragment(SUBCLASS_THEORY)
     goal = SubClassOf(N("A"), N("C"))
-    bigger = union(theory, env.expand_named("Driver_log"))
+    bigger = theory.union(env.expand_named("Driver_log"))
     assert entails(theory, goal).proven
     assert entails(bigger, goal).proven
 
@@ -568,6 +572,40 @@ def test_each_goal_is_charged_the_steps_a_fresh_engine_spends():
     assert _verdicts(intro, [both, one], 5) == ["step limit 5 reached", "proven"]
     assert _verdicts(intro, [one, both], 8) == ["proven", "step limit 8 reached"]
     assert _verdicts(intro, [both, one], 9) == ["proven", "proven"]
+
+
+# each goal has a candidate behind the ten-class chain X0 ... X9 and one
+# that proves it in a few steps (b's types X0 and Y; p's domain X0 and q's
+# X5 and Y; the disjoint pairs X9, D and C, D), so the order candidates are
+# tried in could set its steps
+_NEAR_LIMIT = """
+from gdol import (ClassAssertion, DisjointClasses, Domain, Name, Named, RuleEngineConfig,
+                  entails, parse_manchester_fragment)
+chain = "".join(f"Class: X{i} SubClassOf: X{i + 1}\\n" for i in range(9))
+theory = parse_manchester_fragment(
+    chain + "Class: X9 DisjointWith: D\\nClass: C DisjointWith: D\\nClass: D\\n"
+    "Class: Y SubClassOf: D\\nClass: A SubClassOf: X0\\nClass: B SubClassOf: Y\\n"
+    "Individual: b Types: X0, Y\\n"
+    "ObjectProperty: p SubPropertyOf: q Domain: X0\\nObjectProperty: q Domain: X5, Y\\n")
+D = Named(Name("D"))
+for goal in (ClassAssertion(D, Name("b")), Domain(Name("p"), D),
+             DisjointClasses(Named(Name("A")), Named(Name("B")))):
+    # the least step limit that proves the goal is the steps it is charged
+    print(next(k for k in range(1, 41)
+               if entails(theory, goal, RuleEngineConfig(step_limit=k)).proven))
+"""
+
+
+def test_verdicts_near_the_step_limit_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _NEAR_LIMIT], capture_output=True, text=True,
+                              env=env, check=True)
+        outs.add(proc.stdout)
+    assert outs == {"22\n34\n26\n"}
 
 
 def _theory_builds(monkeypatch, check):
