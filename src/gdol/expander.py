@@ -43,7 +43,8 @@ That keeps the work per frame proportional to what the frame adds.
 What depends only on a pattern is worked out once per environment and
 kept on it: each pattern's shape (whether it has constraints, its list and
 scalar parameters, whether a frame can repeat an earlier one's
-obligations), each parameterized name's stratified form, and for each
+obligations, which `model._strings` tells from the names its constraints
+mention), each parameterized name's stratified form, and for each
 pattern body axiom and constraint a plan, a closure tree that substitutes
 a binding into it and builds the result canonical.  A named ontology's own
 axioms, substituted under no binding and walked once, get a plan for that
@@ -63,7 +64,8 @@ the frame order list tails are recognised in all follow from that.  Each
 item carries the instantiation depth it is expanded at, so the budget
 counts nested instantiation frames.  A named ontology that is not cached
 opens a run with a builder of its own, and a closing item freezes it,
-caches it and adds it to the builder that referenced it.
+caches it and adds it to the builder of the run below.  Items carry no
+builder: every node goes into the innermost open run's.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from .model import (
     Argument, Axiom, BasicSpec, ConsArg, Decl, Document, EmptyArg, EmptySpec,
     ExtensionSpec, InstSpec, LetSpec, ListArg, Name, Node, Obligation, Ontology,
     OntologyBuilder, OntologyDef, Parameter, PatternDef, Spec, SymbolArg,
-    SymbolKind, TopDecl, UnionSpec, axiom_names, plan_axiom, stratify,
+    SymbolKind, TopDecl, UnionSpec, _strings, plan_axiom, stratify,
     subst_arguments, subst_axiom, subst_decls,
 )
 
@@ -104,12 +106,16 @@ class Binding(Node):
     exhausted: bool  # every list parameter received an empty list
 
 
-def _as_list(pattern: str, param: str, arg: Argument) -> tuple[Argument, ...]:
+def _as_list(pattern: str, param: Parameter, arg: Argument) -> tuple[Argument, ...]:
     """The elements of an argument bound to a list parameter: a cons's heads
-    in front of the list its tail ends in."""
+    in front of the list its tail ends in.  A head annotated with a kind
+    must be annotated with the parameter's."""
     heads: list[Argument] = []
     while type(arg) is ConsArg:
-        heads.append(arg.head)
+        head = arg.head
+        if type(head) is SymbolArg and head.kind is not None and head.kind is not param.kind:
+            raise KindMismatch(pattern, param.name, param.kind.value, head.kind.value)
+        heads.append(head)
         arg = arg.tail
     t = type(arg)
     if t is ListArg:
@@ -117,7 +123,7 @@ def _as_list(pattern: str, param: str, arg: Argument) -> tuple[Argument, ...]:
     if t is EmptyArg:
         return tuple(heads)
     if t is SymbolArg:
-        raise SubstitutionError(f"{pattern}: parameter {param!r} needs a list, got name {arg.name}")
+        raise SubstitutionError(f"{pattern}: parameter {param.name!r} needs a list, got name {arg.name}")
     raise TypeError(f"not an argument: {arg!r}")
 
 
@@ -131,7 +137,7 @@ def bind_arguments(pdef: PatternDef, args: tuple[Argument, ...]) -> Binding:
         if t is SymbolArg and arg.kind is not None and arg.kind is not param.kind:
             raise KindMismatch(pdef.name, param.name, param.kind.value, arg.kind.value)
         if param.list_tail is not None:
-            items = arg.items if t is ListArg else _as_list(pdef.name, param.name, arg)
+            items = arg.items if t is ListArg else _as_list(pdef.name, param, arg)
             lists[param.name] = items
             mapping[param.name] = items[0] if items else EmptyArg()
             mapping[param.list_tail] = ListArg(items[1:])
@@ -158,30 +164,18 @@ class _Closure(Node, eq=False):  # hashed by identity, as a key of _Run.frames
     binding: Mapping[str, Argument]  # in force where its let is walked; {} at top level
 
 
-def _bases(n: Name):
-    yield n.base
-    for a in n.args:
-        yield from _bases(a)
-
-
-def _mentions(axioms: Iterable[Axiom], names: set[str]) -> bool:
-    return any(not names.isdisjoint(_bases(n)) for a in axioms for n in axiom_names(a))
-
-
 class _Run:
     """State of one named-ontology or standalone-spec expansion: its name,
-    the builder its nodes go into and the builder its result goes into once
-    complete (None for the outermost run), and its obligations: where each
-    axiom was first raised.
+    the builder its nodes go into, and its obligations: where each axiom was
+    first raised.
 
     `declared` and `frames` remember list tails by identity; each entry keeps
     the tuples (and closure) it is keyed by alive, so no other object can
     take their ids.
     """
 
-    def __init__(self, name: str | None, into: OntologyBuilder | None) -> None:
+    def __init__(self, name: str | None) -> None:
         self.name = name  # None for a standalone spec
-        self.into = into
         self.out = OntologyBuilder()
         self.sink: dict[Axiom, _Found] = {}
         self.declared: dict[tuple[int, SymbolKind], tuple[Argument, ...]] = {}
@@ -224,7 +218,7 @@ class _Shape:
         tails = {p.list_tail for p in self.lists}
         heads = tails | {p.name for p in self.lists}
         self.may_repeat = bool(self.lists) and not any(
-            _mentions(p.constraints, tails if p.list_tail is not None else heads)
+            not (tails if p.list_tail is not None else heads).isdisjoint(_strings(p.constraints))
             for p in pdef.params)
 
 
@@ -251,8 +245,6 @@ class ExpansionEnv:
         self._flat: dict[Name, Name] = {}  # parameterized name -> stratified name
         self._plans: dict[int, tuple[Axiom, Callable]] = {}  # axiom id -> (axiom, its plan)
         self._shapes: dict[int, _Shape] = {}  # pattern id -> its frames' shape
-        self._work: list[tuple] = []  # the current walk's items, see _walk
-        self._runs: list[_Run] = []  # the current walk's open runs, innermost last
         flat_names, plain, flat = self._flat, self._queued, self._queued_flat
 
         def strat(n: Name) -> Name:
@@ -294,8 +286,6 @@ class ExpansionEnv:
         """Record the queued names of a kept value."""
         self._plain.update(self._queued)
         self._stratified.update(self._queued_flat)
-        self._queued.clear()
-        self._queued_flat.clear()
 
     # --- named ontologies ---
 
@@ -316,16 +306,18 @@ class ExpansionEnv:
         obligations.
 
         Items, by their first field:
-            _SPEC, spec, scope, out, binding, depth: expand spec into out
-            _NAMED, name, out, depth: add a named ontology to out
-            _CLOSE: the innermost run has expanded its spec and imports
+            _SPEC, spec, scope, binding, depth: expand spec into the innermost run
+            _NAMED, name, depth: add a named ontology to the innermost run
+            _CLOSE: the innermost run has expanded its spec and imports; its
+                result goes into the run below, or is returned if none is left
         """
+        # the current walk's items and its open runs, innermost last
         work, runs = self._work, self._runs = [], []
         if name is None:
             assert spec is not None
-            self._open(None, spec, (), None, 0)
+            self._open(None, spec, (), 0)
         else:
-            self._reference(name, None, 0)
+            self._reference(name, 0)
         while True:
             item = work.pop()
             tag = item[0]
@@ -340,27 +332,25 @@ class ExpansionEnv:
                                     for axiom, found in run.sink.items())
                 if run.name is not None:
                     self._cache[run.name] = result, obligations
-                if run.into is None:
+                if not runs:
                     return result, obligations
-                run.into.add(result)
+                runs[-1].out.add(result)
 
-    def _open(self, name: str | None, spec: Spec, imports: tuple[str, ...],
-              into: OntologyBuilder | None, depth: int) -> None:
+    def _open(self, name: str | None, spec: Spec, imports: tuple[str, ...], depth: int) -> None:
         """Start a run: its spec, then its imports, then its closing item."""
-        run = _Run(name, into)
-        self._runs.append(run)
+        self._runs.append(_Run(name))
         work = self._work
         work.append((_CLOSE,))
         for imp in reversed(imports):
-            work.append((_NAMED, imp, run.out, depth))
-        work.append((_SPEC, spec, {}, run.out, {}, depth))
+            work.append((_NAMED, imp, depth))
+        work.append((_SPEC, spec, {}, {}, depth))
 
-    def _reference(self, name: str, into: OntologyBuilder | None, depth: int) -> None:
-        """Add a named ontology to into, opening a run for it unless cached."""
+    def _reference(self, name: str, depth: int) -> None:
+        """Add a named ontology to the innermost run, opening a run for it
+        unless cached."""
         cached = self._cache.get(name)
         if cached is not None:
-            assert into is not None
-            into.add(cached[0])
+            self._runs[-1].out.add(cached[0])
             return
         open_names = [run.name for run in self._runs]
         if name in open_names:
@@ -370,22 +360,22 @@ class ExpansionEnv:
             raise UnknownPattern(name)
         if not isinstance(decl, OntologyDef):
             raise GdolError(f"{name!r} is a pattern; a reference must name an ontology")
-        self._open(name, decl.spec, decl.imports, into, depth)
+        self._open(name, decl.spec, decl.imports, depth)
 
-    def _spec(self, spec: Spec, scope: dict[str, _Closure], out: OntologyBuilder,
+    def _spec(self, spec: Spec, scope: dict[str, _Closure],
               binding: Mapping[str, Argument], depth: int) -> None:
-        """Expand one spec node with binding substituted into it on the way;
-        queue its children."""
+        """Expand one spec node into the innermost run with binding
+        substituted into it on the way; queue its children."""
         cls = spec.__class__
         if cls is BasicSpec:
-            self._add(spec.ontology.decls, spec.ontology.axioms, binding, out)
+            self._add(spec.ontology.decls, spec.ontology.axioms, binding)
         elif cls is UnionSpec or cls is ExtensionSpec:
             for op in reversed(spec.operands):
-                self._work.append((_SPEC, op, scope, out, binding, depth))
+                self._work.append((_SPEC, op, scope, binding, depth))
         elif cls is InstSpec:
             args = subst_arguments(spec.args, binding)
             if args is not None:  # else an argument mentions an empty-bound name
-                self._instantiate(spec, args, scope, out, depth)
+                self._instantiate(spec, args, scope, depth)
         elif cls is LetSpec:
             inner = dict(scope)  # the locals share it, so siblings see each other
             for p in spec.locals:
@@ -394,7 +384,7 @@ class ExpansionEnv:
                     self._shadowing.add(f"parameters {shadowed} of local pattern {p.name!r}"
                                         " shadow outer bindings")
                 inner[p.name] = _Closure(p, inner, binding)
-            self._work.append((_SPEC, spec.body, inner, out, binding, depth))
+            self._work.append((_SPEC, spec.body, inner, binding, depth))
         elif cls is not EmptySpec:
             raise TypeError(f"not a spec: {spec!r}")
 
@@ -411,7 +401,7 @@ class ExpansionEnv:
             if binding:
                 plan = plans.get(id(a))
                 if plan is None:
-                    plan = plans[id(a)] = a, plan_axiom(a, self._strat, plain)
+                    plan = plans[id(a)] = a, plan_axiom(a, self._strat)
                 b = plan[1](binding)
             else:
                 b = subst_axiom(a, binding, self._strat)
@@ -422,19 +412,20 @@ class ExpansionEnv:
         return kept
 
     def _add(self, decls: Iterable[Decl], axioms: Iterable[Axiom],
-             binding: Mapping[str, Argument], out: OntologyBuilder) -> None:
-        """Substitute, stratify and canonicalize one node into out, then
-        record its names.  A declaration that contradicts out raises the
-        KindClash of the least clashing flat name."""
+             binding: Mapping[str, Argument]) -> None:
+        """Substitute, stratify and canonicalize one node into the innermost
+        run's builder, then record its names.  A declaration that
+        contradicts the builder raises the KindClash of the least clashing
+        flat name."""
         self._queued.clear()
         self._queued_flat.clear()
         decls = subst_decls(decls, binding, self._strat)
         axioms = self._subst_axioms(axioms, binding)
-        out.extend(decls, axioms)
+        self._runs[-1].out.extend(decls, axioms)
         self._note()
 
     def _instantiate(self, spec: InstSpec, args: tuple[Argument, ...],
-                     scope: dict[str, _Closure], out: OntologyBuilder, depth: int) -> None:
+                     scope: dict[str, _Closure], depth: int) -> None:
         """Open a frame one level deeper: one pass over the parameters raises
         their obligations and gathers their declarations, added after all
         the obligations; then the given imports and the body in order."""
@@ -444,7 +435,7 @@ class ExpansionEnv:
         if isinstance(target, OntologyDef):
             if spec.bracketed:
                 raise GdolError(f"{spec.pattern!r} names an ontology and takes no arguments")
-            self._reference(spec.pattern, out, depth)
+            self._reference(spec.pattern, depth)
             return
         assert isinstance(target, _Closure)
         pdef = target.pdef
@@ -480,10 +471,10 @@ class ExpansionEnv:
                     if oblige and param.constraints:
                         self._oblige(pdef.name, param, 0, mapping)
                     decls.append((param.kind, bound.name))
-        self._add(decls, (), {}, out)
-        self._work.append((_SPEC, pdef.body, target.scope, out, mapping, depth))
+        self._add(decls, (), {})
+        self._work.append((_SPEC, pdef.body, target.scope, mapping, depth))
         for imp in reversed(pdef.imports):
-            self._work.append((_NAMED, imp, out, depth))
+            self._work.append((_NAMED, imp, depth))
 
     def _oblige(self, pattern: str, param: Parameter, index: int,
                 view: Mapping[str, Argument]) -> None:

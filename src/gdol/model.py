@@ -9,9 +9,10 @@ parameter names, which also renames every name it builds in the same pass
 and returns canonical axioms: it builds each And, OneOf, symmetric pair
 and DifferentIndividuals through that shape's canonical constructor.  The
 one engine for that rebuild is a plan, `plan_axiom`: a function of the
-binding compiled for an axiom's shape.  `subst_axiom` and `map_axiom` build
-one and apply it once; the expander keeps one per pattern axiom, applied
-under many bindings.
+binding compiled for an axiom's shape, which passes every name it builds to
+the one name function it was planned with.  `subst_axiom` and `map_axiom`
+build one and apply it once; the expander keeps one per pattern axiom,
+applied under many bindings.
 
 Every value class derives from `Node`, a frozen record of the fields its
 class body annotates.  The jobs that only follow the structure of axioms,
@@ -675,16 +676,12 @@ def _subst_members(members: tuple[Name, ...], binding: Mapping[str, Argument],
     return tuple(out)
 
 
-def plan_axiom(a: Axiom, fn: NameFn,
-               plain: list[str] | None = None) -> Callable[[Mapping[str, Argument]], Axiom | None]:
+def plan_axiom(a: Axiom, fn: NameFn) -> Callable[[Mapping[str, Argument]], Axiom | None]:
     """`subst_axiom(a, binding, fn)` compiled for a's shape: the returned
     function takes the binding, so an axiom substituted under many bindings
-    is planned once.  With plain given, fn must treat a plain name n as
-    appending n.base to plain and returning n; the compiled tree does that
-    itself for the names it keeps or takes from a bound argument, so only
-    the others reach fn.  (The tree's functions take what they use as
-    defaults, which costs less memory and time than closure cells.)"""
-    def subst(binding: Mapping[str, Argument], run=_plan(a, fn, plain)) -> Axiom | None:
+    is planned once.  (The tree's functions take what they use as defaults,
+    which costs less memory and time than closure cells.)"""
+    def subst(binding: Mapping[str, Argument], run=_plan(a, fn)) -> Axiom | None:
         try:
             return run(binding)
         except _MentionsEmpty:
@@ -692,25 +689,21 @@ def plan_axiom(a: Axiom, fn: NameFn,
     return subst
 
 
-def _plan_name(n: Name, fn: NameFn, plain: list[str] | None):
-    if n.args or plain is None:
+def _plan_name(n: Name, fn: NameFn):
+    if n.args:
         return lambda b, n=n, fn=fn: _subst_name(n, b, fn)
 
-    def name(b, base=n.base, n=n, plain=plain, fn=fn):
+    def name(b, base=n.base, n=n, fn=fn):
         bound = b.get(base)
         if bound is None:
-            plain.append(base)
-            return n
+            return fn(n)
         if bound.__class__ is SymbolArg:
-            repl = bound.name
-            if not repl.args:
-                plain.append(repl.base)
-                return repl
-        return _subst_name(n, b, fn)  # stratified, or raises as for any name
+            return fn(bound.name)
+        return _subst_name(n, b, fn)  # raises as for any name
     return name
 
 
-def _plan(x, fn: NameFn, plain: list[str] | None):
+def _plan(x, fn: NameFn):
     """A function of a binding that rebuilds x with every name substituted
     and then passed to fn, field by field in order, through its shape's
     canonical constructor where it has one."""
@@ -719,14 +712,14 @@ def _plan(x, fn: NameFn, plain: list[str] | None):
         v = getattr(x, f)
         t = type(v)
         if t is Name:
-            parts.append(_plan_name(v, fn, plain))
+            parts.append(_plan_name(v, fn))
         elif t is tuple and v and type(v[0]) is Name:
             parts.append(lambda b, v=v, fn=fn: _subst_members(v, b, fn))
         elif t is tuple:
-            subs = tuple(_plan(c, fn, plain) for c in v)
+            subs = tuple(_plan(c, fn) for c in v)
             parts.append(lambda b, subs=subs: tuple([s(b) for s in subs]))
         elif t in _FIELDS:
-            parts.append(_plan(v, fn, plain))
+            parts.append(_plan(v, fn))
         else:
             parts.append(lambda b, v=v: v)
     make = _CANON.get(x.__class__, x.__class__)

@@ -238,18 +238,36 @@ def _user_error(capsys, argv: list[str]) -> str:
     (_L + "ontology O = L[a :: b]\n", "L: parameter 'x' needs a list, got name b"),
     (_L + "pattern P [ Class: y ] = L[a :: y]\nontology O = P[B]\n",
      "L: parameter 'x' needs a list, got name B"),
+    (_L + "ontology O = L[ObjectProperty: a :: []]\n",
+     "L: argument for 'x' annotated ObjectProperty, parameter declared Class"),
     ("ontology Base = Class: A\nontology O = Base[x]\n",
      "'Base' names an ontology and takes no arguments"),
     ("pattern Q [ Individual: w :: ws ] = Class: E EquivalentTo: {w, ws}\n"
      "pattern R [ Individual: x :: xs ] = Q[x :: xs :: xs]\nontology O = R[[a, b]]\n",
      "nested list in individual enumeration"),
 ], ids=["scalar-list", "scalar-cons", "list-name", "list-cons-name", "list-cons-bound-name",
-        "ontology-arguments", "nested-enumeration"])
+        "list-cons-head-kind", "ontology-arguments", "nested-enumeration"])
 def test_argument_errors_exit_with_two_and_one_line(tmp_path, capsys, text, message):
     src = tmp_path / "doc.gdol"
     src.write_text(text)
     assert _user_error(capsys, ["expand", str(src), "--out", str(tmp_path)]) == f"error: {message}\n"
     assert not list(tmp_path.glob("*.omn"))
+
+
+def test_an_empty_ontology_writes_an_empty_file(tmp_path, capsys):
+    src = tmp_path / "doc.gdol"
+    src.write_text("ontology E = {}\n")
+    assert main(["expand", str(src), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "E.omn").read_text() == ""
+
+
+def test_refine_reports_a_standalone_axiom_on_one_line(tmp_path, capsys):
+    src = tmp_path / "doc.gdol"
+    src.write_text("refinement R = Individual: a Individual: b DifferentIndividuals: a, b\n"
+                   "  refined to Individual: a Individual: b DifferentIndividuals: a, b\n")
+    assert main(["refine", str(src)]) == 0
+    assert capsys.readouterr().out == (
+        "  proven  DifferentIndividuals: a, b  [R]\nrefinement R: holds\n")
 
 
 def test_a_pattern_defined_in_two_documents_exits_with_two(tmp_path, capsys):

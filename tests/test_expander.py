@@ -99,10 +99,11 @@ def test_cons_arguments_prepend(corpus_docs):
     defs = {}
     for d in corpus_docs:
         defs.update(d.pattern_defs())
+    g0 = SymbolArg(Name("g0"), SymbolKind.INDIVIDUAL)  # a head may carry its parameter's kind
     b = bind_arguments(defs["VAL_Set"],
                        (S("Grade"), EmptyArg(),
-                        ConsArg(S("g0"), ListArg((S("g1"),)))))
-    assert b.lists["v0"] == (S("g0"), S("g1"))
+                        ConsArg(g0, ListArg((S("g1"),)))))
+    assert b.lists["v0"] == (g0, S("g1"))
 
 
 def test_list_literals_splice_and_cons_cells_end_under_a_binding():
@@ -110,7 +111,7 @@ def test_list_literals_splice_and_cons_cells_end_under_a_binding():
         "pattern L [ Class: x :: xs ] = Class: x SubClassOf: Top then L[xs]\n"
         "pattern M [ Class: y :: ys ] = L[[y, ys]]\n"
         "pattern N [ Class: a ] = L[a :: {}]\n"
-        "ontology O1 = M[[c, d, e]]\nontology O2 = N[f]\n")
+        "ontology O1 = M[[c, d, e]]\nontology O2 = N[f]\nontology O3 = L[Class: g :: []]\n")
     env = ExpansionEnv.from_documents([doc])
 
     def under_top(*names):
@@ -118,6 +119,7 @@ def test_list_literals_splice_and_cons_cells_end_under_a_binding():
 
     assert env.expand_named("O1").axioms == under_top("c", "d", "e")
     assert env.expand_named("O2").axioms == under_top("f")
+    assert env.expand_named("O3").axioms == under_top("g")
 
 
 def test_unequal_list_lengths_are_rejected(corpus_docs):
@@ -243,6 +245,25 @@ def test_empty_cells_inside_lists_void_single_calls(expand):
 
 
 # --- scoping and guards -----------------------------------------------------
+
+def test_an_empty_spec_adds_nothing():
+    doc = parse_document(
+        "pattern P [ Class: C; {ObjectProperty: p Domain: C} ] = Class: C SubClassOf: p some C\n"
+        "ontology E = {}\nontology U = P[A; q] and {}\nontology V = P[A; q]\n")
+    env = ExpansionEnv.from_documents([doc])
+    assert env.expand_named("E") == Ontology()
+    assert env.expand_named("U") == env.expand_named("V")
+    assert obligation_rows(env, "U") == obligation_rows(env, "V") == [("q Domain: A", "P", "p", 0)]
+
+
+def test_a_declaration_naming_an_empty_bound_parameter_is_dropped():
+    doc = parse_document(
+        "pattern P [ ? ObjectProperty: p; Class: C ] =\n"
+        "  ObjectProperty: p Characteristics: Functional Class: C\n"
+        "ontology O = P[; A]\n")
+    assert ExpansionEnv.from_documents([doc]).expand_named("O") == \
+        Ontology.of([(SymbolKind.CLASS, Name("A"))])
+
 
 def test_let_locals_are_not_visible_outside(env):
     # GradedRels is a let-local of GRADED_Rels
@@ -496,6 +517,21 @@ def test_constraints_mentioning_the_tail_differ_per_frame(list_env):
     ]
 
 
+def test_a_list_head_inside_a_parameterized_name_is_no_repeat(monkeypatch):
+    """y's constraint mentions the list head x only inside f[x], so each
+    frame raises an obligation of its own: the same as when no frame is
+    taken for a repeat of an earlier one."""
+    doc = parse_document(
+        "pattern H [ Class: x :: xs; {Individual: y Types: f[x]} ] = Individual: y then H[xs; y]\n"
+        "ontology O = H[[a, b, c]; z]\n")
+    env = ExpansionEnv.from_documents([doc])
+    assert obligation_rows(env, "O") == [(f"z Types: f_{v}", "H", "y", 0) for v in "abc"]
+    monkeypatch.setattr(expander._Run, "repeats", lambda self, *frame: False)
+    reference = ExpansionEnv.from_documents([doc])
+    assert (reference.expand_named("O"), reference.obligations("O")) == \
+        (env.expand_named("O"), env.obligations("O"))
+
+
 def test_named_ontologies_sharing_a_list_each_get_every_obligation(list_env):
     expected = []
     for i in range(3):
@@ -512,7 +548,6 @@ def _expansion_work(corpus_docs, monkeypatch, n):
     note, init = ExpansionEnv._note, Ontology.__init__
 
     def counting_note(self):
-        # a plan queues the plain names it builds without calling the stratifier
         counts["noted"] += len(self._queued) + len(self._queued_flat)
         note(self)
 
@@ -667,9 +702,9 @@ def test_a_plan_is_built_once_per_pattern_axiom(corpus_docs, monkeypatch):
     under no binding, get none."""
     planned: list = []
 
-    def recording(a, fn, plain):
+    def recording(a, fn):
         planned.append(a)
-        return model.plan_axiom(a, fn, plain)
+        return model.plan_axiom(a, fn)
 
     monkeypatch.setattr(expander, "plan_axiom", recording)
     doc = parse_document(_data_roles(400))
@@ -686,15 +721,15 @@ def test_a_plan_is_built_once_per_pattern_axiom(corpus_docs, monkeypatch):
 def test_the_repeat_analysis_runs_once_per_pattern(corpus_docs, monkeypatch):
     """AND_nRels over 100 properties asks in each frame whether it repeats
     the last one's obligations; which constraints mention a tail or a head
-    is worked out once, one `_mentions` per parameter."""
+    is worked out once, one `_strings` per parameter."""
     calls: list = []
 
-    def recording(axioms, names):
-        calls.append(names)
-        return mentions(axioms, names)
+    def recording(constraints):
+        calls.append(constraints)
+        return strings(constraints)
 
-    mentions = expander._mentions
-    monkeypatch.setattr(expander, "_mentions", recording)
+    strings = expander._strings
+    monkeypatch.setattr(expander, "_strings", recording)
     props = ", ".join(f"q{i}" for i in range(100))
     doc = parse_document(f"ontology Shared = AND_nRels[S; T; r; [{props}]]\n")
     env = ExpansionEnv.from_documents([*corpus_docs, doc])

@@ -47,7 +47,7 @@ from gdol import (
 from gdol.errors import SubstitutionError
 from gdol.model import (
     ExtensionSpec, Max, OntologyDef, PatternDef, UnionSpec, axiom_names, class_exprs,
-    map_axiom, node_key, plan_axiom, stratify, subst_argument, subst_axiom,
+    map_axiom, node_key, stratify, subst_argument, subst_axiom,
 )
 
 A, B, C = Name("A"), Name("B"), Name("C")
@@ -457,26 +457,6 @@ def test_stratifying_while_substituting_matches_stratifying_after(a, binding):
         return None if b is None else canon_axiom(map_axiom(canon_axiom(b), _strat))
 
     assert _outcome(fused) == _outcome(separate) == _outcome(twice_canonical)
-
-
-@given(_fused_axioms, _fused_bindings)
-def test_the_plain_name_fast_path_matches_the_general_plan(a, binding):
-    """A plan given a list appends plain names to it itself; it gives the
-    same axiom, deletion or error as a plan whose name function sees every
-    name and records plain ones alike, and records the same names in the
-    same order."""
-    def recording(names: list[str]):
-        def fn(n: Name) -> Name:
-            flat = _strat(n)
-            names.append(flat.base)
-            return n if not n.args else flat
-        return fn
-
-    fast: list[str] = []
-    general: list[str] = []
-    assert _outcome(lambda: plan_axiom(a, recording(fast), fast)(binding)) == \
-        _outcome(lambda: plan_axiom(a, recording(general))(binding))
-    assert fast == general
 
 
 def test_fused_substitution_splices_and_deletes():

@@ -238,6 +238,30 @@ def test_nesting_too_deep_is_a_located_parse_error(kind):
     assert (info.value.line, info.value.column) == (line, len(before) + 1)
 
 
+def _frames() -> int:
+    n, f = 0, sys._getframe()
+    while f is not None:
+        n, f = n + 1, f.f_back
+    return n
+
+
+def test_running_out_of_stack_while_parsing_is_nesting_too_deep():
+    """A caller already deep in its stack can run out of it inside the
+    parser before any nesting limit; that is a ParseError as well, not a
+    RecursionError.  (Its column depends on the frames the interpreter
+    spends per level, so it is not pinned.)"""
+    text = "ontology O = Class: A SubClassOf: " + "(" * 60 + "B" + ")" * 60 + "\n"
+    parse_document(text)  # within the nesting limit
+
+    def deeper(n: int) -> None:
+        if n:
+            return deeper(n - 1)
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_document(text)
+
+    deeper(sys.getrecursionlimit() - _frames() - 40)  # then 40 frames are left
+
+
 # one document per kind that nests exactly 100 levels, inside a pattern so
 # that substituting and stratifying walk it as well
 _AT_LIMIT = {
