@@ -463,8 +463,12 @@ class ExpansionEnv:
                             element_view[other] = elements[i]
                         self._oblige(pdef.name, param, i, element_view)
                 if run.undeclared(param.kind, items, binding.mapping[param.list_tail].items):
-                    decls.extend((param.kind, item.name) for item in items
-                                 if isinstance(item, SymbolArg))
+                    for item in items:
+                        if isinstance(item, SymbolArg):
+                            if item.kind is not None and item.kind is not param.kind:
+                                raise KindMismatch(pdef.name, param.name, param.kind.value,
+                                                   item.kind.value)
+                            decls.append((param.kind, item.name))
             else:
                 bound = binding.mapping[param.name]
                 if isinstance(bound, SymbolArg):

@@ -27,7 +27,10 @@ checked in.
 Told axioms are indexed, and goals proven, through tables keyed by the
 axiom's class.  And-nodes are looked for only inside class-expression
 fields that are not a bare name, and a goal whose class-expression fields
-are all bare names is checked against the context's theory itself.
+are all bare names is checked against the context's theory itself.  Its
+names are read off its fields, and a compound goal's collected by
+`axiom_names`; proven and not derivable, which carry no detail of a goal,
+are two shared results.
 """
 
 from __future__ import annotations
@@ -365,11 +368,15 @@ class _Slot:
         self.told: _Theory | None = None
 
     def get(self, theory: Ontology, config: RuleEngineConfig) -> _Theory:
-        if theory is not self.theory or config != self.config:
+        if theory is not self.theory or (config is not self.config and config != self.config):
             self.told = None  # free the last context's part before building the next
             self.told = _Theory(theory, config)
             self.theory, self.config = theory, config
         return self.told
+
+
+_PROVEN = EntailmentResult(True)
+_NOT_DERIVABLE = EntailmentResult(False, False, "not derivable")
 
 
 def entails(theory: Ontology, goal: Axiom, config: RuleEngineConfig = DEFAULT_CONFIG,
@@ -380,16 +387,24 @@ def entails(theory: Ontology, goal: Axiom, config: RuleEngineConfig = DEFAULT_CO
     the same context share its told part."""
     goal = canon_axiom(goal)
     told = (_slot or _Slot()).get(theory, config)
-    missing = axiom_names(goal) - told.declared
-    if missing:
-        names = ", ".join(sorted(str(n) for n in missing))
-        return EntailmentResult(False, False, f"goal mentions undeclared names: {names}")
+    # names read off the fields; a compound field or an undeclared name needs axiom_names
+    exprs = _EXPR_FIELDS.get(goal.__class__, ())
+    for f in goal.__match_args__:
+        v = getattr(goal, f)
+        if f in exprs and v.__class__ is Named:
+            v = v.name
+        if v.__class__ is not Name or v not in told.declared:
+            missing = axiom_names(goal) - told.declared
+            if missing:
+                names = ", ".join(sorted(str(n) for n in missing))
+                return EntailmentResult(False, False, f"goal mentions undeclared names: {names}")
+            break
     counter = _Counter(config.step_limit)
     try:
         proven = told.for_goal(goal).prove(goal, counter)
     except _StepLimit:
         return EntailmentResult(False, True, f"step limit {config.step_limit} reached")
-    return EntailmentResult(proven, False, "" if proven else "not derivable")
+    return _PROVEN if proven else _NOT_DERIVABLE
 
 
 def check_obligations(obligations: Iterable[Obligation],

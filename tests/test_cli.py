@@ -240,13 +240,16 @@ def _user_error(capsys, argv: list[str]) -> str:
      "L: parameter 'x' needs a list, got name B"),
     (_L + "ontology O = L[ObjectProperty: a :: []]\n",
      "L: argument for 'x' annotated ObjectProperty, parameter declared Class"),
+    # the same annotation carried into a list literal's item by substitution
+    (_L + "pattern M [ ObjectProperty: y ] = L[[y]]\nontology O = M[ObjectProperty: a]\n",
+     "L: argument for 'x' annotated ObjectProperty, parameter declared Class"),
     ("ontology Base = Class: A\nontology O = Base[x]\n",
      "'Base' names an ontology and takes no arguments"),
     ("pattern Q [ Individual: w :: ws ] = Class: E EquivalentTo: {w, ws}\n"
      "pattern R [ Individual: x :: xs ] = Q[x :: xs :: xs]\nontology O = R[[a, b]]\n",
      "nested list in individual enumeration"),
 ], ids=["scalar-list", "scalar-cons", "list-name", "list-cons-name", "list-cons-bound-name",
-        "list-cons-head-kind", "ontology-arguments", "nested-enumeration"])
+        "list-cons-head-kind", "list-item-kind", "ontology-arguments", "nested-enumeration"])
 def test_argument_errors_exit_with_two_and_one_line(tmp_path, capsys, text, message):
     src = tmp_path / "doc.gdol"
     src.write_text(text)

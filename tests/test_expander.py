@@ -52,7 +52,7 @@ from gdol import (
     parse_document,
 )
 from gdol import emitter, expander, model
-from gdol.model import OntologyBuilder, axiom_names
+from gdol.model import OntologyBuilder, axiom_names, canon_axiom
 
 
 def S(n: str) -> SymbolArg:
@@ -138,6 +138,28 @@ def test_kind_annotated_arguments_must_match(corpus_docs):
     bad = SymbolArg(Name("x"), kind=SymbolKind.CLASS)
     with pytest.raises(KindMismatch):
         bind_arguments(defs["Strict_ORDER"], (S("X"), bad))
+
+
+def test_a_list_items_kind_is_checked_however_the_list_is_written():
+    """An annotated item that reaches a list parameter by substitution is
+    checked like a cons head, so a list literal and a cons cell give the
+    same error; an item annotated with the parameter's kind is declared."""
+    doc = parse_document(
+        "pattern L [ Class: x :: xs ] = Class: x\n"
+        "pattern M [ ObjectProperty: y ] = L[[y]]\n"
+        "pattern N [ ObjectProperty: y ] = L[y :: []]\n"
+        "pattern K [ Class: z ] = L[[z, b]]\n"
+        "ontology OM = M[ObjectProperty: a]\nontology ON = N[ObjectProperty: a]\n"
+        "ontology OK = K[Class: a]\n")
+    env = ExpansionEnv.from_documents([doc])
+    errors = []
+    for name in ("OM", "ON"):
+        with pytest.raises(KindMismatch) as info:
+            env.expand_named(name)
+        assert info.type is KindMismatch
+        errors.append(str(info.value))
+    assert errors == ["L: argument for 'x' annotated ObjectProperty, parameter declared Class"] * 2
+    assert env.expand_named("OK").decls == {(SymbolKind.CLASS, Name("a")), (SymbolKind.CLASS, Name("b"))}
 
 
 # --- whole-ontology expansion ----------------------------------------------
@@ -939,6 +961,21 @@ def test_shortcuts_match_one_union_per_spec_node(corpus_docs, monkeypatch, seed)
         m.setattr(_Run, "repeats", lambda self, *frame: False)
         reference = _expand_all(corpus_docs, doc)
     assert fast == reference
+
+
+def test_every_obligation_is_canonical(corpus_docs):
+    """The expander builds each obligation's axiom through the canonical
+    constructors, so canonicalizing it changes nothing."""
+    env = ExpansionEnv.from_documents(corpus_docs)
+    obs = [ob for d in corpus_docs for name in d.ontology_defs() for ob in env.obligations(name)]
+    assert len(obs) == 68
+    for seed in range(60):
+        doc = parse_document(_fuzz_document(seed))
+        for ontology, found in _expand_all(corpus_docs, doc)[0]:
+            if isinstance(ontology, Ontology):
+                obs += found
+    assert len(obs) > 250
+    assert [ob.axiom for ob in obs if canon_axiom(ob.axiom) != ob.axiom] == []
 
 
 # --- deep inputs on the main thread ------------------------------------------------

@@ -44,7 +44,7 @@ from gdol import (
     parse_manchester_fragment,
 )
 from gdol import verifier
-from gdol.model import canon_axiom, map_axiom, map_ontology
+from gdol.model import axiom_names, canon_axiom, map_axiom, map_ontology
 from gdol.verifier import ALL_RULES
 
 
@@ -643,6 +643,117 @@ def test_a_refinement_target_is_built_once(corpus_docs, env, monkeypatch):
         assert len(_theory_builds(monkeypatch, lambda: reports.append(check_refinement(refdef, env)))) == 1
         sentences += len(reports[0].results)
     assert sentences > len(refs)
+
+
+# --- what a goal costs besides its proof ------------------------------------------
+
+def _traced_entails(monkeypatch) -> list:
+    """Wrap `verifier.entails` at its module name, as bench/spans.py does,
+    and record each call's goal and result."""
+    calls = []
+    inner = verifier.entails
+
+    def traced(theory, goal, *args, **kwargs):
+        result = inner(theory, goal, *args, **kwargs)
+        calls.append((goal, result))
+        return result
+
+    monkeypatch.setattr(verifier, "entails", traced)
+    return calls
+
+
+def test_check_obligations_calls_entails_once_per_obligation(
+        monkeypatch, corpus_and_generated_obligations):
+    obs = corpus_and_generated_obligations
+    calls = _traced_entails(monkeypatch)
+    checked = check_obligations(obs)
+    assert [goal for goal, _ in calls] == [ob.axiom for ob in obs]
+    assert all(type(res) is verifier.EntailmentResult for _, res in calls)
+    assert [(res.proven, res.reason) for _, res in calls] == [
+        (ob.status == "proven", ob.diagnostic) for ob in checked]
+
+
+def test_check_refinement_calls_entails_once_per_sentence(corpus_docs, env, monkeypatch):
+    calls = _traced_entails(monkeypatch)
+    refs = [r for d in corpus_docs for r in d.refinement_defs().values()]
+    for refdef in refs:
+        calls.clear()
+        report = check_refinement(refdef, env)
+        assert [goal for goal, _ in calls] == [a for a, _ in report.results]
+        assert [res for _, res in calls] == [res for _, res in report.results]
+        assert all(type(res) is verifier.EntailmentResult for _, res in calls)
+
+
+def test_every_renamed_refinement_sentence_is_canonical(corpus_docs, env):
+    sentences = [a for d in corpus_docs for r in d.refinement_defs().values()
+                 for a, _ in check_refinement(r, env).results]
+    assert len(sentences) >= 6
+    assert [a for a in sentences if canon_axiom(a) != a] == []
+
+
+_K_A, _Q_A = Name("K", (Name("A"),)), Name("q", (Name("A"),))  # parameterized, declared
+
+
+def _names_path_goals():
+    """Goals of every class whose class-expression fields `_EXPR_FIELDS`
+    lists, and of classes with only name fields, over declared, undeclared
+    and parameterized names, with bare and compound class expressions."""
+    classes = [Name("A"), Name("B"), _K_A, Name("Zc"), Name("K", (Name("Zc"),))]
+    props = [Name("p"), _Q_A, Name("Zp"), Name("q", (Name("B"),))]
+    inds = [Name("i"), Name("j"), Name("Zi")]
+    exprs = [Named(c) for c in classes]
+    exprs += [And((Named(c), N("B"))) for c in classes] + [Some(P("p"), Named(c)) for c in classes]
+    exprs.append(Some(PropExpr(Name("Zp")), N("A")))
+    goals = []
+    for c in exprs:
+        for d in (N("B"), N("Zc"), Named(_K_A), And((N("A"), N("B")))):
+            goals += [SubClassOf(c, d), SubClassOf(d, c), EquivalentClasses(c, d),
+                      DisjointClasses(c, d)]
+        for p in props:
+            goals += [Domain(p, c), Range(p, c)]
+        for i in inds:
+            goals.append(ClassAssertion(c, i))
+    for p in props:
+        goals += [Functional(p), Transitive(p)]
+        for q in props:
+            goals.append(InverseProps(p, q))
+        for i in inds:
+            for j in inds:
+                goals.append(PropAssertion(p, i, j))
+    assert set(map(type, goals)) >= set(verifier._EXPR_FIELDS)
+    return goals
+
+
+def test_a_goals_names_are_read_off_its_fields_as_axiom_names_finds_them(monkeypatch):
+    declared = ([(SymbolKind.CLASS, n) for n in (Name("A"), Name("B"), _K_A)]
+                + [(SymbolKind.OBJECT_PROPERTY, n) for n in (Name("p"), _Q_A)]
+                + [(SymbolKind.INDIVIDUAL, n) for n in (Name("i"), Name("j"))])
+    theory = Ontology.of(declared, [
+        SubClassOf(N("A"), N("B")), Domain(Name("p"), N("A")), Range(_Q_A, Named(_K_A)),
+        InverseProps(Name("p"), _Q_A), Functional(Name("p")), Transitive(_Q_A),
+        ClassAssertion(N("A"), Name("i")), PropAssertion(Name("p"), Name("i"), Name("j"))])
+    names = {n for _, n in declared}
+    walks = []
+    monkeypatch.setattr(verifier, "axiom_names", lambda a: walks.append(a) or axiom_names(a))
+    reasons = set()
+    for goal in _names_path_goals():
+        walks.clear()
+        res = entails(theory, goal)
+        canon = canon_axiom(goal)
+        missing = axiom_names(canon) - names
+        if missing:
+            reason = "goal mentions undeclared names: " + ", ".join(sorted(map(str, missing)))
+            assert res == verifier.EntailmentResult(False, False, reason), goal
+        else:
+            proven, _ = _charged(verifier._Theory(theory, RuleEngineConfig()), canon)
+            assert res == verifier.EntailmentResult(proven, False, "" if proven else "not derivable")
+            # a verdict with no detail of its goal is one shared value
+            assert res is entails(theory, SubClassOf(N("A") if proven else N("B"), N("A")))
+        fields = [getattr(canon, f) for f in canon.__match_args__]
+        bare = all(type(v) in (Name, Named) for v in fields)
+        assert walks == ([] if bare and not missing else [canon]), goal
+        reasons.add(res.reason)
+    assert {"", "not derivable"} < reasons and len(reasons) > 10
 
 
 # --- metamorphic checks over random theories -------------------------------------
