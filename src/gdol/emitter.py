@@ -36,7 +36,7 @@ _KIND_ORDER = (
     SymbolKind.DATA_PROPERTY,
 )
 _KIND_RANK = {kind: rank for rank, kind in enumerate(_KIND_ORDER)}
-_HEADERS = tuple(f"{kind.keyword}: " for kind in _KIND_ORDER)
+_HEADERS = tuple(f"{kind.value}: " for kind in _KIND_ORDER)
 
 
 def _strict_name(n: Name) -> str:
@@ -241,7 +241,7 @@ def diff_golden(actual: Ontology, golden: Ontology) -> GoldenDiff:
 def _argument_text(arg: Argument) -> str:
     match arg:
         case SymbolArg(name, kind):
-            prefix = f"{kind.keyword}: " if kind else ""
+            prefix = f"{kind.value}: " if kind else ""
             return prefix + str(name)
         case ListArg(items):
             return "[" + ", ".join(_argument_text(i) for i in items) + "]"
@@ -256,7 +256,7 @@ def _parameter_text(p: Parameter) -> str:
     constraints = "".join(
         " " + axiom_text(a, _loose_name).split(" ", 1)[1] for a in p.constraints
     )
-    core = f"{p.kind.keyword}: {p.name}{constraints}"
+    core = f"{p.kind.value}: {p.name}{constraints}"
     if p.constraints and p.is_list:
         body = "{" + core + "}" + f" :: {p.list_tail}"
     elif p.is_list:

@@ -34,6 +34,8 @@ the builder in one batch after all the obligations.
 
 An argument written `h :: t` stays a cons under substitution; `_as_list`,
 binding it to a list parameter, is the one place a cons becomes a list.
+An element's kind is checked in one place too, where a frame declares it,
+so a binding error comes first however a list is written.
 List recursion consumes one element per frame and hands its tail on as the
 very tuple it bound, so a frame recognises tails an earlier frame of the same
 expansion has seen: their items are declared once, and a frame whose
@@ -107,15 +109,12 @@ class Binding(Node):
 
 
 def _as_list(pattern: str, param: Parameter, arg: Argument) -> tuple[Argument, ...]:
-    """The elements of an argument bound to a list parameter: a cons's heads
-    in front of the list its tail ends in.  A head annotated with a kind
-    must be annotated with the parameter's."""
+    """The elements of an argument bound to a list parameter: a list's own
+    tuple, or a cons's heads in a new tuple in front of the list its tail
+    ends in.  The elements' kinds are checked where a frame declares them."""
     heads: list[Argument] = []
     while type(arg) is ConsArg:
-        head = arg.head
-        if type(head) is SymbolArg and head.kind is not None and head.kind is not param.kind:
-            raise KindMismatch(pattern, param.name, param.kind.value, head.kind.value)
-        heads.append(head)
+        heads.append(arg.head)
         arg = arg.tail
     t = type(arg)
     if t is ListArg:
@@ -137,7 +136,7 @@ def bind_arguments(pdef: PatternDef, args: tuple[Argument, ...]) -> Binding:
         if t is SymbolArg and arg.kind is not None and arg.kind is not param.kind:
             raise KindMismatch(pdef.name, param.name, param.kind.value, arg.kind.value)
         if param.list_tail is not None:
-            items = arg.items if t is ListArg else _as_list(pdef.name, param, arg)
+            items = _as_list(pdef.name, param, arg)
             lists[param.name] = items
             mapping[param.name] = items[0] if items else EmptyArg()
             mapping[param.list_tail] = ListArg(items[1:])
@@ -158,10 +157,15 @@ def bind_arguments(pdef: PatternDef, args: tuple[Argument, ...]) -> Binding:
 
 # --- environment -------------------------------------------------------------
 
-class _Closure(Node, eq=False):  # hashed by identity, as a key of _Run.frames
-    pdef: PatternDef
-    scope: dict[str, _Closure]  # the local patterns its body sees; {} at top level
-    binding: Mapping[str, Argument]  # in force where its let is walked; {} at top level
+class _Closure:
+    """A pattern, the local patterns its body sees and the binding in force
+    where its let is walked ({} both at top level); hashed by identity, as a
+    key of _Run.frames."""
+
+    __slots__ = ("pdef", "scope", "binding")
+
+    def __init__(self, pdef: PatternDef, scope: dict, binding: Mapping[str, Argument]) -> None:
+        self.pdef, self.scope, self.binding = pdef, scope, binding
 
 
 class _Run:
@@ -334,7 +338,7 @@ class ExpansionEnv:
                     self._cache[run.name] = result, obligations
                 if not runs:
                     return result, obligations
-                runs[-1].out.add(result)
+                runs[-1].out.extend(result.decls, result.axioms)
 
     def _open(self, name: str | None, spec: Spec, imports: tuple[str, ...], depth: int) -> None:
         """Start a run: its spec, then its imports, then its closing item."""
@@ -350,7 +354,7 @@ class ExpansionEnv:
         unless cached."""
         cached = self._cache.get(name)
         if cached is not None:
-            self._runs[-1].out.add(cached[0])
+            self._runs[-1].out.extend(cached[0].decls, cached[0].axioms)
             return
         open_names = [run.name for run in self._runs]
         if name in open_names:

@@ -10,9 +10,10 @@ and returns canonical axioms: it builds each And, OneOf, symmetric pair
 and DifferentIndividuals through that shape's canonical constructor.  The
 one engine for that rebuild is a plan, `plan_axiom`: a function of the
 binding compiled for an axiom's shape, which passes every name it builds to
-the one name function it was planned with.  `subst_axiom` and `map_axiom`
-build one and apply it once; the expander keeps one per pattern axiom,
-applied under many bindings.
+the one name function it was planned with.  `subst_axiom` builds one and
+applies it once (under an empty binding it only renames, as `map_ontology`
+does); the expander keeps one per pattern axiom, applied under many
+bindings.
 
 Every value class derives from `Node`, a frozen record of the fields its
 class body annotates.  The jobs that only follow the structure of axioms,
@@ -48,10 +49,10 @@ class Node:
     hash of the tuple of compared fields.  These are compiled from source
     once per class, so they do what `dataclass(frozen=True)` generates.  A
     method the class body defines is kept.  Fields named in `uncompared`
-    take no part in eq and hash; `eq=False` keeps identity eq and hash.
+    take no part in eq and hash.
     """
 
-    def __init_subclass__(cls, eq: bool = True, uncompared: tuple[str, ...] = (), **kw) -> None:
+    def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kw) -> None:
         super().__init_subclass__(**kw)
         own = cls.__dict__
         fields = tuple(cls.__annotations__)  # this class's own, never a base's
@@ -60,20 +61,19 @@ class Node:
         body = [f" _set(self, {f!r}, {f})" for f in fields]
         if hasattr(cls, "__post_init__"):
             body.append(" self.__post_init__()")
-        src = [f"def __init__(self{params}):", *(body or [" pass"])]
-        if eq:
-            compared = [f for f in fields if f not in uncompared]
-            same = " and ".join(f"self.{f} == other.{f}" for f in compared) or "True"
-            src += ["def __eq__(self, other):",
-                    " if self is other:", "  return True",
-                    " if other.__class__ is self.__class__:", f"  return {same}",
-                    " return NotImplemented",
-                    "def __hash__(self):",
-                    f" return hash(({''.join(f'self.{f}, ' for f in compared)}))"]
+        compared = [f for f in fields if f not in uncompared]
+        same = " and ".join(f"self.{f} == other.{f}" for f in compared) or "True"
+        src = [f"def __init__(self{params}):", *(body or [" pass"]),
+               "def __eq__(self, other):",
+               " if self is other:", "  return True",
+               " if other.__class__ is self.__class__:", f"  return {same}",
+               " return NotImplemented",
+               "def __hash__(self):",
+               f" return hash(({''.join(f'self.{f}, ' for f in compared)}))"]
         ns = {"_set": _setattr, **{f"_dflt_{f}": own[f] for f in fields if f in own}}
         exec("\n".join(src), ns)
         for name in ("__init__", "__eq__", "__hash__"):
-            if name in ns and name not in own:
+            if name not in own:
                 fn = ns[name]
                 fn.__qualname__ = f"{cls.__qualname__}.{name}"
                 setattr(cls, name, fn)
@@ -94,17 +94,6 @@ class SymbolKind(Enum):
     OBJECT_PROPERTY = "ObjectProperty"
     DATA_PROPERTY = "DataProperty"
     INDIVIDUAL = "Individual"
-
-    @property
-    def keyword(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_keyword(cls, kw: str) -> "SymbolKind":
-        try:
-            return cls(kw)
-        except ValueError:
-            raise ValueError(f"not a symbol kind: {kw!r}") from None
 
 
 class Name(Node):
@@ -133,10 +122,6 @@ class Name(Node):
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def is_plain(self) -> bool:
-        return not self.args
 
     def __str__(self) -> str:
         return self._text
@@ -445,7 +430,7 @@ EMPTY_ONTOLOGY = Ontology()
 class OntologyBuilder:
     """Mutable accumulator for the union of many ontologies.
 
-    `add` checks only the added declarations against the name->kind map
+    `extend` checks only the added declarations against the name->kind map
     collected so far, so gathering n declarations costs O(n) where a chain
     of `Ontology.union` calls re-checks everything on every step.
     """
@@ -457,13 +442,9 @@ class OntologyBuilder:
     def _decls(self) -> Iterable[Decl]:
         return ((kind, name) for name, kind in self._kinds.items())
 
-    def add(self, o: Ontology) -> None:
-        """Merge o in place; raises the KindClash that uniting everything
-        added so far with o would raise."""
-        self.extend(o.decls, o.axioms)
-
     def extend(self, decls: Collection[Decl], axioms: Iterable[Axiom] = ()) -> None:
-        """`add` for declarations and canonical axioms not made an Ontology."""
+        """Merge declarations and canonical axioms in place; raises the
+        KindClash that uniting everything added so far with them would."""
         kinds = self._kinds
         for kind, name in decls:
             if kinds.setdefault(name, kind) is not kind:
@@ -479,16 +460,11 @@ class OntologyBuilder:
 NameFn = Callable[[Name], Name]
 
 
-def map_axiom(a: Axiom, fn: NameFn) -> Axiom:
-    """Apply fn to every name of an axiom: a substitution that binds nothing."""
-    return subst_axiom(a, {}, fn)  # type: ignore[return-value]  # never None
-
-
 def map_ontology(o: Ontology, fn: NameFn) -> Ontology:
-    """Apply fn to every name of an ontology; its axioms come out of
-    map_axiom canonical, so they are not canonicalized again."""
+    """Apply fn to every name of an ontology, by a substitution that binds
+    nothing; its axioms come out canonical and are not canonicalized again."""
     return Ontology(frozenset([(kind, fn(name)) for kind, name in o.decls]),
-                    frozenset([map_axiom(a, fn) for a in o.axioms]))
+                    frozenset([subst_axiom(a, {}, fn) for a in o.axioms]))
 
 
 # --- arguments ------------------------------------------------------------
@@ -661,7 +637,7 @@ def _subst_members(members: tuple[Name, ...], binding: Mapping[str, Argument],
     elements in place (Fig-11 style `{v0, vs}`)."""
     out: list[Name] = []
     for m in members:
-        bound = binding.get(m.base) if m.is_plain else None
+        bound = binding.get(m.base) if not m.args else None
         if type(bound) is ListArg:
             for item in bound.items:
                 t = type(item)
@@ -763,7 +739,7 @@ def subst_argument(arg: Argument, binding: Mapping[str, Argument]) -> Argument:
     t = type(arg)
     if t is SymbolArg:
         n = arg.name
-        if n.is_plain and n.base in binding:
+        if not n.args and n.base in binding:
             bound = binding[n.base]
             if type(bound) is EmptyArg:
                 raise _MentionsEmpty

@@ -63,7 +63,7 @@ _EOF = ""
 # that one, and no lookahead reads more than two tokens ahead of the cursor
 _PAD = [_EOF] * 2
 
-_KIND_KEYWORDS = {k.keyword for k in SymbolKind}
+_KIND_KEYWORDS = {k.value for k in SymbolKind}
 _RESTRICTIONS = {"some", "only", "max"}
 _CLAUSE_KEYWORDS = {
     "SubClassOf", "EquivalentTo", "DisjointWith", "Types", "Facts",
@@ -212,7 +212,7 @@ class _Parser:
         t = self.expect_ident()
         if t not in _KIND_KEYWORDS:
             raise ParseError(f"expected a symbol kind, found {t!r}", *self.loc(self.pos - 1))
-        return SymbolKind.from_keyword(t)
+        return SymbolKind(t)
 
     # --- names ---
 
@@ -389,7 +389,7 @@ class _Parser:
             return ListArg(self._bracketed(self._list_item, ","))
         kind: SymbolKind | None = None
         if t in _KIND_KEYWORDS and self.at(":", 1):
-            kind = SymbolKind.from_keyword(t)
+            kind = SymbolKind(t)
             self.pos += 2
         arg: Argument = SymbolArg(self.parse_name(), kind)
         if not self.accept("::"):

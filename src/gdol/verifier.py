@@ -19,10 +19,10 @@ What a context says (its graphs, domains, facts and And-nodes) is built once
 and shared by every goal checked against it in a batch: consecutive
 obligations with one context, or all sentences of a refinement.  A goal
 whose And-nodes the context lacks gets a view that adds them.  Reach sets
-are cached with the steps they took, and a goal is charged that cost the
-first time it uses one, so each goal pays exactly the steps a fresh engine
-would spend on it alone, and no verdict depends on the order goals are
-checked in.
+of both graphs are cached by one method, `_reach`, with the steps they
+took, and a goal is charged that cost the first time it uses one, so each
+goal pays exactly the steps a fresh engine would spend on it alone, and no
+verdict depends on the order goals are checked in.
 
 Told axioms are indexed, and goals proven, through tables keyed by the
 axiom's class.  And-nodes are looked for only inside class-expression
@@ -47,7 +47,7 @@ from .model import (
     DisjointClasses, Domain, EquivalentClasses, Functional, InverseProps,
     Name, Named, Node, Obligation, OneOf, Ontology, PropAssertion, Range, RefinementDef,
     SubClassOf, SubPropertyChain, SubPropertyOf, Transitive, axiom_names,
-    canon_axiom, class_exprs, map_ontology, name_key, node_key,
+    canon_axiom, class_exprs, map_ontology, name_key, node_key, stratify,
 )
 
 ALL_RULES = frozenset({"R1", "R2", "R3", "R4", "R5", "R6", "R7"})
@@ -72,14 +72,15 @@ class _StepLimit(Exception):
 
 
 class _Counter:
-    """Steps spent on one goal, and the cached reach sets it has paid for."""
+    """Steps spent on one goal, and the starts of the cached reach sets it
+    has paid for (a class expression never equals a property node)."""
 
     __slots__ = ("n", "limit", "charged")
 
     def __init__(self, limit: int) -> None:
         self.n = 0
         self.limit = limit
-        self.charged: set[tuple[str, object]] = set()
+        self.charged: set[object] = set()
 
     def tick(self, steps: int = 1) -> None:
         self.n += steps
@@ -184,26 +185,26 @@ class _Theory:
     # --- reachability ---
 
     @staticmethod
-    def _cached(cache: dict, tag: str, start, walk, counter: _Counter):
-        """walk(start), computed once per cache; a goal that finds it cached
-        is charged the steps it took on first use, as if it had walked."""
+    def _reach(cache: dict, start, counter: _Counter, edges: dict,
+               and_nodes: Iterable[And] = ()) -> set:
+        """`_walk(start, edges, counter, and_nodes)`, computed once per cache;
+        a goal that finds it cached is charged the steps it took on first
+        use, as if it had walked."""
         hit = cache.get(start)
         if hit is None:
             before = counter.n
-            reached = walk(start, counter)
+            reached = _walk(start, edges, counter, and_nodes)
             hit = cache[start] = (reached, counter.n - before)
-        elif (tag, start) not in counter.charged:
+        elif start not in counter.charged:
             counter.tick(hit[1])
-        counter.charged.add((tag, start))
+        counter.charged.add(start)
         return hit[0]
 
     def class_reach(self, start: ClassExpr, counter: _Counter) -> set[ClassExpr]:
-        return self._cached(self._class_cache, "class", start,
-                            lambda s, c: _walk(s, self.class_edges, c, self.and_nodes), counter)
+        return self._reach(self._class_cache, start, counter, self.class_edges, self.and_nodes)
 
     def prop_reach(self, start: _PropNode, counter: _Counter) -> set[_PropNode]:
-        return self._cached(self._prop_cache, "prop", start,
-                            lambda s, c: _walk(s, self.prop_edges, c), counter)
+        return self._reach(self._prop_cache, start, counter, self.prop_edges)
 
     def prop_reach_back(self, start: _PropNode, counter: _Counter) -> set[_PropNode]:
         return _walk(start, self.prop_redges, counter)
@@ -439,15 +440,16 @@ class RefinementReport(Node):
 
 def check_refinement(refdef: RefinementDef, env, config: RuleEngineConfig = DEFAULT_CONFIG) -> RefinementReport:
     """A refinement holds when every sentence of the (renamed) source
-    expansion is entailed by the target expansion."""
+    expansion is entailed by the target expansion.  The symbol map's names
+    are stratified, as an expansion's are."""
     from .expander import expand_spec_standalone
 
     source, _ = expand_spec_standalone(env, refdef.source)
     target, _ = expand_spec_standalone(env, refdef.target)
-    mapping: dict[Name, Name] = dict(refdef.symbol_map)
+    mapping = {Name(stratify(a)): Name(stratify(b)) for a, b in refdef.symbol_map}
     for a, b in refdef.symbol_map:
-        ka = source.kind_of(a)
-        kb = target.kind_of(b)
+        ka = source.kind_of(Name(stratify(a)))
+        kb = target.kind_of(Name(stratify(b)))
         if ka is not None and kb is not None and ka is not kb:
             raise MapKindMismatch(str(a), str(b), (ka.value, kb.value))
     renamed = map_ontology(source, lambda n: mapping.get(n, n))

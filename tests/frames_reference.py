@@ -117,7 +117,7 @@ def frames_text(o: Ontology, nm) -> str:
     frames = sorted(kinds.items(), key=lambda frame: name_key(frame[0]))
     for kind in _KIND_ORDER:
         for name in (n for n, k in frames if k is kind):
-            lines.append(f"{kind.keyword}: {nm(name)}")
+            lines.append(f"{kind.value}: {nm(name)}")
             for _, _, text in sorted(clauses[name], key=lambda c: (c[0], c[1])):
                 lines.append(f"  {text}")
     for _, text in sorted(standalone, key=lambda s: s[0]):

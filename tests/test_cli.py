@@ -264,6 +264,30 @@ def test_an_empty_ontology_writes_an_empty_file(tmp_path, capsys):
     assert (tmp_path / "E.omn").read_text() == ""
 
 
+_P = "pattern P [ Class: x ] = Class: f[x] SubClassOf: x\n"
+
+
+@pytest.mark.parametrize("text", [
+    _P + "ontology S = Class: a SubClassOf: b\n"
+    "refinement R = S refined to P[b] with a |-> f[b]\n",
+    _P + "ontology S = P[a]\n"
+    "refinement R = S refined to Class: c SubClassOf: a Class: a with f[a] |-> c\n",
+], ids=["parameterized-target", "parameterized-source"])
+def test_a_symbol_maps_names_are_stratified(tmp_path, capsys, text):
+    src = tmp_path / "r.gdol"
+    src.write_text(text)
+    assert main(["refine", str(src)]) == 0
+    assert capsys.readouterr().out.endswith("refinement R: holds\n")
+
+
+def test_a_symbol_map_kind_error_names_the_pair_as_written(tmp_path, capsys):
+    src = tmp_path / "r.gdol"
+    src.write_text(_P + "ontology S = P[a]\n"
+                   "refinement R = S refined to ObjectProperty: q with f[a] |-> q\n")
+    assert _user_error(capsys, ["refine", str(src)]) == (
+        "error: refinement maps f[a] (Class) to q (ObjectProperty): kinds differ\n")
+
+
 def test_refine_reports_a_standalone_axiom_on_one_line(tmp_path, capsys):
     src = tmp_path / "doc.gdol"
     src.write_text("refinement R = Individual: a Individual: b DifferentIndividuals: a, b\n"

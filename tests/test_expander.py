@@ -162,6 +162,47 @@ def test_a_list_items_kind_is_checked_however_the_list_is_written():
     assert env.expand_named("OK").decls == {(SymbolKind.CLASS, Name("a")), (SymbolKind.CLASS, Name("b"))}
 
 
+def test_a_binding_error_comes_before_an_items_kind_error_however_the_list_is_written():
+    """An item's kind is checked only where its frame declares it, so a cons
+    head and a list literal's item meet a length mismatch, or another
+    parameter's kind error, the same way; with no other error both report
+    the item's kind."""
+    doc = parse_document(
+        "pattern L2 [ Class: x :: xs; Class: y :: ys ] = Class: x\n"
+        "pattern M [ ObjectProperty: a ] = L2[a :: []; [b, c]]\n"
+        "pattern N [ ObjectProperty: a ] = L2[[a]; [b, c]]\n"
+        "pattern K [ ObjectProperty: a ] = L2[a :: []; [b]]\n"
+        "pattern S [ Class: x :: xs; Class: z ] = Class: x\n"
+        "pattern T [ ObjectProperty: a ] = S[a :: []; ObjectProperty: q]\n"
+        "pattern U [ ObjectProperty: a ] = S[[a]; ObjectProperty: q]\n"
+        "ontology OM = M[ObjectProperty: p]\nontology ON = N[ObjectProperty: p]\n"
+        "ontology OK = K[ObjectProperty: p]\nontology OT = T[ObjectProperty: p]\n"
+        "ontology OU = U[ObjectProperty: p]\n")
+    env = ExpansionEnv.from_documents([doc])
+    errors = []
+    for name in ("OM", "ON", "OK", "OT", "OU"):
+        with pytest.raises(GdolError) as info:
+            env.expand_named(name)
+        errors.append((info.type, str(info.value)))
+    length = (ListLengthMismatch, "L2: parallel list arguments differ in length (x=1, y=2)")
+    kind = (KindMismatch, "L2: argument for 'x' annotated ObjectProperty, parameter declared Class")
+    scalar = (KindMismatch, "S: argument for 'z' annotated ObjectProperty, parameter declared Class")
+    assert errors == [length, length, kind, scalar, scalar]
+
+
+def test_a_list_argument_is_bound_as_its_own_tuple():
+    """A list literal binds its own tuple, which later frames recognise as a
+    tail; a cons builds a new one."""
+    from gdol import ConsArg
+
+    (pdef,) = parse_document("pattern L [ Class: x :: xs ] = Class: x\n").decls
+    items = (S("a"), S("b"))
+    assert bind_arguments(pdef, (ListArg(items),)).lists["x"] is items
+    consed = bind_arguments(pdef, (ConsArg(S("c"), ListArg(items)),)).lists["x"]
+    assert consed == (S("c"), *items) and consed is not items
+    assert bind_arguments(pdef, (ConsArg(S("c"), EmptyArg()),)).lists["x"] == (S("c"),)
+
+
 # --- whole-ontology expansion ----------------------------------------------
 
 def test_scoped_relation_expansion_matches_hand_construction(expand):

@@ -47,7 +47,7 @@ from gdol import (
 from gdol.errors import SubstitutionError
 from gdol.model import (
     ExtensionSpec, Max, OntologyDef, PatternDef, UnionSpec, axiom_names, class_exprs,
-    map_axiom, node_key, stratify, subst_argument, subst_axiom,
+    node_key, stratify, subst_argument, subst_axiom,
 )
 
 A, B, C = Name("A"), Name("B"), Name("C")
@@ -450,11 +450,11 @@ def test_stratifying_while_substituting_matches_stratifying_after(a, binding):
 
     def separate():
         b = subst_axiom(a, binding)
-        return None if b is None else canon_axiom(map_axiom(b, _strat))
+        return None if b is None else canon_axiom(subst_axiom(b, {}, _strat))
 
     def twice_canonical():  # the old fragment path canonicalized before and after
         b = subst_axiom(a, binding)
-        return None if b is None else canon_axiom(map_axiom(canon_axiom(b), _strat))
+        return None if b is None else canon_axiom(subst_axiom(canon_axiom(b), {}, _strat))
 
     assert _outcome(fused) == _outcome(separate) == _outcome(twice_canonical)
 
@@ -484,7 +484,6 @@ def _node_classes() -> list[type]:
 
 
 _NODE_CLASSES = _node_classes()
-_IDENTITY = {"_Closure"}  # hashed by identity, as a key of the expander's frame table
 
 
 def _sample(cls: type, tag: str = ""):
@@ -503,7 +502,7 @@ def _compared(x) -> tuple:
 
 
 def test_every_node_class_is_checked():
-    assert len(_NODE_CLASSES) == 44
+    assert len(_NODE_CLASSES) == 43
 
 
 @pytest.mark.parametrize("cls", _NODE_CLASSES, ids=lambda c: c.__name__)
@@ -523,9 +522,6 @@ def test_node_contract(cls):
         assert getattr(x, f) is getattr(kw, f)
     assert repr(x) == f"{cls.__qualname__}({', '.join(f'{f}={getattr(x, f)!r}' for f in fields)})"
     other = _sample(cls, "2")
-    if cls.__name__ in _IDENTITY:
-        assert x != kw and hash(x) == object.__hash__(x)
-        return
     assert x == kw and hash(x) == hash(kw) == hash(_compared(x))
     if fields:
         assert x != other and not (x == other)
@@ -572,7 +568,5 @@ def test_chains_sharing_a_node_compare_equal(op):
 def test_checks_run_on_construction():
     with pytest.raises(ValueError):
         Name("a b")
-    with pytest.raises(ValueError, match="not a symbol kind: 'Klass'"):
-        SymbolKind.from_keyword("Klass")
     with pytest.raises(KindClash):
         Ontology(frozenset({(SymbolKind.CLASS, A), (SymbolKind.INDIVIDUAL, A)}))

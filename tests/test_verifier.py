@@ -44,7 +44,7 @@ from gdol import (
     parse_manchester_fragment,
 )
 from gdol import verifier
-from gdol.model import axiom_names, canon_axiom, map_axiom, map_ontology
+from gdol.model import axiom_names, canon_axiom, map_ontology, subst_axiom
 from gdol.verifier import ALL_RULES
 
 
@@ -774,7 +774,7 @@ def test_renaming_every_symbol_keeps_every_verdict():
         obs = _random_obligations(seed)
         fn = _renaming(seed)
         contexts = {id(ob.context): map_ontology(ob.context, fn) for ob in obs}
-        renamed = [Obligation(map_axiom(ob.axiom, fn), ob.ontology, ob.pattern, ob.param,
+        renamed = [Obligation(subst_axiom(ob.axiom, {}, fn), ob.ontology, ob.pattern, ob.param,
                               ob.index, contexts[id(ob.context)]) for ob in obs]
         before, after = check_obligations(obs), check_obligations(renamed)
         assert [ob.status for ob in after] == [ob.status for ob in before]
