@@ -147,6 +147,9 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     failed = False
     for ref in refs:
         report = check_refinement(ref, env)
+        for a, b in report.unmatched:
+            print(f"warning: refinement {ref.name}: symbol map entry {a} |-> {b} "
+                  "matches no name of the source", file=sys.stderr)
         for axiom, res in report.results:
             status = "proven" if res.proven else "unproven"
             print(f"{status:>8}  {axiom_text(axiom)}  [{ref.name}]")

@@ -31,11 +31,9 @@ from itertools import chain
 from typing import Callable, Collection, Iterable, Mapping, Union, get_args
 
 from .errors import KindClash, SubstitutionError
+from .node import _setattr, derive_methods
 
 _BAD_NAME_CHARS = frozenset("[],;:?{}()| \t\r\n")
-
-
-_setattr = object.__setattr__
 
 
 class Node:
@@ -46,37 +44,17 @@ class Node:
     by keyword, a class attribute being a field's default, and then calls
     `__post_init__` if the class has one; an `__eq__` under which only
     instances of the same class are equal; and a `__hash__` that is the
-    hash of the tuple of compared fields.  These are compiled from source
-    once per class, so they do what `dataclass(frozen=True)` generates.  A
-    method the class body defines is kept.  Fields named in `uncompared`
-    take no part in eq and hash.
+    hash of the tuple of compared fields.  So they do what
+    `dataclass(frozen=True)` generates.  Fields named in `uncompared` take
+    no part in eq and hash.  The methods are compiled once per signature
+    (the compared fields' positions, and whether there is a
+    `__post_init__`) and renamed for each class (`node.py`).  A method the
+    class body defines is kept.
     """
 
     def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kw) -> None:
         super().__init_subclass__(**kw)
-        own = cls.__dict__
-        fields = tuple(cls.__annotations__)  # this class's own, never a base's
-        cls.__match_args__ = fields
-        params = "".join(f", {f}=_dflt_{f}" if f in own else f", {f}" for f in fields)
-        body = [f" _set(self, {f!r}, {f})" for f in fields]
-        if hasattr(cls, "__post_init__"):
-            body.append(" self.__post_init__()")
-        compared = [f for f in fields if f not in uncompared]
-        same = " and ".join(f"self.{f} == other.{f}" for f in compared) or "True"
-        src = [f"def __init__(self{params}):", *(body or [" pass"]),
-               "def __eq__(self, other):",
-               " if self is other:", "  return True",
-               " if other.__class__ is self.__class__:", f"  return {same}",
-               " return NotImplemented",
-               "def __hash__(self):",
-               f" return hash(({''.join(f'self.{f}, ' for f in compared)}))"]
-        ns = {"_set": _setattr, **{f"_dflt_{f}": own[f] for f in fields if f in own}}
-        exec("\n".join(src), ns)
-        for name in ("__init__", "__eq__", "__hash__"):
-            if name not in own:
-                fn = ns[name]
-                fn.__qualname__ = f"{cls.__qualname__}.{name}"
-                setattr(cls, name, fn)
+        derive_methods(cls, uncompared)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -428,6 +428,9 @@ def check_obligations(obligations: Iterable[Obligation],
 class RefinementReport(Node):
     name: str
     results: tuple[tuple[Axiom, EntailmentResult], ...]
+    # symbol-map entries, as written, whose source name the source
+    # expansion never mentions
+    unmatched: tuple[tuple[Name, Name], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -441,7 +444,8 @@ class RefinementReport(Node):
 def check_refinement(refdef: RefinementDef, env, config: RuleEngineConfig = DEFAULT_CONFIG) -> RefinementReport:
     """A refinement holds when every sentence of the (renamed) source
     expansion is entailed by the target expansion.  The symbol map's names
-    are stratified, as an expansion's are."""
+    are stratified, as an expansion's are; the report lists the entries
+    that rename nothing."""
     from .expander import expand_spec_standalone
 
     source, _ = expand_spec_standalone(env, refdef.source)
@@ -452,12 +456,21 @@ def check_refinement(refdef: RefinementDef, env, config: RuleEngineConfig = DEFA
         kb = target.kind_of(Name(stratify(b)))
         if ka is not None and kb is not None and ka is not kb:
             raise MapKindMismatch(str(a), str(b), (ka.value, kb.value))
-    renamed = map_ontology(source, lambda n: mapping.get(n, n))
+    matched: set[Name] = set()
+
+    def rename(n: Name) -> Name:
+        if n not in mapping:
+            return n
+        matched.add(n)
+        return mapping[n]
+
+    renamed = map_ontology(source, rename)
     slot = _Slot()
     results = []
     for axiom in sorted(renamed.axioms, key=node_key):
         results.append((axiom, entails(target, axiom, config, _slot=slot)))
-    return RefinementReport(refdef.name, tuple(results))
+    unmatched = tuple((a, b) for a, b in refdef.symbol_map if Name(stratify(a)) not in matched)
+    return RefinementReport(refdef.name, tuple(results), unmatched)
 
 
 # --- obligation export ---------------------------------------------------------

@@ -288,6 +288,21 @@ def test_a_symbol_map_kind_error_names_the_pair_as_written(tmp_path, capsys):
         "error: refinement maps f[a] (Class) to q (ObjectProperty): kinds differ\n")
 
 
+def test_a_symbol_map_entry_that_matches_nothing_is_a_warning(tmp_path, capsys):
+    src = tmp_path / "r.gdol"
+    src.write_text("ontology S = Class: a SubClassOf: b\n"
+                   "refinement R = S refined to Class: c SubClassOf: b Class: a with aa |-> c\n")
+    assert main(["refine", str(src)]) == 1
+    assert capsys.readouterr() == (
+        "unproven  a SubClassOf: b  [R]\nrefinement R: FAILS\n",
+        "warning: refinement R: symbol map entry aa |-> c matches no name of the source\n")
+    # b is mentioned only in an axiom, and that is enough
+    src.write_text("ontology S = Class: a SubClassOf: b\n"
+                   "refinement R = S refined to Class: c SubClassOf: d Class: d with a |-> c, b |-> d\n")
+    assert main(["refine", str(src)]) == 0
+    assert capsys.readouterr() == ("  proven  c SubClassOf: d  [R]\nrefinement R: holds\n", "")
+
+
 def test_refine_reports_a_standalone_axiom_on_one_line(tmp_path, capsys):
     src = tmp_path / "doc.gdol"
     src.write_text("refinement R = Individual: a Individual: b DifferentIndividuals: a, b\n"
@@ -480,6 +495,24 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     code = ("import gdol.cli\n"
             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
     assert _fresh(code) == (0, "[]\n", "")
+
+
+def test_importing_compiles_each_module_and_each_node_signature_once():
+    # a compile gdol asks for: one of its sources, or source exec'd from its code
+    code = ("import os\n"
+            "events = []\n"
+            "sys.addaudithook(lambda event, args: event == 'compile' and events.append(\n"
+            "    (str(args[1]), sys._getframe(1).f_code.co_filename)))\n"
+            "import gdol.cli, gdol.verifier\n"
+            "from gdol import model, node\n"
+            "home = os.path.dirname(node.__file__) + os.sep\n"
+            "ours = [e for e in events if e[0].startswith(home) or e[1].startswith(home)]\n"
+            "modules = [m for m in sys.modules if m == 'gdol' or m.startswith('gdol.')]\n"
+            "print(len(ours), len(modules), len(node._TEMPLATES), len(model.Node.__subclasses__()))")
+    rc, out, err = _fresh(code)
+    assert (rc, err) == (0, "")
+    compiles, modules, signatures, classes = map(int, out.split())
+    assert compiles <= modules + signatures and signatures < classes
 
 
 @pytest.mark.parametrize("statement, loaded", [

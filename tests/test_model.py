@@ -534,6 +534,43 @@ def test_node_contract(cls):
             assert getattr(short, q.name) == q.default
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Named(), "Named.__init__() missing 1 required positional argument: 'name'"),
+    (lambda: Domain(Name("p")), "Domain.__init__() missing 1 required positional argument: 'cls'"),
+    (lambda: Named(nme=A), "Named.__init__() got an unexpected keyword argument 'nme'"),
+    (lambda: Named(A, B), "Named.__init__() takes 2 positional arguments but 3 were given"),
+], ids=["missing", "second-missing", "unknown-keyword", "one-too-many"])
+def test_constructor_errors_name_the_class_and_its_fields(make, message):
+    with pytest.raises(TypeError) as err:
+        make()
+    # newer interpreters may append a suggestion, which must not be a placeholder either
+    assert str(err.value).startswith(message) and not re.search(r"\b_\d+\b", str(err.value))
+
+
+def test_classes_of_one_signature_share_their_methods_bytecode():
+    from gdol import node
+
+    for i, name in enumerate(node._METHODS):
+        derived = [c.__dict__[name].__code__ for c in _NODE_CLASSES
+                   if c.__dict__[name].__globals__ is node._GLOBALS]
+        assert {c.co_code for c in derived} <= {t[i].co_code for t in node._TEMPLATES.values()}
+        assert not any(re.fullmatch(r"_\d+", s) for c in derived for s in c.co_varnames + c.co_names)
+        # Some and Only have one signature: one bytecode, each with its own fields
+        some, only = Some.__dict__[name].__code__, Only.__dict__[name].__code__
+        assert some is not only and some.co_code == only.co_code
+    assert Name.__eq__.__globals__ is not node._GLOBALS  # a method the class defines is kept
+    assert len(node._TEMPLATES) < len(_NODE_CLASSES)
+
+
+def test_a_field_without_a_default_cannot_follow_one_with_a_default():
+    from gdol.model import Node
+
+    with pytest.raises(TypeError, match="Bad: a field without a default follows one with a default"):
+        class Bad(Node):
+            first: int = 0
+            second: int
+
+
 def test_nodes_of_different_classes_are_unequal():
     a, b = Named(A), Named(B)
     assert EquivalentClasses(a, b) != DisjointClasses(a, b)
