@@ -26,41 +26,42 @@ node classes are declared in is the order their keys sort in.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from typing import Callable, Collection, Iterable, Mapping, Union, get_args
 
 from .errors import KindClash, SubstitutionError
-from .node import _setattr, derive_methods
+from .node import NodeMeta, _setattr
 
 _BAD_NAME_CHARS = frozenset("[],;:?{}()| \t\r\n")
 
 
-class Node:
+class Node(metaclass=NodeMeta):
     """Base of gdol's immutable values: a frozen record of the fields its
     class body annotates, in declaration order, which is `__match_args__`.
 
     Each subclass gets an `__init__` that takes the fields positionally or
-    by keyword, a class attribute being a field's default, and then calls
-    `__post_init__` if the class has one; an `__eq__` under which only
-    instances of the same class are equal; and a `__hash__` that is the
-    hash of the tuple of compared fields.  So they do what
-    `dataclass(frozen=True)` generates.  Fields named in `uncompared` take
-    no part in eq and hash.  The methods are compiled once per signature
-    (the compared fields' positions, and whether there is a
-    `__post_init__`) and renamed for each class (`node.py`).  A method the
-    class body defines is kept.
+    by keyword, a value given in the class body being a field's default,
+    and then calls `__post_init__` if the class has one; an `__eq__` under
+    which only instances of the same class are equal; and a `__hash__` that
+    is the hash of the tuple of compared fields.  So they do what
+    `dataclass(frozen=True, slots=True)` generates.  Fields named in
+    `uncompared` take no part in eq and hash.  The fields, and any
+    `__slots__` the body names, are the class's slots: a node has no
+    `__dict__` and no `__weakref__`.  A copy or an unpickled node is built
+    anew through its class from its fields, so what `__post_init__` works
+    out (a `Name`'s hash) is worked out again.  The metaclass and the
+    derived methods live in `node.py`; a method the class body defines is
+    kept.
     """
-
-    def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kw) -> None:
-        super().__init_subclass__(**kw)
-        derive_methods(cls, uncompared)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, f) for f in self.__match_args__])
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
@@ -83,6 +84,7 @@ class Name(Node):
     form is unambiguous because a base contains no bracket, comma or space.
     """
 
+    __slots__ = ("_text", "_hash")
     base: str
     args: tuple["Name", ...] = ()
 
@@ -374,6 +376,7 @@ def _kind_clash(decls: Iterable[Decl]) -> KindClash:
 
 
 class Ontology(Node):
+    __slots__ = ("_kinds",)  # name -> kind, filled by the first `kind_of`
     decls: frozenset[Decl] = frozenset()
     axioms: frozenset[Axiom] = frozenset()
 
@@ -390,12 +393,13 @@ class Ontology(Node):
     def union(self, other: "Ontology") -> "Ontology":
         return Ontology(self.decls | other.decls, self.axioms | other.axioms)
 
-    @cached_property
-    def _kinds(self) -> dict[Name, SymbolKind]:
-        return {name: kind for kind, name in self.decls}
-
     def kind_of(self, name: Name) -> SymbolKind | None:
-        return self._kinds.get(name)
+        try:
+            kinds = self._kinds
+        except AttributeError:
+            kinds = {n: kind for kind, n in self.decls}
+            _setattr(self, "_kinds", kinds)
+        return kinds.get(name)
 
     @property
     def is_empty(self) -> bool:

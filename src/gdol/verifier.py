@@ -475,7 +475,7 @@ def check_refinement(refdef: RefinementDef, env, config: RuleEngineConfig = DEFA
 
 # --- obligation export ---------------------------------------------------------
 
-def export_obligations(obligations: Iterable[Obligation], directory: Path) -> list[Path]:
+def export_obligations(obligations: Iterable[Obligation], directory: str | Path) -> list[Path]:
     """Write one Manchester file per obligation: the context theory followed
     by a comment block naming the goal.  Each distinct context is rendered
     once."""

@@ -1,14 +1,21 @@
 """Axiom canonicalization, ontology union, substitution, and the node contract."""
 from __future__ import annotations
 
+import copy
 import itertools
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gdol
 from gdol import (
     And,
     ClassAssertion,
@@ -521,6 +528,15 @@ def test_node_contract(cls):
             setattr(x, f, getattr(kw, f))
         assert getattr(x, f) is getattr(kw, f)
     assert repr(x) == f"{cls.__qualname__}({', '.join(f'{f}={getattr(x, f)!r}' for f in fields)})"
+    # slotted: no per-instance dict and no weak references
+    assert not hasattr(x, "__dict__") and not hasattr(x, "__weakref__")
+    with pytest.raises(TypeError):
+        vars(x)
+    if cls is Ontology:
+        # the kinds map a question fills is not copied, and a copy fills its own
+        assert x.kind_of(Name("n")) is SymbolKind.CLASS
+        for dup in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert dup.kind_of(Name("n")) is SymbolKind.CLASS and dup.kind_of(Name("m")) is None
     other = _sample(cls, "2")
     assert x == kw and hash(x) == hash(kw) == hash(_compared(x))
     if fields:
@@ -532,6 +548,42 @@ def test_node_contract(cls):
     for q in params:
         if q.default is not q.empty:
             assert getattr(short, q.name) == q.default
+
+
+def _copies_differ(copies: list, fresh: list) -> list[str]:
+    """The classes whose copy does not equal the fresh sample, hashes
+    differently or is not found in a set of the fresh samples."""
+    every = set(fresh)
+    return [type(y).__name__ for x, y in zip(copies, fresh)
+            if not (x == y and hash(x) == hash(y) and x in every)]
+
+
+_PICKLE_ACROSS = """
+import pickle, sys
+from test_model import _NODE_CLASSES, _copies_differ, _sample
+fresh = [_sample(c) for c in _NODE_CLASSES]
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(fresh))
+else:
+    print(_copies_differ(pickle.loads(sys.stdin.buffer.read()), fresh))
+"""
+
+
+def test_copies_are_rebuilt_through_their_class():
+    fresh = [_sample(cls) for cls in _NODE_CLASSES]
+    for dup in (copy.copy, copy.deepcopy):
+        assert _copies_differ([dup(x) for x in fresh], fresh) == []
+    # pickled under one hash seed and loaded under another: a name's hash is
+    # computed in the loading process, so sets and dicts find the copy
+    path = os.pathsep.join([str(Path(gdol.__file__).parents[1]), str(Path(__file__).parent),
+                            os.environ.get("PYTHONPATH", "")])
+
+    def child(seed: str, arg: str, data: bytes = b"") -> bytes:
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        return subprocess.run([sys.executable, "-c", _PICKLE_ACROSS, arg], input=data,
+                              capture_output=True, env=env, check=True).stdout
+
+    assert child("1", "load", child("0", "dump")).decode() == "[]\n"
 
 
 @pytest.mark.parametrize("make, message", [

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -345,6 +346,12 @@ def test_export_never_writes_two_obligations_to_one_file(tmp_path):
         assert p.read_text().endswith(f"%% from: {ob.ontology} :: {ob.pattern}/{ob.param}#{ob.index}\n")
 
 
+def test_export_takes_the_directory_as_a_string(tmp_path):
+    out = tmp_path / "new"
+    paths = export_obligations([Obligation(SubClassOf(N("A"), N("B")), "O", "P", "X")], str(out))
+    assert paths == [out / "O__P__X__0.omn"] and paths[0].is_file()
+
+
 # --- shared theories: batch checking matches goal-at-a-time checking ------------
 
 CLASS_NAMES = [N(c) for c in "ABCDE"]
@@ -633,6 +640,24 @@ def test_a_context_is_built_once_per_run_of_its_obligations(corpus_docs, monkeyp
     assert len(_theory_builds(monkeypatch, lambda: check_obligations(many))) == 1
     builds = _theory_builds(monkeypatch, lambda: check_obligations([*many, *other, *many]))
     assert [b is many[0].context for b in builds] == [True, False, True]
+
+
+def test_a_batch_frees_the_last_context_before_building_the_next(corpus_docs, monkeypatch):
+    doc = parse_document("ontology One = AND_nRels[S; T; r; [q0, q1]]\n"
+                         "ontology Two = AND_nRels[S; T; r; [z0, z1]]\n")
+    obligations = _named_obligations(ExpansionEnv.from_documents([*corpus_docs, doc]), ["One", "Two"])
+    built: list[weakref.ref] = []
+    alive: list[int] = []  # told parts still reachable as each one is built
+    init = verifier._Theory.__init__
+
+    def watching_init(self, ont, config):
+        alive.append(sum(ref() is not None for ref in built))
+        built.append(weakref.ref(self))
+        init(self, ont, config)
+
+    monkeypatch.setattr(verifier._Theory, "__init__", watching_init)
+    check_obligations([*obligations, *obligations])
+    assert alive == [0, 0, 0, 0]
 
 
 def test_a_refinement_target_is_built_once(corpus_docs, env, monkeypatch):
