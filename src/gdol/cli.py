@@ -62,24 +62,26 @@ def _read(f: Path) -> Document:
 
 
 def _load(files: list[Path], libs: list[Path]) -> tuple[list[Document], list[Document]]:
+    """The input documents and the --lib documents; a file is read once,
+    as the first input or library file that resolves to it."""
     seen: set[Path] = set()
-    input_docs: list[Document] = []
-    for f in files:
-        seen.add(f.resolve())
-        input_docs.append(_read(f))
-    lib_docs: list[Document] = []
+
+    def read_new(fs: list[Path]) -> list[Document]:
+        docs = []
+        for f in fs:
+            r = f.resolve()
+            if r not in seen:
+                seen.add(r)
+                docs.append(_read(f))
+        return docs
+
+    input_docs = read_new(files)
     lib_files: list[Path] = []
     for d in libs:
         if not d.is_dir():
             raise GdolError(f"--lib {d} is not a directory")
         lib_files.extend(sorted(d.rglob("*.gdol"), key=str))
-    for f in lib_files:
-        r = f.resolve()
-        if r in seen:
-            continue
-        seen.add(r)
-        lib_docs.append(_read(f))
-    return input_docs, lib_docs
+    return input_docs, read_new(lib_files)
 
 
 def _prepare(args: argparse.Namespace, cls: type, what: str) -> tuple[ExpansionEnv, list]:

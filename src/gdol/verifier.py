@@ -16,21 +16,20 @@ candidate proving it (an individual's types, the domains and ranges along
 the property graph) tries them in key order, the same under any hash seed.
 
 What a context says (its graphs, domains, facts and And-nodes) is built once
-and shared by every goal checked against it in a batch: consecutive
-obligations with one context, or all sentences of a refinement.  A goal
-whose And-nodes the context lacks gets a view that adds them.  Reach sets
-of both graphs are cached by one method, `_reach`, with the steps they
-took, and a goal is charged that cost the first time it uses one, so each
-goal pays exactly the steps a fresh engine would spend on it alone, and no
-verdict depends on the order goals are checked in.
+by a batch and passed to `entails` with every goal checked against it:
+consecutive obligations with one context, or all sentences of a refinement.
+Reach sets of both graphs are cached by one method, `_reach`, with the
+steps they took, and a goal is charged that cost the first time it uses
+one, so each goal pays exactly the steps a fresh engine would spend on it
+alone, and no verdict depends on the order goals are checked in.
 
 Told axioms are indexed, and goals proven, through tables keyed by the
 axiom's class.  And-nodes are looked for only inside class-expression
-fields that are not a bare name, and a goal whose class-expression fields
-are all bare names is checked against the context's theory itself.  Its
-names are read off its fields, and a compound goal's collected by
-`axiom_names`; proven and not derivable, which carry no detail of a goal,
-are two shared results.
+fields that are not a bare name.  A goal's fields are scanned once: a goal
+of names alone is checked against the context's told part itself, and only
+a compound goal has its names collected by `axiom_names` and gets, through
+`for_goal`, a view that adds the And-nodes the context lacks.  Proven and
+not derivable, which carry no detail of a goal, are two shared results.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from itertools import count
 from pathlib import Path
 from typing import Iterable
 
-from .errors import MapKindMismatch
+from .errors import GdolError, MapKindMismatch
 from .model import (
     And, Axiom, ClassAssertion, ClassExpr, DifferentIndividuals,
     DisjointClasses, Domain, EquivalentClasses, Functional, InverseProps,
@@ -166,11 +165,6 @@ class _Theory:
         its own class-reach cache.  Property reach never depends on goal.
         Canonical And-nodes never have And operands, so the step count of
         a class walk does not depend on the order of and_nodes."""
-        for f in _EXPR_FIELDS.get(goal.__class__, ()):
-            if getattr(goal, f).__class__ is not Named:
-                break
-        else:
-            return self
         new = {e for e in class_exprs(goal) if e.__class__ is And} - self.and_nodes
         if not new:
             return self
@@ -357,37 +351,19 @@ _GOALS = {
 }
 
 
-class _Slot:
-    """The told part of the last context a batch checked: consecutive goals
-    over one context share it, and it is dropped when the context changes."""
-
-    __slots__ = ("theory", "config", "told")
-
-    def __init__(self) -> None:
-        self.theory: Ontology | None = None
-        self.config: RuleEngineConfig | None = None
-        self.told: _Theory | None = None
-
-    def get(self, theory: Ontology, config: RuleEngineConfig) -> _Theory:
-        if theory is not self.theory or (config is not self.config and config != self.config):
-            self.told = None  # free the last context's part before building the next
-            self.told = _Theory(theory, config)
-            self.theory, self.config = theory, config
-        return self.told
-
-
 _PROVEN = EntailmentResult(True)
 _NOT_DERIVABLE = EntailmentResult(False, False, "not derivable")
 
 
 def entails(theory: Ontology, goal: Axiom, config: RuleEngineConfig = DEFAULT_CONFIG,
-            *, _slot: _Slot | None = None) -> EntailmentResult:
+            *, _told: _Theory | None = None) -> EntailmentResult:
     """Decide whether the rule engine can derive goal from theory.
 
-    Batch callers pass one `_slot` for all their goals so that goals over
-    the same context share its told part."""
+    A batch builds theory's told part once and passes it as `_told` with
+    each goal; without it a fresh one is built.  Only a goal with a
+    compound field gets a view of it with the goal's And-nodes."""
     goal = canon_axiom(goal)
-    told = (_slot or _Slot()).get(theory, config)
+    told = _Theory(theory, config) if _told is None else _told
     # names read off the fields; a compound field or an undeclared name needs axiom_names
     exprs = _EXPR_FIELDS.get(goal.__class__, ())
     for f in goal.__match_args__:
@@ -399,10 +375,11 @@ def entails(theory: Ontology, goal: Axiom, config: RuleEngineConfig = DEFAULT_CO
             if missing:
                 names = ", ".join(sorted(str(n) for n in missing))
                 return EntailmentResult(False, False, f"goal mentions undeclared names: {names}")
+            told = told.for_goal(goal)
             break
     counter = _Counter(config.step_limit)
     try:
-        proven = told.for_goal(goal).prove(goal, counter)
+        proven = told.prove(goal, counter)
     except _StepLimit:
         return EntailmentResult(False, True, f"step limit {config.step_limit} reached")
     return _PROVEN if proven else _NOT_DERIVABLE
@@ -412,11 +389,15 @@ def check_obligations(obligations: Iterable[Obligation],
                       config: RuleEngineConfig = DEFAULT_CONFIG) -> tuple[Obligation, ...]:
     """Run the engine over each obligation, filling in status and diagnostic.
     Consecutive obligations with the same context object (the expander hands
-    one to all obligations of an ontology) share one theory."""
-    slot = _Slot()
+    one to all obligations of an ontology) share one told part."""
+    theory = told = None
     out = []
     for ob in obligations:
-        res = entails(ob.context, ob.axiom, config, _slot=slot)
+        if ob.context is not theory:
+            told = None  # free the last context's part before building the next
+            theory = ob.context
+            told = _Theory(theory, config)
+        res = entails(theory, ob.axiom, config, _told=told)
         status = "proven" if res.proven else "unproven"
         out.append(Obligation(ob.axiom, ob.ontology, ob.pattern, ob.param, ob.index,
                               ob.context, status, res.reason))
@@ -444,18 +425,24 @@ class RefinementReport(Node):
 def check_refinement(refdef: RefinementDef, env, config: RuleEngineConfig = DEFAULT_CONFIG) -> RefinementReport:
     """A refinement holds when every sentence of the (renamed) source
     expansion is entailed by the target expansion.  The symbol map's names
-    are stratified, as an expansion's are; the report lists the entries
-    that rename nothing."""
+    are stratified, as an expansion's are, and it sends each source to one
+    target; the report lists the entries that rename nothing."""
     from .expander import expand_spec_standalone
 
     source, _ = expand_spec_standalone(env, refdef.source)
     target, _ = expand_spec_standalone(env, refdef.target)
-    mapping = {Name(stratify(a)): Name(stratify(b)) for a, b in refdef.symbol_map}
+    mapping: dict[Name, Name] = {}
+    sources: list[Name] = []  # each entry's stratified source, in written order
     for a, b in refdef.symbol_map:
-        ka = source.kind_of(Name(stratify(a)))
-        kb = target.kind_of(Name(stratify(b)))
+        sa, sb = Name(stratify(a)), Name(stratify(b))
+        if mapping.setdefault(sa, sb) != sb:
+            x, y = refdef.symbol_map[sources.index(sa)]
+            raise GdolError(f"refinement {refdef.name}: symbol map entries {x} |-> {y} "
+                            f"and {a} |-> {b} send one name to two targets")
+        ka, kb = source.kind_of(sa), target.kind_of(sb)
         if ka is not None and kb is not None and ka is not kb:
             raise MapKindMismatch(str(a), str(b), (ka.value, kb.value))
+        sources.append(sa)
     matched: set[Name] = set()
 
     def rename(n: Name) -> Name:
@@ -465,11 +452,11 @@ def check_refinement(refdef: RefinementDef, env, config: RuleEngineConfig = DEFA
         return mapping[n]
 
     renamed = map_ontology(source, rename)
-    slot = _Slot()
+    told = _Theory(target, config)
     results = []
     for axiom in sorted(renamed.axioms, key=node_key):
-        results.append((axiom, entails(target, axiom, config, _slot=slot)))
-    unmatched = tuple((a, b) for a, b in refdef.symbol_map if Name(stratify(a)) not in matched)
+        results.append((axiom, entails(target, axiom, config, _told=told)))
+    unmatched = tuple(e for e, sa in zip(refdef.symbol_map, sources) if sa not in matched)
     return RefinementReport(refdef.name, tuple(results), unmatched)
 
 

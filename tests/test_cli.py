@@ -303,6 +303,28 @@ def test_a_symbol_map_entry_that_matches_nothing_is_a_warning(tmp_path, capsys):
     assert capsys.readouterr() == ("  proven  c SubClassOf: d  [R]\nrefinement R: holds\n", "")
 
 
+@pytest.mark.parametrize("pairs, first, second", [
+    ("a |-> c, a |-> e, b |-> d", "a |-> c", "a |-> e"),
+    ("f[a] |-> c, f_a |-> d", "f[a] |-> c", "f_a |-> d"),
+], ids=["repeated-source", "stratified-source"])
+def test_a_symbol_map_sending_one_name_to_two_exits_with_two(tmp_path, capsys, pairs, first, second):
+    src = tmp_path / "r.gdol"
+    src.write_text(_P + "ontology S = P[a] and Class: a SubClassOf: b\n"
+                   f"refinement R = S refined to Class: c Class: d Class: e with {pairs}\n")
+    assert _user_error(capsys, ["refine", str(src)]) == (
+        f"error: refinement R: symbol map entries {first} and {second} "
+        "send one name to two targets\n")
+
+
+def test_a_repeated_symbol_map_entry_is_accepted(tmp_path, capsys):
+    src = tmp_path / "r.gdol"
+    src.write_text(_P + "ontology S = P[a]\n"
+                   "refinement R = S refined to Class: g_b SubClassOf: c Class: c\n"
+                   "  with f[a] |-> g[b], a |-> c, f_a |-> g_b, a |-> c\n")
+    assert main(["refine", str(src)]) == 0
+    assert capsys.readouterr() == ("  proven  g_b SubClassOf: c  [R]\nrefinement R: holds\n", "")
+
+
 def test_refine_reports_a_standalone_axiom_on_one_line(tmp_path, capsys):
     src = tmp_path / "doc.gdol"
     src.write_text("refinement R = Individual: a Individual: b DifferentIndividuals: a, b\n"
@@ -319,6 +341,18 @@ def test_a_pattern_defined_in_two_documents_exits_with_two(tmp_path, capsys):
     src.write_text(_S + "ontology O = S[A]\n")
     err = _user_error(capsys, ["expand", str(src), "--lib", str(tmp_path / "lib"), "--out", str(tmp_path)])
     assert err == "error: duplicate definition of 'S' across documents\n"
+
+
+def test_an_input_file_given_twice_is_read_once(tmp_path, capsys, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    src = tmp_path / "doc.gdol"
+    src.write_text(_S + "ontology O = S[A]\n")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    for again in (str(src), "sub/../doc.gdol"):
+        assert main(["expand", str(src), again, "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"wrote {out / 'O.omn'}\n", "")
+    assert (out / "O.omn").read_text() == "Class: A\n"
 
 
 def test_a_lib_that_is_a_file_exits_with_two(tmp_path, capsys):

@@ -20,6 +20,7 @@ from gdol import (
     EquivalentClasses,
     ExpansionEnv,
     Functional,
+    GdolError,
     InverseProps,
     MapKindMismatch,
     Name,
@@ -314,6 +315,21 @@ def test_symbol_maps_rename_the_source(corpus_docs):
     env = ExpansionEnv.from_documents(list(corpus_docs) + [ref])
     report = check_refinement(ref.refinement_defs()["R"], env)
     assert report.ok
+
+
+@pytest.mark.parametrize("pairs, first, second", [
+    ("D |-> D2, R |-> R2, p |-> p2, D |-> R2", "D |-> D2", "D |-> R2"),
+    ("f[D] |-> D2, f_D |-> R2", "f[D] |-> D2", "f_D |-> R2"),
+], ids=["repeated-source", "stratified-source"])
+def test_a_symbol_map_is_a_function_of_stratified_names(corpus_docs, pairs, first, second):
+    doc = parse_document(
+        "refinement M = CLOSED_Scope[Class: D; Class: R; ObjectProperty: p]\n"
+        f"  refined to CLOSED_Scope[Class: D2; Class: R2; ObjectProperty: p2] with {pairs}\n")
+    env = ExpansionEnv.from_documents(list(corpus_docs) + [doc])
+    with pytest.raises(GdolError) as err:
+        check_refinement(doc.refinement_defs()["M"], env)
+    assert str(err.value) == (
+        f"refinement M: symbol map entries {first} and {second} send one name to two targets")
 
 
 # --- export -------------------------------------------------------------------
@@ -707,6 +723,53 @@ def test_check_refinement_calls_entails_once_per_sentence(corpus_docs, env, monk
         assert [goal for goal, _ in calls] == [a for a, _ in report.results]
         assert [res for _, res in calls] == [res for _, res in report.results]
         assert all(type(res) is verifier.EntailmentResult for _, res in calls)
+
+
+def _compound(goal) -> bool:
+    """Whether a field of goal is neither a name nor, in a class-expression
+    field, a bare named class."""
+    exprs = verifier._EXPR_FIELDS.get(goal.__class__, ())
+    for f in goal.__match_args__:
+        cls = getattr(goal, f).__class__
+        if cls is not Name and not (cls is Named and f in exprs):
+            return True
+    return False
+
+
+def test_only_a_compound_goal_gets_a_view_of_its_context(
+        monkeypatch, corpus_docs, env, corpus_and_generated_obligations):
+    """A goal's fields are scanned once, in `entails`; a goal of names
+    alone, or one that mentions an undeclared name, never reaches `for_goal`."""
+    calls = []
+    for_goal = verifier._Theory.for_goal
+
+    def counting(self, goal):
+        calls.append(goal)
+        return for_goal(self, goal)
+
+    monkeypatch.setattr(verifier._Theory, "for_goal", counting)
+
+    def expected(obs, checked):
+        return [g for g, ob in zip((canon_axiom(ob.axiom) for ob in obs), checked)
+                if _compound(g) and not ob.diagnostic.startswith("goal mentions")]
+
+    # the corpus's obligations, and generated DATA_Role and AND_nRels ones
+    # as in the benchmark, are names alone
+    obs = corpus_and_generated_obligations
+    assert expected(obs, check_obligations(obs)) == calls == []
+    goals = compound = 0
+    for seed in range(12):
+        obs = _random_obligations(seed)
+        checked = check_obligations(obs)
+        assert calls == expected(obs, checked)
+        goals, compound = goals + len(obs), compound + len(calls)
+        calls.clear()
+    assert 0 < compound < goals
+    # every corpus refinement sentence has a compound side
+    for refdef in (r for d in corpus_docs for r in d.refinement_defs().values()):
+        results = check_refinement(refdef, env).results
+        assert calls == [a for a, _ in results if _compound(a)] != []
+        calls.clear()
 
 
 def test_every_renamed_refinement_sentence_is_canonical(corpus_docs, env):
