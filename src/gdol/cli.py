@@ -14,7 +14,7 @@ from codecs import BOM_UTF8
 from pathlib import Path
 
 from .emitter import axiom_text, emit_manchester
-from .errors import GdolError
+from .errors import GdolError, ParseError
 from .expander import DEFAULT_DEPTH_BUDGET, ExpansionEnv
 from .model import Document, OntologyDef, RefinementDef
 from .parser import parse_document
@@ -58,7 +58,10 @@ def _read(f: Path) -> Document:
         # the offset counts from after a dropped mark; report it in the file
         start = exc.start + (len(BOM_UTF8) if f.read_bytes().startswith(BOM_UTF8) else 0)
         raise GdolError(f"{f}: not UTF-8 text: {exc.reason} at byte offset {start}") from None
-    return parse_document(text)
+    try:
+        return parse_document(text)
+    except ParseError as exc:  # its text starts with line:column when it has them
+        raise GdolError(f"{f}:{exc}" if exc.line else f"{f}: {exc}") from None
 
 
 def _load(files: list[Path], libs: list[Path]) -> tuple[list[Document], list[Document]]:

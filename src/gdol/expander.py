@@ -18,9 +18,10 @@ Merge warnings are read off two sets of flat names, the stratified and the
 plain names of the values expansion kept: a name in both is a stratified
 name that merges with a plain one.  A value's names are queued while it is
 built and recorded only once it is kept, so the names of an axiom an empty
-binding deletes never warn.  `diagnostics` lists these warnings and those
-of local parameters shadowing outer bindings sorted, the same under any
-hash seed.
+binding deletes never warn.  An expansion keeps these names, and the
+warnings of its local parameters shadowing outer bindings, to itself until
+it closes, so one that failed leaves no warning behind.  `diagnostics`
+lists these warnings sorted, the same under any hash seed.
 
 A let's scope is a dict of the local patterns in force: a copy of the
 enclosing let's, then this let's own, which close over that same dict so
@@ -170,8 +171,10 @@ class _Closure:
 
 class _Run:
     """State of one named-ontology or standalone-spec expansion: its name,
-    the builder its nodes go into, and its obligations: where each axiom was
-    first raised.
+    the builder its nodes go into, its obligations (where each axiom was
+    first raised), and what its warnings are read from: the plain and the
+    stratified flat names of the values it kept, and its shadowing
+    warnings, which reach the environment when the run closes.
 
     `declared` and `frames` remember list tails by identity; each entry keeps
     the tuples (and closure) it is keyed by alive, so no other object can
@@ -184,6 +187,9 @@ class _Run:
         self.sink: dict[Axiom, _Found] = {}
         self.declared: dict[tuple[int, SymbolKind], tuple[Argument, ...]] = {}
         self.frames: dict[tuple, tuple] = {}
+        self.plain: list[str] = []
+        self.stratified: list[str] = []
+        self.shadowing: list[str] = []
 
     def undeclared(self, kind: SymbolKind, items: tuple[Argument, ...],
                    tail: tuple[Argument, ...]) -> bool:
@@ -287,9 +293,10 @@ class ExpansionEnv:
         return sorted([*self._shadowing, *merged])
 
     def _note(self) -> None:
-        """Record the queued names of a kept value."""
-        self._plain.update(self._queued)
-        self._stratified.update(self._queued_flat)
+        """Record the queued names of a kept value in the innermost run."""
+        run = self._runs[-1]
+        run.plain += self._queued
+        run.stratified += self._queued_flat
 
     # --- named ontologies ---
 
@@ -331,6 +338,9 @@ class ExpansionEnv:
                 self._reference(*item[1:])
             else:
                 run = runs.pop()
+                self._plain.update(run.plain)
+                self._stratified.update(run.stratified)
+                self._shadowing.update(run.shadowing)
                 result = run.out.freeze()
                 obligations = tuple(Obligation(axiom, run.name or "", *found, result)
                                     for axiom, found in run.sink.items())
@@ -385,8 +395,8 @@ class ExpansionEnv:
             for p in spec.locals:
                 shadowed = sorted(p.param_names & binding.keys())
                 if shadowed:
-                    self._shadowing.add(f"parameters {shadowed} of local pattern {p.name!r}"
-                                        " shadow outer bindings")
+                    self._runs[-1].shadowing.append(
+                        f"parameters {shadowed} of local pattern {p.name!r} shadow outer bindings")
                 inner[p.name] = _Closure(p, inner, binding)
             self._work.append((_SPEC, spec.body, inner, binding, depth))
         elif cls is not EmptySpec:

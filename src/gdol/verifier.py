@@ -25,17 +25,16 @@ alone, and no verdict depends on the order goals are checked in.
 
 Told axioms are indexed, and goals proven, through tables keyed by the
 axiom's class.  And-nodes are looked for only inside class-expression
-fields that are not a bare name.  A goal's fields are scanned once: a goal
-of names alone is checked against the context's told part itself, and only
-a compound goal has its names collected by `axiom_names` and gets, through
-`for_goal`, a view that adds the And-nodes the context lacks.  Proven and
-not derivable, which carry no detail of a goal, are two shared results.
+fields that are not a bare name, and indexed under their operands, which a
+walk counts down.  A goal's fields are scanned once: a goal of names alone
+is checked against the context's told part itself, and only a compound
+goal has its names collected by `axiom_names` and gets, through `for_goal`,
+a told part built with the And-nodes the context lacks.  Proven and not
+derivable, which carry no detail of a goal, are two shared results.
 """
 
 from __future__ import annotations
 
-from collections import ChainMap
-from copy import copy
 from itertools import count
 from pathlib import Path
 from typing import Iterable
@@ -90,13 +89,16 @@ class _Counter:
 _PropNode = tuple[Name, bool]
 
 
-def _walk(start, edges: dict, counter: _Counter, and_nodes: Iterable[And] = ()) -> set:
+def _walk(start, edges: dict, counter: _Counter, ands_of: dict | None = None) -> set:
     """Every node reachable from start along edges, at one step per node
-    popped and per edge followed.  Each time the frontier drains, every
-    And-node of and_nodes whose operands are all reached is introduced, at
-    one step each, and the walk goes on from those."""
+    popped and per edge followed.  A pop counts down the And-nodes ands_of
+    lists under it; each time the frontier drains, those with every operand
+    popped that are not yet reached are introduced, at one step each."""
     reached = {start}
     frontier = [start]
+    if ands_of is not None:
+        left: dict[int, int] = {}  # id of an indexed And-node -> operands not yet popped
+        ready = []
     while frontier:
         x = frontier.pop()
         counter.tick()
@@ -105,26 +107,32 @@ def _walk(start, edges: dict, counter: _Counter, and_nodes: Iterable[And] = ()) 
             if y not in reached:
                 reached.add(y)
                 frontier.append(y)
-        if not frontier:
-            for an in and_nodes:
-                if an not in reached and all(op in reached for op in an.operands):
-                    counter.tick()
-                    reached.add(an)
-                    frontier.append(an)
+        if ands_of is not None:
+            for an in ands_of.get(x, ()):
+                left[id(an)] = n = left.get(id(an), len(an.operands)) - 1
+                if not n:
+                    ready.append(an)
+            if ready and not frontier:
+                frontier = [an for an in ready if an not in reached]
+                counter.tick(len(frontier))
+                reached.update(frontier)
+                ready = []
     return reached
 
 
 class _Theory:
-    """The told part of one context under one config, with reach caches
-    that every goal checked against it shares."""
+    """The told part of one context under one config, and goal's And-nodes
+    even without R3, with reach caches that every goal checked shares."""
 
-    def __init__(self, ont: Ontology, config: RuleEngineConfig) -> None:
+    def __init__(self, ont: Ontology, config: RuleEngineConfig, goal: Axiom | None = None) -> None:
         r = config.rules
+        self.ontology = ont
         self.config = config
         self.axioms = ont.axioms
         self.declared = {n for _, n in ont.decls}
         self.class_edges: dict[ClassExpr, set[ClassExpr]] = {}
-        self.and_nodes: set[And] = set()
+        self.and_nodes: set[And] = set() if goal is None else {
+            e for e in class_exprs(goal) if e.__class__ is And}
         self.prop_edges: dict[_PropNode, set[_PropNode]] = {}
         self.prop_redges: dict[_PropNode, set[_PropNode]] = {}
         self.domains: dict[_PropNode, set[ClassExpr]] = {}
@@ -147,10 +155,13 @@ class _Theory:
             told = _TOLD.get(cls)
             if told is not None:
                 told(self, a, r)
-        if "R3" in r:
-            for an in self.and_nodes:
-                for op in an.operands:
+        ands_of: dict[ClassExpr, list[And]] = {}
+        for an in self.and_nodes:
+            for op in an.operands:
+                if "R3" in r:
                     self._class_edge(an, op)
+                ands_of.setdefault(op, []).append(an)
+        self.ands_of = ands_of or None  # a walk skips an empty index
 
     def _class_edge(self, a: ClassExpr, b: ClassExpr) -> None:
         self.class_edges.setdefault(a, set()).add(b)
@@ -160,34 +171,22 @@ class _Theory:
         self.prop_redges.setdefault(b, set()).add(a)
 
     def for_goal(self, goal: Axiom) -> "_Theory":
-        """The theory a fresh engine would build for goal: this one plus the
-        goal's And-nodes it lacks (added even without R3), which then needs
-        its own class-reach cache.  Property reach never depends on goal.
-        Canonical And-nodes never have And operands, so the step count of
-        a class walk does not depend on the order of and_nodes."""
+        """The told part a fresh engine would build for goal: this one, or
+        one built with the goal's And-nodes if this one lacks any."""
         new = {e for e in class_exprs(goal) if e.__class__ is And} - self.and_nodes
-        if not new:
-            return self
-        view = copy(self)
-        view.and_nodes = self.and_nodes | new
-        if "R3" in self.config.rules:
-            # with R3 every told And-node is in and_nodes, so a new one has no told edges
-            view.class_edges = ChainMap({an: set(an.operands) for an in new}, self.class_edges)
-        view._class_cache = {}
-        return view
+        return _Theory(self.ontology, self.config, goal) if new else self
 
     # --- reachability ---
 
     @staticmethod
-    def _reach(cache: dict, start, counter: _Counter, edges: dict,
-               and_nodes: Iterable[And] = ()) -> set:
-        """`_walk(start, edges, counter, and_nodes)`, computed once per cache;
+    def _reach(cache: dict, start, counter: _Counter, edges: dict, ands_of=None) -> set:
+        """`_walk(start, edges, counter, ands_of)`, computed once per cache;
         a goal that finds it cached is charged the steps it took on first
         use, as if it had walked."""
         hit = cache.get(start)
         if hit is None:
             before = counter.n
-            reached = _walk(start, edges, counter, and_nodes)
+            reached = _walk(start, edges, counter, ands_of)
             hit = cache[start] = (reached, counter.n - before)
         elif start not in counter.charged:
             counter.tick(hit[1])
@@ -195,7 +194,7 @@ class _Theory:
         return hit[0]
 
     def class_reach(self, start: ClassExpr, counter: _Counter) -> set[ClassExpr]:
-        return self._reach(self._class_cache, start, counter, self.class_edges, self.and_nodes)
+        return self._reach(self._class_cache, start, counter, self.class_edges, self.ands_of)
 
     def prop_reach(self, start: _PropNode, counter: _Counter) -> set[_PropNode]:
         return self._reach(self._prop_cache, start, counter, self.prop_edges)
@@ -360,10 +359,10 @@ def entails(theory: Ontology, goal: Axiom, config: RuleEngineConfig = DEFAULT_CO
     """Decide whether the rule engine can derive goal from theory.
 
     A batch builds theory's told part once and passes it as `_told` with
-    each goal; without it a fresh one is built.  Only a goal with a
-    compound field gets a view of it with the goal's And-nodes."""
+    each goal; without it one is built with the goal's And-nodes.  A
+    compound goal with And-nodes `_told` lacks gets a told part of its own."""
     goal = canon_axiom(goal)
-    told = _Theory(theory, config) if _told is None else _told
+    told = _Theory(theory, config, goal) if _told is None else _told
     # names read off the fields; a compound field or an undeclared name needs axiom_names
     exprs = _EXPR_FIELDS.get(goal.__class__, ())
     for f in goal.__match_args__:

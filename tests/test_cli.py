@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import CORPUS, ROOT
@@ -95,7 +96,7 @@ def test_errors_in_a_marked_file_are_located_as_without_the_mark(tmp_path, capsy
         source.write_bytes(prefix + body)
         assert main(["expand", str(source), "--out", str(tmp_path)]) == 2
         errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] and errors[0].startswith("error: 2:")
+    assert errors[0] == errors[1] and errors[0].startswith(f"error: {source}:2:")
     # an undecodable byte is reported at its offset in the file, mark included
     source.write_bytes(_BOM + b"ontology O = Class: A\xff\n")
     assert main(["expand", str(source), "--out", str(tmp_path)]) == 2
@@ -108,7 +109,7 @@ def test_deeply_nested_document_exits_with_two(tmp_path, capsys):
     deep.write_text("ontology O = " + "let pattern L [Class: X] = Class: X in " * 400 + "L[A]\n")
     assert main(["expand", str(deep), "--out", str(tmp_path)]) == 2
     # located at the 101st let, one level past the parser's limit
-    assert capsys.readouterr().err == f"error: 1:{13 + 100 * 39 + 1}: nesting too deep\n"
+    assert capsys.readouterr().err == f"error: {deep}:1:{13 + 100 * 39 + 1}: nesting too deep\n"
 
 
 def test_check_reports_no_obligations(capsys):
@@ -200,7 +201,7 @@ def test_unknown_kind_keyword_is_a_located_parse_error(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("error: 1:") and "'Inand'" in err
+    assert err.startswith(f"error: {bad}:1:") and "'Inand'" in err
 
 
 @pytest.mark.parametrize("cardinality, message", [
@@ -212,7 +213,7 @@ def test_bad_cardinality_is_a_located_parse_error(tmp_path, capsys, cardinality,
     bad.write_text(f"ontology O = Class: A SubClassOf: p max {cardinality} B\n", encoding="utf-8")
     assert main(["expand", str(bad), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: 1:41: {message}\n"
+    assert err == f"error: {bad}:1:41: {message}\n"
     assert "Traceback" not in err
 
 
@@ -353,6 +354,17 @@ def test_an_input_file_given_twice_is_read_once(tmp_path, capsys, monkeypatch):
         assert main(["expand", str(src), again, "--out", str(out)]) == 0
         assert capsys.readouterr() == (f"wrote {out / 'O.omn'}\n", "")
     assert (out / "O.omn").read_text() == "Class: A\n"
+
+
+def test_a_parse_error_names_the_file_it_was_read_from(tmp_path, capsys, monkeypatch):
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "lib" / "a.gdol").write_text(_S)
+    (tmp_path / "lib" / "bad.gdol").write_text("ontology Broken =\n")
+    (tmp_path / "main.gdol").write_text("ontology O = S[A]\n")
+    monkeypatch.chdir(tmp_path)
+    err = _user_error(capsys, ["expand", "main.gdol", "--lib", "lib", "--out", "out"])
+    assert err == f"error: {Path('lib', 'bad.gdol')}:2:1: expected a spec, found 'end of input'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_lib_that_is_a_file_exits_with_two(tmp_path, capsys):

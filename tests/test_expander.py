@@ -451,6 +451,40 @@ def test_shadowing_inside_a_local_body_is_reported():
     assert env.diagnostics == ["parameters ['X', 'Z'] of local pattern 'M' shadow outer bindings"]
 
 
+_LEAK = (
+    "pattern C [ Individual: x Types: Top ] = Individual: x\n"
+    "pattern Outer [ Class: X ] =\n"
+    "  let pattern L [ Class: X ] = Class: X SubClassOf: X\n"
+    "  in L[X]\n"
+    "ontology Bad = Class: p_a and ObjectProperty: p_a\n"
+    "ontology BadQueue = Class: x and ObjectProperty: x Individual: p_a\n"
+    "ontology BadLet = Outer[A] and Class: z and ObjectProperty: z\n"
+    "ontology Good = C[p[a]]\n")
+
+
+@pytest.mark.parametrize("failed", ["Bad", "BadQueue", "BadLet"])
+def test_a_failed_expansion_leaves_no_warning_in_its_environment(failed):
+    """Good alone warns of nothing; an expansion that raised before it, in
+    the same environment, adds none of its names or shadowing warnings."""
+    env = ExpansionEnv.from_documents([parse_document(_LEAK)])
+    with pytest.raises(KindClash):
+        env.expand_named(failed)
+    env.expand_named("Good")
+    assert env.diagnostics == []
+
+
+def test_an_ontology_expanded_inside_a_failed_one_keeps_its_warnings():
+    """Shadow closes, and is cached, before BadRef raises: expanding it
+    again adds nothing, so its warning must already be recorded."""
+    doc = parse_document(_LEAK + "ontology Shadow = Outer[A]\n"
+                                 "ontology BadRef = Shadow and Class: z and ObjectProperty: z\n")
+    env = ExpansionEnv.from_documents([doc])
+    with pytest.raises(KindClash):
+        env.expand_named("BadRef")
+    env.expand_named("Shadow")
+    assert env.diagnostics == ["parameters ['X'] of local pattern 'L' shadow outer bindings"]
+
+
 def test_a_local_does_not_capture_an_outer_argument():
     # Outer's argument is the name Y, which L's parameter Y must not rebind
     doc = parse_document(

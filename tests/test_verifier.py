@@ -561,6 +561,84 @@ def test_told_index_and_steps_match_the_structural_reference(rules):
             assert _charged(told, goal) == _charged(ref, goal), goal
 
 
+# hand-built, so not canonical: an And-node can be another's operand, and an
+# operand can repeat; the inner conjunction is also told below the outer one
+_INNER, _TWICE = And((N("B"), N("C"))), And((N("A"), N("A")))
+_OUTER = And((N("A"), _INNER))
+_NESTED = Ontology(axioms=frozenset({
+    SubClassOf(N("S"), N("A")), SubClassOf(N("S"), N("B")), SubClassOf(N("S"), N("C")),
+    SubClassOf(N("X"), _OUTER), EquivalentClasses(N("F"), _OUTER),
+    SubClassOf(_INNER, N("D")), SubClassOf(_TWICE, N("E")), SubClassOf(_INNER, _OUTER),
+}))
+
+
+@pytest.mark.parametrize("rules", [ALL_RULES, ALL_RULES - {"R3"}], ids=_dropped)
+def test_nested_and_repeated_conjunctions_match_the_structural_reference(rules):
+    config = RuleEngineConfig(rules)
+    told, ref = verifier._Theory(_NESTED, config), ReferenceTheory(_NESTED, config)
+    exprs = [N(c) for c in "SABCDEFX"] + [
+        _INNER, _TWICE, _OUTER, And((N("D"), N("E"))), And((N("E"), N("E"))),
+        And((N("F"), And((N("D"), N("E"))))), And((_OUTER, _TWICE))]
+    proven = 0
+    for sub in exprs:
+        for sup in exprs:
+            goal = SubClassOf(sub, sup)
+            charged = _charged(told, goal)
+            assert charged == _charged(ref, goal), goal
+            proven += charged[0] is True
+    assert proven > len(exprs)  # some goals need an And-node introduced
+
+
+def _and_chain(k: int) -> Ontology:
+    """S below A0 and B, and for each i < k, Xi equivalent to Ai and B and
+    below A(i+1): the walk from S to Ak introduces the k And-nodes one
+    frontier at a time."""
+    return parse_manchester_fragment("Class: B\nClass: S SubClassOf: A0 and B\n" + "".join(
+        f"Class: X{i} EquivalentTo: A{i} and B\nClass: X{i} SubClassOf: A{i + 1}\n"
+        for i in range(k)) + f"Class: A{k}\n")
+
+
+def test_the_and_chain_is_charged_steps_linear_in_its_length():
+    for k, steps in ((100, 903), (200, 1803), (400, 3603), (800, 7203)):
+        chain = _and_chain(k)
+        goal = SubClassOf(N("S"), N(f"A{k}"))
+        assert _charged(verifier._Theory(chain, RuleEngineConfig()), goal) == (True, steps)
+        assert _charged(ReferenceTheory(chain, RuleEngineConfig()), goal) == (True, steps)
+        assert entails(chain, goal) == verifier.EntailmentResult(True)
+
+
+class _CountingSlot:
+    """Stands in for a slot of a node class and counts its reads."""
+
+    def __init__(self, slot) -> None:
+        self.slot, self.reads = slot, 0
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        self.reads += 1
+        return self.slot.__get__(obj, cls)
+
+    def __set__(self, obj, value) -> None:
+        self.slot.__set__(obj, value)
+
+
+def test_a_walk_examines_each_and_node_a_bounded_number_of_times(monkeypatch):
+    """Every look at an And-node reads its operands: hashing it, counting
+    it down, or checking them all.  A walk that scanned every And-node each
+    time its frontier drained would read them k times as often on the chain
+    of k; counted down by operand, the reads grow with k."""
+    reads = {}
+    for k in (200, 800):
+        told = verifier._Theory(_and_chain(k), RuleEngineConfig())
+        counting = _CountingSlot(And.__dict__["operands"])
+        with monkeypatch.context() as m:
+            m.setattr(And, "operands", counting)
+            assert told.prove(SubClassOf(N("S"), N(f"A{k}")), verifier._Counter(10 ** 6))
+        reads[k] = counting.reads
+    assert reads[800] <= 4.2 * reads[200]
+
+
 def test_random_goals_reach_every_verdict():
     # the differential tests above mean little unless all outcomes occur
     seen = set()
