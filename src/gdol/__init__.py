@@ -38,7 +38,7 @@ _EXPORTS = {
         "DEFAULT_CONFIG", "EntailmentResult", "RefinementReport", "RuleEngineConfig",
         "check_obligations", "check_refinement", "entails", "export_obligations",
     ),
-    "emitter": ("GoldenDiff", "axiom_text", "diff_golden", "emit_manchester", "render_document"),
+    "emitter": ("GoldenDiff", "axiom_text", "diff_golden", "emit_manchester"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -401,10 +401,6 @@ class Ontology(Node):
             _setattr(self, "_kinds", kinds)
         return kinds.get(name)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.decls and not self.axioms
-
 
 EMPTY_ONTOLOGY = Ontology()
 
@@ -483,10 +479,6 @@ class Parameter(Node):
     optional: bool = False
     list_tail: str | None = None  # tail identifier for head::tail parameters
     constraints: tuple[Axiom, ...] = ()
-
-    @property
-    def is_list(self) -> bool:
-        return self.list_tail is not None
 
 
 class BasicSpec(Node):

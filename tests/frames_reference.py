@@ -1,4 +1,5 @@
-"""Reference frame layout for the emitter differential in test_emitter.py.
+"""Reference frame layout for the emitter differential in test_emitter.py,
+and the frame bodies of the source renderer in source_reference.py.
 
 This is the layout written the plain way: every axiom is keyed with
 `node_key` and placed in key order, so kind inference for undeclared
@@ -8,12 +9,18 @@ axiom goes and how a class expression is written are the structural
 `match` versions, kept here apart from the emitter's class tables, so a
 mistake in those tables shows as a difference.  The emitter must write the
 same text and raise the same error.
+
+Names are written through a name function: `_strict_name`, the emitter's,
+or `loose_name`, which writes a parameterized name as source (`f[A, B]`)
+and, in an intersection, parenthesises a named class after `and`, where a
+document body would read a bare name as the start of a spec.  The emitter
+writes strict names only.
 """
 from __future__ import annotations
 
 from operator import itemgetter
 
-from gdol.emitter import _CLAUSES, _KIND_ORDER, _loose_name, prop_text
+from gdol.emitter import _CLAUSES, _KIND_ORDER, _strict_name
 from gdol.errors import GdolError
 from gdol.model import (
     And, ClassAssertion, DifferentIndividuals, DisjointClasses, Domain,
@@ -21,6 +28,14 @@ from gdol.model import (
     Ontology, PropAssertion, Range, Some, SubClassOf, SubPropertyChain,
     SubPropertyOf, SymbolKind, Transitive, name_key, node_key,
 )
+
+
+def loose_name(n: Name) -> str:
+    return str(n)
+
+
+def prop_text(p, nm) -> str:
+    return f"inverse {nm(p.name)}" if p.inverse else nm(p.name)
 
 
 def expr_text(e, nm) -> str:
@@ -39,7 +54,7 @@ def expr_text(e, nm) -> str:
             return f"{prop_text(prop, nm)} max {n} {filler(f)}"
         case And(operands):
             texts = [expr_text(c, nm) for c in operands]
-            if nm is _loose_name:  # in a document body a bare name after `and` starts a spec
+            if nm is loose_name:  # in a document body a bare name after `and` starts a spec
                 texts[1:] = [f"({t})" if isinstance(c, Named) else t
                              for c, t in zip(operands[1:], texts[1:])]
             return " and ".join(texts)
@@ -53,7 +68,7 @@ def placement(a, nm):
         case SubClassOf(Named(sub), sup):
             return sub, SymbolKind.CLASS, "SubClassOf", expr_text(sup, nm)
         case SubClassOf(sub, _):
-            raise GdolError(f"cannot emit a subclass axiom with complex subject {expr_text(sub, _loose_name)!r}")
+            raise GdolError(f"cannot emit a subclass axiom with complex subject {expr_text(sub, _strict_name)!r}")
         case EquivalentClasses(Named(x), y):
             return x, SymbolKind.CLASS, "EquivalentTo", expr_text(y, nm)
         case EquivalentClasses(x, y):

@@ -44,7 +44,7 @@ from gdol import (
     parse_manchester_fragment,
 )
 from gdol.cli import main
-from gdol.emitter import _frames_text, _loose_name, _strict_name
+from gdol.emitter import _strict_name
 
 
 def test_frame_layout():
@@ -179,9 +179,13 @@ def _layout_cases(faulty: bool):
     return st.tuples(decls, st.lists(axiom, min_size=1, max_size=10))
 
 
-def _layout(o: Ontology, frames, nm):
+def _reference(o: Ontology) -> str:
+    return frames_reference.frames_text(o, _strict_name)
+
+
+def _layout(o: Ontology, frames):
     try:
-        return frames(o, nm)
+        return frames(o)
     except GdolError as exc:
         return type(exc).__name__, str(exc)
 
@@ -191,17 +195,26 @@ _COMPLEX_SUBJECT = ([], [SubClassOf(Some(PropExpr(Name("A")), Named(Name("B"))),
                          SubClassOf(Named(Name("A")), Named(Name("B")))])
 _INVERSE_SUBPROPERTY = ([], [SubPropertyOf(PropExpr(Name("A"), True), PropExpr(Name("B"))),
                              Functional(Name("A"))])
+# a complex subject is written as the emitter writes any class expression:
+# an intersection without parentheses, and an unstratified name an error
+_AND_SUBJECT = ([], [SubClassOf(And((Named(Name("A")), Named(Name("B")))), Named(Name("C"))),
+                     SubClassOf(Named(Name("A")), Named(Name("B")))])
+_UNSTRATIFIED_SUBJECT = ([], [SubClassOf(Some(PropExpr(Name("A")), Named(_UNSTRATIFIED[0])),
+                                         Named(Name("C"))),
+                              SubClassOf(Named(Name("A")), Named(Name("B")))])
 
 
-@pytest.mark.parametrize("case, message", [
-    (_COMPLEX_SUBJECT, "cannot emit a subclass axiom with complex subject 'A some B'"),
-    (_INVERSE_SUBPROPERTY, "cannot emit a subproperty axiom for an inverse"),
-], ids=["complex-subject", "inverse-subproperty"])
-def test_the_layout_differential_meets_both_placement_errors(case, message):
+@pytest.mark.parametrize("case, error", [
+    (_COMPLEX_SUBJECT, ("GdolError", "cannot emit a subclass axiom with complex subject 'A some B'")),
+    (_INVERSE_SUBPROPERTY, ("GdolError", "cannot emit a subproperty axiom for an inverse")),
+    (_AND_SUBJECT, ("GdolError", "cannot emit a subclass axiom with complex subject 'A and B'")),
+    (_UNSTRATIFIED_SUBJECT, ("UnstratifiedName", "cannot emit parameterized name 'f[A]'; "
+                                                 "expansion did not stratify it")),
+], ids=["complex-subject", "inverse-subproperty", "and-subject", "unstratified-subject"])
+def test_the_layout_differential_meets_both_placement_errors(case, error):
     decls, axioms = case
-    for frames in (frames_reference.frames_text, _frames_text):
-        for nm in (_strict_name, _loose_name):
-            assert _layout(Ontology.of(decls, axioms), frames, nm) == ("GdolError", message)
+    for frames in (_reference, emit_manchester):
+        assert _layout(Ontology.of(decls, axioms), frames) == error
 
 
 @settings(max_examples=400, deadline=None)
@@ -214,15 +227,13 @@ def test_frames_match_the_layout_that_sorts_every_axiom(case, rng):
     decls, axioms = case
     shuffled = axioms[:]
     rng.shuffle(shuffled)
-    for nm in (_strict_name, _loose_name):
-        want = _layout(Ontology.of(decls, axioms), frames_reference.frames_text, nm)
-        for order in (axioms, shuffled, shuffled[::-1]):
-            assert _layout(Ontology.of(decls, order), _frames_text, nm) == want
+    want = _layout(Ontology.of(decls, axioms), _reference)
+    for order in (axioms, shuffled, shuffled[::-1]):
+        assert _layout(Ontology.of(decls, order), emit_manchester) == want
 
 
 _SEED_PROBE = """
 from gdol import *
-from gdol.emitter import _loose_name, _frames_text
 A, B, C, r = Name("A"), Name("B"), Name("C"), Name("r")
 fA = Name("f", (A,))
 decls = [(SymbolKind.CLASS, A), (SymbolKind.OBJECT_PROPERTY, r)]
@@ -237,11 +248,10 @@ cases = [
      SubPropertyOf(PropExpr(r, True), PropExpr(r)), ClassAssertion(Named(fA), B)],
 ]
 for axioms in cases:
-    for nm in (emit_manchester, lambda o: _frames_text(o, _loose_name)):
-        try:
-            print(nm(Ontology.of(decls, axioms)), end="")
-        except GdolError as exc:
-            print(type(exc).__name__, exc)
+    try:
+        print(emit_manchester(Ontology.of(decls, axioms)), end="")
+    except GdolError as exc:
+        print(type(exc).__name__, exc)
 """
 
 
@@ -257,7 +267,7 @@ def test_frames_are_the_same_under_any_hash_seed():
     assert len(outs) == 1
     (out,) = outs
     assert "  SubClassOf: B\n  SubClassOf: C\n  SubClassOf: r some B\n" in out
-    assert out.count("UnstratifiedName") + out.count("GdolError") == 2
+    assert out.count("UnstratifiedName") + out.count("GdolError") == 1
 
 
 # --- byte snapshots of the corpus logs' expansion -------------------------------

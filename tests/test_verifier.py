@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
 from pathlib import Path
 
 import pytest
+from conftest import ROOT
 from prover_reference import ReferenceTheory
 
 from gdol import (
@@ -202,6 +204,22 @@ def test_rules_can_be_disabled_individually():
     assert not proven(SUBCLASS_THEORY, SubClassOf(N("A"), N("C")), rules=others)
     no_r4 = frozenset({"R1", "R2", "R3", "R5", "R6", "R7"})
     assert not proven(PROP_THEORY, SubPropertyOf(P("r"), P("t")), rules=no_r4)
+
+
+def test_the_readme_rule_table_has_one_row_per_label():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    labels = re.findall(r"^\| (R\d+) \|", text, flags=re.MULTILINE)
+    assert sorted(labels) == sorted(ALL_RULES)
+
+
+def test_a_goals_own_conjunction_is_introduced_with_r3_off():
+    """As the README's rule table states: without R3 a told conjunction
+    gives no edge to its conjuncts, but a goal's own is still introduced."""
+    theory = "Class: A SubClassOf: B, C\nClass: B\nClass: C\nClass: D SubClassOf: B and C\n"
+    no_r3 = ALL_RULES - {"R3"}
+    assert proven(theory, SubClassOf(N("A"), And((N("B"), N("C")))), rules=no_r3)
+    assert not proven(theory, SubClassOf(N("D"), N("B")), rules=no_r3)
+    assert proven(theory, SubClassOf(N("D"), N("B")))
 
 
 def test_entailment_is_monotone_under_union(env):
@@ -814,10 +832,12 @@ def _compound(goal) -> bool:
     return False
 
 
-def test_only_a_compound_goal_gets_a_view_of_its_context(
+def test_only_a_compound_goal_reaches_for_goal(
         monkeypatch, corpus_docs, env, corpus_and_generated_obligations):
-    """A goal's fields are scanned once, in `entails`; a goal of names
-    alone, or one that mentions an undeclared name, never reaches `for_goal`."""
+    """A goal's fields are scanned once, in `entails`.  Only a compound goal
+    whose names are all declared reaches `for_goal`, which checks it for
+    And-nodes the context lacks; a goal of names alone, or one that
+    mentions an undeclared name, never does."""
     calls = []
     for_goal = verifier._Theory.for_goal
 
