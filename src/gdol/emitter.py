@@ -11,8 +11,8 @@ all frames.
 
 Every name is written as it stands after expansion: a parameterized name
 that was not stratified raises `UnstratifiedName`.  Where an axiom goes (its
-frame, clause keyword and value text) comes from a table keyed by the
-axiom's class; writing a complex class expression still uses `match`.
+frame, clause keyword and value text), and how a class expression is
+written, come from tables keyed by the node's class.
 """
 
 from __future__ import annotations
@@ -48,25 +48,25 @@ def prop_text(p: PropExpr) -> str:
 
 
 def expr_text(e: ClassExpr) -> str:
-    if e.__class__ is Named:
-        return _strict_name(e.name)
+    text = _EXPR_TEXT.get(e.__class__)
+    if text is None:
+        raise TypeError(f"not a class expression: {e!r}")
+    return text(e)
 
-    def filler(f: ClassExpr) -> str:
-        text = expr_text(f)
-        return f"({text})" if isinstance(f, And) else text
 
-    match e:
-        case Some(prop, f):
-            return f"{prop_text(prop)} some {filler(f)}"
-        case Only(prop, f):
-            return f"{prop_text(prop)} only {filler(f)}"
-        case Max(n, prop, f):
-            return f"{prop_text(prop)} max {n} {filler(f)}"
-        case And(operands):
-            return " and ".join([expr_text(c) for c in operands])
-        case OneOf(members):
-            return "{" + ", ".join(_strict_name(m) for m in members) + "}"
-    raise TypeError(f"not a class expression: {e!r}")
+def _filler(f: ClassExpr) -> str:
+    return f"({expr_text(f)})" if f.__class__ is And else expr_text(f)
+
+
+# how each class expression is written, by its class
+_EXPR_TEXT = {
+    Named: lambda e: _strict_name(e.name),
+    Some: lambda e: f"{prop_text(e.prop)} some {_filler(e.filler)}",
+    Only: lambda e: f"{prop_text(e.prop)} only {_filler(e.filler)}",
+    Max: lambda e: f"{prop_text(e.prop)} max {e.n} {_filler(e.filler)}",
+    And: lambda e: " and ".join([expr_text(c) for c in e.operands]),
+    OneOf: lambda e: "{" + ", ".join([_strict_name(m) for m in e.members]) + "}",
+}
 
 
 # clause rank fixes the order clauses appear inside a frame

@@ -23,13 +23,15 @@ steps they took, and a goal is charged that cost the first time it uses
 one, so each goal pays exactly the steps a fresh engine would spend on it
 alone, and no verdict depends on the order goals are checked in.
 
-Told axioms are indexed, and goals proven, through tables keyed by the
-axiom's class.  And-nodes are looked for only inside class-expression
-fields that are not a bare name, and indexed under their operands, which a
-walk counts down.  A goal's fields are scanned once: a goal of names alone
-is checked against the context's told part itself, and only a compound
-goal has its names collected by `axiom_names` and gets, through `for_goal`,
-a told part built with the And-nodes the context lacks.  Proven and not
+Told axioms are indexed, and goals proven, through two tables keyed by
+the axiom's class whose entries carry the rule they apply (`None` for what
+every config applies): an entry runs only under a config with its rule on.
+Under R3, And-nodes are looked for inside told class-expression fields that
+are not a bare name; they are indexed under their operands, which a walk
+counts down.  A goal's fields are scanned once: a goal of names alone is
+checked against the context's told part itself, and only a compound goal
+has its names collected by `axiom_names` and gets, through `for_goal`, a
+told part built with the And-nodes the context lacks.  Proven and not
 derivable, which carry no detail of a goal, are two shared results.
 """
 
@@ -54,6 +56,11 @@ ALL_RULES = frozenset({"R1", "R2", "R3", "R4", "R5", "R6", "R7"})
 class RuleEngineConfig(Node):
     rules: frozenset[str] = ALL_RULES
     step_limit: int = 100000
+
+    def __post_init__(self) -> None:
+        unknown = self.rules - ALL_RULES
+        if unknown:
+            raise ValueError(f"unknown rule labels: {', '.join(sorted(map(repr, unknown)))}")
 
 
 DEFAULT_CONFIG = RuleEngineConfig()
@@ -125,7 +132,6 @@ class _Theory:
     even without R3, with reach caches that every goal checked shares."""
 
     def __init__(self, ont: Ontology, config: RuleEngineConfig, goal: Axiom | None = None) -> None:
-        r = config.rules
         self.ontology = ont
         self.config = config
         self.axioms = ont.axioms
@@ -145,20 +151,15 @@ class _Theory:
         self._class_cache: dict[ClassExpr, tuple[set[ClassExpr], int]] = {}
         self._prop_cache: dict[_PropNode, tuple[set[_PropNode], int]] = {}
 
+        on = {None, *config.rules}
         for a in self.axioms:
-            cls = a.__class__
-            if "R3" in r:
-                for f in _EXPR_FIELDS.get(cls, ()):
-                    e = getattr(a, f)
-                    if e.__class__ is not Named:
-                        self.and_nodes.update(x for x in class_exprs(e) if x.__class__ is And)
-            told = _TOLD.get(cls)
-            if told is not None:
-                told(self, a, r)
+            for label, add in _TOLD.get(a.__class__, ()):
+                if label in on:
+                    add(self, a)
         ands_of: dict[ClassExpr, list[And]] = {}
         for an in self.and_nodes:
             for op in an.operands:
-                if "R3" in r:
+                if "R3" in on:
                     self._class_edge(an, op)
                 ands_of.setdefault(op, []).append(an)
         self.ands_of = ands_of or None  # a walk skips an empty index
@@ -208,8 +209,6 @@ class _Theory:
         return sup in self.class_reach(sub, counter)
 
     def _domain_goal(self, node: _PropNode, cls: ClassExpr, counter: _Counter) -> bool:
-        if "R5" not in self.config.rules:
-            return False
         nodes = [n for n in self.prop_reach(node, counter) if n in self.domains]
         for n in _in_key_order(nodes, _prop_key):
             for have in _in_key_order(self.domains[n], node_key):
@@ -218,10 +217,12 @@ class _Theory:
         return False
 
     def prove(self, goal: Axiom, counter: _Counter) -> bool:
-        prove = _GOALS.get(goal.__class__)
-        if prove is None:
+        """By the goal class's entry in `_GOALS`: false if its rule is off."""
+        entry = _GOALS.get(goal.__class__)
+        if entry is None:
             raise TypeError(f"not an axiom: {goal!r}")
-        return prove(self, goal, counter)
+        label, prove = entry
+        return (label is None or label in self.config.rules) and prove(self, goal, counter)
 
     def _disjoint_goal(self, g: DisjointClasses, counter: _Counter) -> bool:
         for c, d in self.disjoints:
@@ -232,23 +233,17 @@ class _Theory:
         return False
 
     def _inverse_goal(self, g: InverseProps, counter: _Counter) -> bool:
-        if "R4" not in self.config.rules:
-            return False
         return (g.b, True) in self.prop_reach((g.a, False), counter) and (
             (g.a, False) in self.prop_reach((g.b, True), counter)
         )
 
     def _type_goal(self, g: ClassAssertion, counter: _Counter) -> bool:
-        if "R7" not in self.config.rules:
-            return False
         for have in _in_key_order(self.types.get(g.individual, ()), node_key):
             if self._subclass(have, g.cls, counter):
                 return True
         return False
 
     def _fact_goal(self, g: PropAssertion, counter: _Counter) -> bool:
-        if "R6" not in self.config.rules:
-            return False
         asserted = self.holds.get((g.subject, g.obj), set())
         if not asserted:
             return False
@@ -277,76 +272,77 @@ _EXPR_FIELDS = {
 }
 
 
-def _told_subclass(t: _Theory, a: SubClassOf, r) -> None:
-    if "R1" in r:
-        t._class_edge(a.sub, a.sup)
+def _told_ands(t: _Theory, a: Axiom) -> None:
+    for f in _EXPR_FIELDS[a.__class__]:
+        e = getattr(a, f)
+        if e.__class__ is not Named:
+            t.and_nodes.update(x for x in class_exprs(e) if x.__class__ is And)
 
 
-def _told_equivalent(t: _Theory, a: EquivalentClasses, r) -> None:
+def _told_equivalent(t: _Theory, a: EquivalentClasses) -> None:
+    t._class_edge(a.a, a.b)
+    t._class_edge(a.b, a.a)
+
+
+def _told_enumeration(t: _Theory, a: EquivalentClasses) -> None:
+    for side, other in ((a.a, a.b), (a.b, a.a)):
+        if side.__class__ is OneOf:
+            for m in side.members:
+                t.types.setdefault(m, set()).add(other)
+
+
+def _told_subproperty(t: _Theory, a: SubPropertyOf) -> None:
+    sub, sup = a.sub, a.sup
+    t._prop_edge((sub.name, sub.inverse), (sup.name, sup.inverse))
+    t._prop_edge((sub.name, not sub.inverse), (sup.name, not sup.inverse))
+
+
+def _told_inverse(t: _Theory, a: InverseProps) -> None:
     x, y = a.a, a.b
-    if "R2" in r:
-        t._class_edge(x, y)
-        t._class_edge(y, x)
-    if "R7" in r:
-        for side, other in ((x, y), (y, x)):
-            if side.__class__ is OneOf:
-                for m in side.members:
-                    t.types.setdefault(m, set()).add(other)
+    t._prop_edge((x, False), (y, True))
+    t._prop_edge((y, True), (x, False))
+    t._prop_edge((x, True), (y, False))
+    t._prop_edge((y, False), (x, True))
 
 
-def _told_subproperty(t: _Theory, a: SubPropertyOf, r) -> None:
-    if "R4" in r:
-        sub, sup = a.sub, a.sup
-        t._prop_edge((sub.name, sub.inverse), (sup.name, sup.inverse))
-        t._prop_edge((sub.name, not sub.inverse), (sup.name, not sup.inverse))
-
-
-def _told_inverse(t: _Theory, a: InverseProps, r) -> None:
-    if "R4" in r:
-        x, y = a.a, a.b
-        t._prop_edge((x, False), (y, True))
-        t._prop_edge((y, True), (x, False))
-        t._prop_edge((x, True), (y, False))
-        t._prop_edge((y, False), (x, True))
-
-
-def _told_fact(t: _Theory, a: PropAssertion, r) -> None:
+def _told_fact(t: _Theory, a: PropAssertion) -> None:
     t.holds.setdefault((a.subject, a.obj), set()).add((a.prop, False))
     t.holds.setdefault((a.obj, a.subject), set()).add((a.prop, True))
 
 
-# what each told axiom adds to a theory's index; Transitive and chains add nothing
+# what each told axiom adds to a theory's index, as (rule, adder) pairs run
+# in order, R3's And-nodes first; Transitive and chains add nothing
+_ANDS = ("R3", _told_ands)
 _TOLD = {
-    SubClassOf: _told_subclass,
-    EquivalentClasses: _told_equivalent,
-    DisjointClasses: lambda t, a, r: t.disjoints.append((a.a, a.b)),
-    SubPropertyOf: _told_subproperty,
-    InverseProps: _told_inverse,
-    Domain: lambda t, a, r: t.domains.setdefault((a.prop, False), set()).add(a.cls),
-    Range: lambda t, a, r: t.domains.setdefault((a.prop, True), set()).add(a.cls),
-    Functional: lambda t, a, r: t.func_nodes.add((a.prop, False)),
-    ClassAssertion: lambda t, a, r: t.types.setdefault(a.individual, set()).add(a.cls),
-    PropAssertion: _told_fact,
-    DifferentIndividuals: lambda t, a, r: t.diffs.append(frozenset(a.members)),
+    SubClassOf: (_ANDS, ("R1", lambda t, a: t._class_edge(a.sub, a.sup))),
+    EquivalentClasses: (_ANDS, ("R2", _told_equivalent), ("R7", _told_enumeration)),
+    DisjointClasses: (_ANDS, (None, lambda t, a: t.disjoints.append((a.a, a.b)))),
+    SubPropertyOf: (("R4", _told_subproperty),),
+    InverseProps: (("R4", _told_inverse),),
+    Domain: (_ANDS, (None, lambda t, a: t.domains.setdefault((a.prop, False), set()).add(a.cls))),
+    Range: (_ANDS, (None, lambda t, a: t.domains.setdefault((a.prop, True), set()).add(a.cls))),
+    Functional: ((None, lambda t, a: t.func_nodes.add((a.prop, False))),),
+    ClassAssertion: (_ANDS, (None, lambda t, a: t.types.setdefault(a.individual, set()).add(a.cls))),
+    PropAssertion: ((None, _told_fact),),
+    DifferentIndividuals: ((None, lambda t, a: t.diffs.append(frozenset(a.members))),),
 }
 
-# how each goal class is proven
+# how each goal class is proven, as a (rule, prover) pair
 _GOALS = {
-    SubClassOf: lambda t, g, c: t._subclass(g.sub, g.sup, c),
-    EquivalentClasses: lambda t, g, c: t._subclass(g.a, g.b, c) and t._subclass(g.b, g.a, c),
-    DisjointClasses: _Theory._disjoint_goal,
-    SubPropertyOf: lambda t, g, c: "R4" in t.config.rules and (
-        (g.sup.name, g.sup.inverse) in t.prop_reach((g.sub.name, g.sub.inverse), c)),
-    InverseProps: _Theory._inverse_goal,
-    Domain: lambda t, g, c: t._domain_goal((g.prop, False), g.cls, c),
-    Range: lambda t, g, c: t._domain_goal((g.prop, True), g.cls, c),
-    Functional: lambda t, g, c: "R7" in t.config.rules and bool(
-        t.prop_reach((g.prop, False), c) & t.func_nodes),
-    Transitive: lambda t, g, c: g in t.axioms,
-    SubPropertyChain: lambda t, g, c: g in t.axioms,
-    ClassAssertion: _Theory._type_goal,
-    PropAssertion: _Theory._fact_goal,
-    DifferentIndividuals: lambda t, g, c: any(frozenset(g.members) <= have for have in t.diffs),
+    SubClassOf: (None, lambda t, g, c: t._subclass(g.sub, g.sup, c)),
+    EquivalentClasses: (None, lambda t, g, c: t._subclass(g.a, g.b, c) and t._subclass(g.b, g.a, c)),
+    DisjointClasses: (None, _Theory._disjoint_goal),
+    SubPropertyOf: ("R4", lambda t, g, c: (g.sup.name, g.sup.inverse) in t.prop_reach(
+        (g.sub.name, g.sub.inverse), c)),
+    InverseProps: ("R4", _Theory._inverse_goal),
+    Domain: ("R5", lambda t, g, c: t._domain_goal((g.prop, False), g.cls, c)),
+    Range: ("R5", lambda t, g, c: t._domain_goal((g.prop, True), g.cls, c)),
+    Functional: ("R7", lambda t, g, c: bool(t.prop_reach((g.prop, False), c) & t.func_nodes)),
+    Transitive: (None, lambda t, g, c: g in t.axioms),
+    SubPropertyChain: (None, lambda t, g, c: g in t.axioms),
+    ClassAssertion: ("R7", _Theory._type_goal),
+    PropAssertion: ("R6", _Theory._fact_goal),
+    DifferentIndividuals: (None, lambda t, g, c: any(frozenset(g.members) <= have for have in t.diffs)),
 }
 
 

@@ -211,7 +211,7 @@ _UNSTRATIFIED_SUBJECT = ([], [SubClassOf(Some(PropExpr(Name("A")), Named(_UNSTRA
     (_UNSTRATIFIED_SUBJECT, ("UnstratifiedName", "cannot emit parameterized name 'f[A]'; "
                                                  "expansion did not stratify it")),
 ], ids=["complex-subject", "inverse-subproperty", "and-subject", "unstratified-subject"])
-def test_the_layout_differential_meets_both_placement_errors(case, error):
+def test_the_emitter_and_the_reference_raise_the_same_first_error(case, error):
     decls, axioms = case
     for frames in (_reference, emit_manchester):
         assert _layout(Ontology.of(decls, axioms), frames) == error

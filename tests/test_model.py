@@ -39,6 +39,7 @@ from gdol import (
     PropAssertion,
     PropExpr,
     Range,
+    RuleEngineConfig,
     Some,
     SubClassOf,
     SubPropertyChain,
@@ -500,6 +501,8 @@ def _sample(cls: type, tag: str = ""):
     if cls is Ontology:
         return Ontology(frozenset({(SymbolKind.CLASS, Name("n" + tag))}),
                         frozenset({SubClassOf(Named(Name("n" + tag)), Named(Name("m")))}))
+    if cls is RuleEngineConfig:
+        return RuleEngineConfig(frozenset({"R2" if tag else "R1"}), f"step_limit{tag}")
     return cls(*(f"{f}{tag}" for f in cls.__match_args__))
 
 

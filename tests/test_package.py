@@ -122,8 +122,7 @@ def _match_sites(tree: ast.Module) -> list[str]:
 
 def test_structural_match_remains_only_off_the_hot_paths():
     """Hot paths decide by a node's exact class through a table; `match`
-    is left only where a complex class expression is written and in eager
-    substitution."""
+    is left only in eager substitution."""
     found = sorted(f"{path.stem}.{where}" for path in (ROOT / "src" / "gdol").glob("*.py")
                    for where in _match_sites(ast.parse(path.read_text(encoding="utf-8"))))
-    assert found == ["emitter.expr_text", "model.substitute"]
+    assert found == ["model.substitute"]

@@ -207,9 +207,23 @@ def test_rules_can_be_disabled_individually():
 
 
 def test_the_readme_rule_table_has_one_row_per_label():
+    """The README's rows, `ALL_RULES` and the labels on the prover's told
+    and goal tables are one set, so every rule gates at least one entry."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     labels = re.findall(r"^\| (R\d+) \|", text, flags=re.MULTILINE)
     assert sorted(labels) == sorted(ALL_RULES)
+    told = {label for entries in verifier._TOLD.values() for label, _ in entries}
+    goals = {label for label, _ in verifier._GOALS.values()}
+    assert (told | goals) - {None} == ALL_RULES
+
+
+@pytest.mark.parametrize("rules", [(ALL_RULES - {"R1"}) | {"r1"}, frozenset({"R8"})],
+                         ids=["r1", "R8"])
+def test_an_unknown_rule_label_is_rejected(rules):
+    unknown = next(iter(rules - ALL_RULES))
+    with pytest.raises(ValueError, match=f"unknown rule labels: '{unknown}'$"):
+        RuleEngineConfig(rules)
+    assert RuleEngineConfig(rules & ALL_RULES).rules == rules & ALL_RULES
 
 
 def test_a_goals_own_conjunction_is_introduced_with_r3_off():
@@ -391,7 +405,10 @@ def test_export_takes_the_directory_as_a_string(tmp_path):
 CLASS_NAMES = [N(c) for c in "ABCDE"]
 PROP_NAMES = ["p", "q", "r", "s"]
 INDIVIDUALS = ["a", "b", "c"]
-RULE_SUBSETS = [ALL_RULES] + [ALL_RULES - {r} for r in sorted(ALL_RULES)]
+# every rule, each one dropped, none, and each one alone: a rule that is
+# wrong alone could hide behind another
+RULE_SUBSETS = ([ALL_RULES] + [ALL_RULES - {r} for r in sorted(ALL_RULES)]
+                + [frozenset()] + [frozenset({r}) for r in sorted(ALL_RULES)])
 STEP_LIMITS = [1, 3, 7, 20, 100, RuleEngineConfig().step_limit]
 
 
@@ -517,11 +534,13 @@ def _assert_batch_matches_single_goals(monkeypatch, obs, config):
     assert back_steps[::-1] == steps
 
 
-def _dropped(rules) -> str:
+def _subset_id(rules) -> str:
+    if len(rules) < 2:
+        return f"only-{min(rules)}" if rules else "none"
     return "-".join(sorted(ALL_RULES - rules)) or "all"
 
 
-@pytest.mark.parametrize("rules", RULE_SUBSETS, ids=_dropped)
+@pytest.mark.parametrize("rules", RULE_SUBSETS, ids=_subset_id)
 @pytest.mark.parametrize("step_limit", STEP_LIMITS)
 def test_batches_over_random_theories_match_single_goals(monkeypatch, rules, step_limit):
     config = RuleEngineConfig(rules, step_limit)
@@ -529,7 +548,7 @@ def test_batches_over_random_theories_match_single_goals(monkeypatch, rules, ste
         _assert_batch_matches_single_goals(monkeypatch, _random_obligations(seed), config)
 
 
-@pytest.mark.parametrize("rules", RULE_SUBSETS, ids=_dropped)
+@pytest.mark.parametrize("rules", RULE_SUBSETS, ids=_subset_id)
 def test_batches_over_corpus_and_generated_contexts_match_single_goals(
         monkeypatch, corpus_and_generated_obligations, rules):
     obs = corpus_and_generated_obligations
@@ -559,7 +578,7 @@ def _charged(told, goal) -> tuple[bool | None, int]:
     return proven, counter.n
 
 
-@pytest.mark.parametrize("rules", RULE_SUBSETS, ids=_dropped)
+@pytest.mark.parametrize("rules", RULE_SUBSETS, ids=_subset_id)
 def test_told_index_and_steps_match_the_structural_reference(rules):
     """The class tables index a context as the structural `match` does,
     field by field and in iteration order, and charge every goal the same
@@ -590,7 +609,7 @@ _NESTED = Ontology(axioms=frozenset({
 }))
 
 
-@pytest.mark.parametrize("rules", [ALL_RULES, ALL_RULES - {"R3"}], ids=_dropped)
+@pytest.mark.parametrize("rules", [ALL_RULES, ALL_RULES - {"R3"}], ids=_subset_id)
 def test_nested_and_repeated_conjunctions_match_the_structural_reference(rules):
     config = RuleEngineConfig(rules)
     told, ref = verifier._Theory(_NESTED, config), ReferenceTheory(_NESTED, config)
