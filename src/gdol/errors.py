@@ -77,7 +77,9 @@ class DepthExceeded(GdolError):
         self.pattern = pattern
         super().__init__(
             f"instantiation depth budget ({budget}) exceeded while expanding {pattern!r};"
-            " the pattern is probably not well founded"
+            " the pattern is probably not well founded, or recurses over a list too"
+            " long for the budget: each list element counts one level, and --depth"
+            " raises the budget"
         )
 
 

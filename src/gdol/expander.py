@@ -37,11 +37,16 @@ An argument written `h :: t` stays a cons under substitution; `_as_list`,
 binding it to a list parameter, is the one place a cons becomes a list.
 An element's kind is checked in one place too, where a frame declares it,
 so a binding error comes first however a list is written.
-List recursion consumes one element per frame and hands its tail on as the
-very tuple it bound, so a frame recognises tails an earlier frame of the same
-expansion has seen: their items are declared once, and a frame whose
+A list parameter is bound to a view (`ListView`): the tuple its list was
+given in, shared, and the offset of its first element.  List recursion
+consumes one element per frame and binds its tail as a view of the same
+tuple one element on, so handing the tail on copies nothing, and a frame
+recognises tails an earlier frame of the same expansion has seen by that
+tuple and offset: their items are declared once, and a frame whose
 obligations provably repeat an earlier frame's is not asked for them again.
-That keeps the work per frame proportional to what the frame adds.
+A tail is copied only where a cons builds a new list in front of it or its
+items are spliced into a value.  That keeps the work per frame proportional
+to what the frame adds.
 
 What depends only on a pattern is worked out once per environment and
 kept on it: each pattern's shape (whether it has constraints, its list and
@@ -73,6 +78,7 @@ builder: every node goes into the innermost open run's.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -81,7 +87,7 @@ from .errors import (
 )
 from .model import (
     Argument, Axiom, BasicSpec, ConsArg, Decl, Document, EmptyArg, EmptySpec,
-    ExtensionSpec, InstSpec, LetSpec, ListArg, Name, Node, Obligation, Ontology,
+    ExtensionSpec, InstSpec, LetSpec, ListArg, ListView, Name, Node, Obligation, Ontology,
     OntologyBuilder, OntologyDef, Parameter, PatternDef, Spec, SymbolArg,
     SymbolKind, TopDecl, UnionSpec, _strings, plan_axiom, stratify,
     subst_arguments, subst_axiom, subst_decls,
@@ -105,23 +111,26 @@ class Binding(Node):
     """Result of matching arguments against a parameter list."""
 
     mapping: dict[str, Argument]  # param and tail names -> bound arguments
-    lists: dict[str, tuple[Argument, ...]]  # full element lists per list param
+    lists: dict[str, ListView]  # full element lists per list param
     exhausted: bool  # every list parameter received an empty list
 
 
-def _as_list(pattern: str, param: Parameter, arg: Argument) -> tuple[Argument, ...]:
-    """The elements of an argument bound to a list parameter: a list's own
-    tuple, or a cons's heads in a new tuple in front of the list its tail
-    ends in.  The elements' kinds are checked where a frame declares them."""
+def _as_list(pattern: str, param: Parameter, arg: Argument) -> ListView:
+    """The elements of an argument bound to a list parameter: a view of a
+    list's own tuple, a view as it is, or a cons's heads in a new tuple in
+    front of the list its tail ends in.  The elements' kinds are checked
+    where a frame declares them."""
     heads: list[Argument] = []
     while type(arg) is ConsArg:
         heads.append(arg.head)
         arg = arg.tail
     t = type(arg)
+    if t is ListView:
+        return ListView((*heads, *islice(arg.items, arg.start, None))) if heads else arg
     if t is ListArg:
-        return (*heads, *arg.items) if heads else arg.items  # a list as given keeps its identity
+        return ListView((*heads, *arg.items) if heads else arg.items)  # a list as given keeps its tuple
     if t is EmptyArg:
-        return tuple(heads)
+        return ListView(tuple(heads))
     if t is SymbolArg:
         raise SubstitutionError(f"{pattern}: parameter {param.name!r} needs a list, got name {arg.name}")
     raise TypeError(f"not an argument: {arg!r}")
@@ -131,16 +140,19 @@ def bind_arguments(pdef: PatternDef, args: tuple[Argument, ...]) -> Binding:
     if len(args) != len(pdef.params):
         raise ArityMismatch(pdef.name, len(pdef.params), len(args))
     mapping: dict[str, Argument] = {}
-    lists: dict[str, tuple[Argument, ...]] = {}
+    lists: dict[str, ListView] = {}
     for param, arg in zip(pdef.params, args):
         t = type(arg)
         if t is SymbolArg and arg.kind is not None and arg.kind is not param.kind:
             raise KindMismatch(pdef.name, param.name, param.kind.value, arg.kind.value)
         if param.list_tail is not None:
-            items = _as_list(pdef.name, param, arg)
-            lists[param.name] = items
-            mapping[param.name] = items[0] if items else EmptyArg()
-            mapping[param.list_tail] = ListArg(items[1:])
+            view = lists[param.name] = _as_list(pdef.name, param, arg)
+            if len(view):
+                mapping[param.name] = view.items[view.start]
+                mapping[param.list_tail] = ListView(view.items, view.start + 1)
+            else:
+                mapping[param.name] = EmptyArg()
+                mapping[param.list_tail] = view
         elif t is SymbolArg:
             mapping[param.name] = arg
         elif t is EmptyArg:
@@ -149,7 +161,7 @@ def bind_arguments(pdef: PatternDef, args: tuple[Argument, ...]) -> Binding:
             mapping[param.name] = arg
         else:
             raise SubstitutionError(f"{pdef.name}: parameter {param.name!r} needs a single name")
-    lengths = {len(items) for items in lists.values()}
+    lengths = {len(view) for view in lists.values()}
     if len(lengths) > 1:
         detail = ", ".join(f"{k}={len(v)}" for k, v in sorted(lists.items()))
         raise ListLengthMismatch(pdef.name, detail)
@@ -169,6 +181,11 @@ class _Closure:
         self.pdef, self.scope, self.binding = pdef, scope, binding
 
 
+def _key(view: ListView) -> tuple[int, int]:
+    """Which list a view shows: the id of the tuple it shares, and its start."""
+    return id(view.items), view.start
+
+
 class _Run:
     """State of one named-ontology or standalone-spec expansion: its name,
     the builder its nodes go into, its obligations (where each axiom was
@@ -176,27 +193,28 @@ class _Run:
     stratified flat names of the values it kept, and its shadowing
     warnings, which reach the environment when the run closes.
 
-    `declared` and `frames` remember list tails by identity; each entry keeps
-    the tuples (and closure) it is keyed by alive, so no other object can
-    take their ids.
+    `declared` and `frames` remember list tails as views, by the id of the
+    tuple a view shares and its start; each entry keeps the tuples (and
+    closure) it is keyed by alive, so no other object can take their ids.
+    Every tail of one list shares that list's tuple, so what they keep alive
+    grows with the list, not with its square.
     """
 
     def __init__(self, name: str | None) -> None:
         self.name = name  # None for a standalone spec
         self.out = OntologyBuilder()
         self.sink: dict[Axiom, _Found] = {}
-        self.declared: dict[tuple[int, SymbolKind], tuple[Argument, ...]] = {}
+        self.declared: dict[tuple[tuple[int, int], SymbolKind], tuple[Argument, ...]] = {}
         self.frames: dict[tuple, tuple] = {}
         self.plain: list[str] = []
         self.stratified: list[str] = []
         self.shadowing: list[str] = []
 
-    def undeclared(self, kind: SymbolKind, items: tuple[Argument, ...],
-                   tail: tuple[Argument, ...]) -> bool:
+    def undeclared(self, kind: SymbolKind, items: ListView, tail: ListView) -> bool:
         """Whether a frame still has to declare items as kind: not when they
         are the tail of a list an earlier frame declared.  Marks tail."""
-        self.declared[id(tail), kind] = tail
-        return (id(items), kind) not in self.declared
+        self.declared[_key(tail), kind] = tail.items
+        return (_key(items), kind) not in self.declared
 
     def repeats(self, closure: _Closure, binding: Binding, shape: _Shape) -> bool:
         """Whether every obligation of this frame was already raised by an
@@ -207,9 +225,9 @@ class _Run:
         a tail, nor a scalar parameter's constraint a list head."""
         mapping = binding.mapping
         scalars = tuple(mapping[p.name] for p in shape.scalars)
-        tails = tuple(mapping[p.list_tail].items for p in shape.lists)
-        seen = self.frames.get((closure, *(id(binding.lists[p.name]) for p in shape.lists)))
-        self.frames[(closure, *map(id, tails))] = (tails, scalars)
+        tails = [mapping[p.list_tail] for p in shape.lists]
+        seen = self.frames.get((closure, *[_key(binding.lists[p.name]) for p in shape.lists]))
+        self.frames[(closure, *map(_key, tails))] = ([v.items for v in tails], scalars)
         return seen is not None and seen[1] == scalars
 
 
@@ -468,16 +486,16 @@ class ExpansionEnv:
         decls: list[Decl] = []
         for param in pdef.params:
             if param.list_tail is not None:
-                items = binding.lists[param.name]
+                view = binding.lists[param.name]
                 if oblige and param.constraints:
-                    for i in range(len(items)):
+                    for i in range(len(view)):
                         # every list runs in parallel: element i of each
                         element_view = dict(mapping)
                         for other, elements in binding.lists.items():
-                            element_view[other] = elements[i]
+                            element_view[other] = elements.items[elements.start + i]
                         self._oblige(pdef.name, param, i, element_view)
-                if run.undeclared(param.kind, items, binding.mapping[param.list_tail].items):
-                    for item in items:
+                if run.undeclared(param.kind, view, binding.mapping[param.list_tail]):
+                    for item in islice(view.items, view.start, None):
                         if isinstance(item, SymbolArg):
                             if item.kind is not None and item.kind is not param.kind:
                                 raise KindMismatch(pdef.name, param.name, param.kind.value,

@@ -456,6 +456,20 @@ class ListArg(Node):
     items: tuple["Argument", ...] = ()
 
 
+class ListView(Node):
+    """The list `items[start:]`, bound without copying: the expander binds a
+    list parameter to a view and its tail to a view of the same tuple one
+    element on, so list recursion hands its tail on and copies nothing.
+    Only the expander builds one; substitution reads it as the list it
+    shows, and copies its items only where it splices them into a value."""
+
+    items: tuple["Argument", ...]
+    start: int = 0
+
+    def __len__(self) -> int:
+        return len(self.items) - self.start
+
+
 class EmptyArg(Node):
     pass
 
@@ -468,7 +482,7 @@ class ConsArg(Node):
     tail: "Argument"
 
 
-Argument = Union[SymbolArg, ListArg, EmptyArg, ConsArg]
+Argument = Union[SymbolArg, ListArg, ListView, EmptyArg, ConsArg]
 
 
 # --- parameters, specs, declarations --------------------------------------
@@ -598,11 +612,22 @@ def _subst_name(n: Name, binding: Mapping[str, Argument], fn: NameFn = _same) ->
         return fn(Name(repl.base, repl.args + new_args) if new_args else repl)
     if t is EmptyArg:
         raise _MentionsEmpty
-    if t is ListArg or t is ConsArg:
+    if t is ListArg or t is ListView or t is ConsArg:
         raise SubstitutionError(
             f"list argument bound to {n.base!r} used where a single name is expected"
         )
     raise TypeError(f"not an argument: {bound!r}")
+
+
+def _spliced(arg: Argument | None) -> tuple[Argument, ...] | None:
+    """The items a list argument splices into a value, None for any other
+    argument."""
+    t = type(arg)
+    if t is ListArg:
+        return arg.items
+    if t is ListView:
+        return arg.items[arg.start:]
+    return None
 
 
 def _subst_members(members: tuple[Name, ...], binding: Mapping[str, Argument],
@@ -611,9 +636,9 @@ def _subst_members(members: tuple[Name, ...], binding: Mapping[str, Argument],
     elements in place (Fig-11 style `{v0, vs}`)."""
     out: list[Name] = []
     for m in members:
-        bound = binding.get(m.base) if not m.args else None
-        if type(bound) is ListArg:
-            for item in bound.items:
+        items = _spliced(binding.get(m.base)) if not m.args else None
+        if items is not None:
+            for item in items:
                 t = type(item)
                 if t is SymbolArg:
                     out.append(fn(item.name))
@@ -723,10 +748,11 @@ def subst_argument(arg: Argument, binding: Mapping[str, Argument]) -> Argument:
         out: list[Argument] = []
         for item in arg.items:
             sub = subst_argument(item, binding)
-            if type(sub) is ListArg:
-                out.extend(sub.items)
-            else:
+            items = _spliced(sub)
+            if items is None:
                 out.append(sub)
+            else:
+                out.extend(items)
         return ListArg(tuple(out))
     if t is ConsArg:
         return ConsArg(subst_argument(arg.head, binding), subst_argument(arg.tail, binding))

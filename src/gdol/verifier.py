@@ -61,6 +61,8 @@ class RuleEngineConfig(Node):
         unknown = self.rules - ALL_RULES
         if unknown:
             raise ValueError(f"unknown rule labels: {', '.join(sorted(map(repr, unknown)))}")
+        if type(self.step_limit) is not int or self.step_limit < 0:  # not isinstance: True is no limit
+            raise ValueError(f"step_limit must be a non-negative int, got {self.step_limit!r}")
 
 
 DEFAULT_CONFIG = RuleEngineConfig()

@@ -42,6 +42,7 @@ from gdol import (
     Some,
     SubClassOf,
     SubPropertyOf,
+    SubstitutionError,
     SymbolArg,
     SymbolKind,
     UnknownPattern,
@@ -57,6 +58,11 @@ from gdol.model import OntologyBuilder, axiom_names, canon_axiom
 
 def S(n: str) -> SymbolArg:
     return SymbolArg(Name(n))
+
+
+def shown(view) -> tuple:
+    """The items a bound list view shows."""
+    return view.items[view.start:]
 
 
 def names_of(o: Ontology) -> set[str]:
@@ -79,12 +85,12 @@ def test_binding_scalars_optionals_and_lists(corpus_docs):
     assert b.mapping["Val"] == S("Grade")
     assert b.mapping["greater"] == EmptyArg()
     assert b.mapping["v0"] == S("g1")
-    assert b.mapping["vs"] == ListArg((S("g2"),))
+    assert shown(b.mapping["vs"]) == (S("g2"),)
     assert not b.exhausted
 
     b = bind_arguments(val_set, (S("Grade"), S("gt"), ListArg(())))
     assert b.mapping["v0"] == EmptyArg()
-    assert b.mapping["vs"] == ListArg(())
+    assert shown(b.mapping["vs"]) == ()
     assert b.exhausted
 
     with pytest.raises(ArityMismatch):
@@ -103,7 +109,7 @@ def test_cons_arguments_prepend(corpus_docs):
     b = bind_arguments(defs["VAL_Set"],
                        (S("Grade"), EmptyArg(),
                         ConsArg(g0, ListArg((S("g1"),)))))
-    assert b.lists["v0"] == (g0, S("g1"))
+    assert shown(b.lists["v0"]) == (g0, S("g1"))
 
 
 def test_list_literals_splice_and_cons_cells_end_under_a_binding():
@@ -191,16 +197,58 @@ def test_a_binding_error_comes_before_an_items_kind_error_however_the_list_is_wr
 
 
 def test_a_list_argument_is_bound_as_its_own_tuple():
-    """A list literal binds its own tuple, which later frames recognise as a
-    tail; a cons builds a new one."""
+    """A list literal binds a view of its own tuple, and its tail a view of
+    the same tuple, which later frames recognise; a cons builds a new one."""
     from gdol import ConsArg
 
     (pdef,) = parse_document("pattern L [ Class: x :: xs ] = Class: x\n").decls
     items = (S("a"), S("b"))
-    assert bind_arguments(pdef, (ListArg(items),)).lists["x"] is items
+    b = bind_arguments(pdef, (ListArg(items),))
+    assert b.lists["x"].items is items and shown(b.lists["x"]) == items
+    assert b.mapping["xs"].items is items and shown(b.mapping["xs"]) == (S("b"),)
+    assert bind_arguments(pdef, (b.mapping["xs"],)).lists["x"] is b.mapping["xs"]
     consed = bind_arguments(pdef, (ConsArg(S("c"), ListArg(items)),)).lists["x"]
-    assert consed == (S("c"), *items) and consed is not items
-    assert bind_arguments(pdef, (ConsArg(S("c"), EmptyArg()),)).lists["x"] == (S("c"),)
+    assert shown(consed) == (S("c"), *items) and consed.items is not items
+    assert shown(bind_arguments(pdef, (ConsArg(S("c"), EmptyArg()),)).lists["x"]) == (S("c"),)
+
+
+def test_a_bound_tail_reaches_every_place_a_list_can_go():
+    """A frame's tail is handed on by the recursive call, consed onto, held
+    in a list literal, spliced into an enumeration and DifferentIndividuals,
+    and ends empty; in a single-name position it is an error."""
+    doc = parse_document(
+        "pattern Mark [ Class: K; Individual: i :: is ] = Individual: i Types: K then Mark[K; is]\n"
+        "pattern Tail [ Individual: v :: vs ] =\n"
+        "    Class: After[v] EquivalentTo: {vs}\n"
+        "    DifferentIndividuals: v, vs\n"
+        "then Tail[vs] and Mark[Consed[v]; z :: vs] and Mark[Listed[v]; [vs, z]]\n"
+        "pattern One [ Class: y ] = Class: y\n"
+        "pattern InName [ Class: x :: xs ] = Class: xs\n"
+        "pattern InArg [ Class: x :: xs ] = One[xs]\n"
+        "ontology O = Tail[[a, b, c]]\n"
+        "ontology OName = InName[[a, b]]\nontology OArg = InArg[[a, b]]\n")
+    env = ExpansionEnv.from_documents([doc])
+    assert emitter.emit_manchester(env.expand_named("O")) == "".join(
+        line + "\n" for line in [
+            "Class: After_a", "  EquivalentTo: {b, c}", "Class: After_b", "  EquivalentTo: {c}",
+            "Class: After_c", "  EquivalentTo: {}",
+            "Class: Consed_a", "Class: Consed_b", "Class: Consed_c",
+            "Class: Listed_a", "Class: Listed_b", "Class: Listed_c",
+            "Individual: a",
+            "Individual: b", "  Types: Consed_a", "  Types: Listed_a",
+            "Individual: c", "  Types: Consed_a", "  Types: Consed_b",
+            "  Types: Listed_a", "  Types: Listed_b",
+            "Individual: z", "  Types: Consed_a", "  Types: Consed_b", "  Types: Consed_c",
+            "  Types: Listed_a", "  Types: Listed_b", "  Types: Listed_c",
+            "DifferentIndividuals: a, b, c", "DifferentIndividuals: b, c",
+            "DifferentIndividuals: c"])
+    errors = []
+    for name in ("OName", "OArg"):
+        with pytest.raises(SubstitutionError) as info:
+            env.expand_named(name)
+        errors.append(str(info.value))
+    assert errors == ["list argument bound to 'xs' used where a single name is expected",
+                      "One: parameter 'y' needs a single name"]
 
 
 # --- whole-ontology expansion ----------------------------------------------
@@ -371,6 +419,20 @@ def test_depth_budget_counts_frames_across_given_imports():
     with pytest.raises(DepthExceeded):
         ExpansionEnv.from_documents([doc], depth_budget=4).expand_named("Outer")
     assert ExpansionEnv.from_documents([doc], depth_budget=5).expand_named("Outer").decls
+
+
+def test_the_depth_error_names_long_lists():
+    """Each list element nests one frame, so a well-founded recursion over a
+    list longer than the budget stops too, and the message says how to go on."""
+    doc = parse_document("pattern P [Class: x :: xs] = Class: x then P[xs]\n"
+                         "ontology O = P[[a, b, c, d]]\n")
+    with pytest.raises(DepthExceeded) as info:
+        ExpansionEnv.from_documents([doc], depth_budget=4).expand_named("O")
+    assert str(info.value) == (
+        "instantiation depth budget (4) exceeded while expanding 'P'; the pattern is"
+        " probably not well founded, or recurses over a list too long for the budget:"
+        " each list element counts one level, and --depth raises the budget")
+    assert len(ExpansionEnv.from_documents([doc], depth_budget=5).expand_named("O").decls) == 4
 
 
 def test_name_collision_diagnostic(env):
@@ -675,6 +737,30 @@ def test_list_recursion_work_grows_linearly(corpus_docs, monkeypatch):
     large = _expansion_work(corpus_docs, monkeypatch, 160)
     for what in ("strat", "noted", "construct", "checked_decls"):
         assert large[what] <= 4.5 * small[what], (what, small, large)
+
+
+def test_list_recursion_copies_linearly_many_elements(corpus_docs, monkeypatch):
+    """Each frame binds its list, and its tail, as views of the tuple the
+    list was given in, so the list elements that frames' bindings hold,
+    counted once per distinct tuple, grow with the list and not with its
+    square."""
+    held: list[dict[int, tuple]] = []  # per expansion: id -> the tuple, kept alive
+    bind = expander.bind_arguments
+
+    def recording_bind(pdef, args):
+        binding = bind(pdef, args)
+        for bound in (*binding.lists.values(), *binding.mapping.values()):
+            items = bound if type(bound) is tuple else getattr(bound, "items", None)
+            if type(items) is tuple:
+                held[-1][id(items)] = items
+        return binding
+
+    monkeypatch.setattr(expander, "bind_arguments", recording_bind)
+    for n in (40, 160):
+        held.append({})
+        _ordgrade(corpus_docs, n)
+    small, large = (sum(map(len, tuples.values())) for tuples in held)
+    assert large <= 4.5 * small, (small, large)
 
 
 def test_expansion_builds_no_ontology_per_fragment(corpus_docs, monkeypatch):

@@ -502,7 +502,7 @@ def _sample(cls: type, tag: str = ""):
         return Ontology(frozenset({(SymbolKind.CLASS, Name("n" + tag))}),
                         frozenset({SubClassOf(Named(Name("n" + tag)), Named(Name("m")))}))
     if cls is RuleEngineConfig:
-        return RuleEngineConfig(frozenset({"R2" if tag else "R1"}), f"step_limit{tag}")
+        return RuleEngineConfig(frozenset({"R2" if tag else "R1"}), 2 if tag else 1)
     return cls(*(f"{f}{tag}" for f in cls.__match_args__))
 
 
@@ -512,7 +512,7 @@ def _compared(x) -> tuple:
 
 
 def test_every_node_class_is_checked():
-    assert len(_NODE_CLASSES) == 43
+    assert len(_NODE_CLASSES) == 44
 
 
 @pytest.mark.parametrize("cls", _NODE_CLASSES, ids=lambda c: c.__name__)

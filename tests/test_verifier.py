@@ -199,6 +199,14 @@ def test_step_limit_is_reported():
     assert res.step_limited
 
 
+@pytest.mark.parametrize("limit", [-1, True, "5", 5.0], ids=["negative", "bool", "str", "float"])
+def test_a_step_limit_that_is_no_count_is_rejected(limit):
+    with pytest.raises(ValueError) as info:
+        RuleEngineConfig(step_limit=limit)
+    assert str(info.value) == f"step_limit must be a non-negative int, got {limit!r}"
+    assert RuleEngineConfig(step_limit=0).step_limit == 0
+
+
 def test_rules_can_be_disabled_individually():
     others = frozenset({"R2", "R3", "R4", "R5", "R6", "R7"})
     assert not proven(SUBCLASS_THEORY, SubClassOf(N("A"), N("C")), rules=others)
