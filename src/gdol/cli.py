@@ -20,13 +20,23 @@ from .model import Document, OntologyDef, RefinementDef
 from .parser import parse_document
 
 
+def _depth(text: str) -> int:
+    """A --depth value: a positive integer."""
+    try:
+        if int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("files", nargs="+", type=Path, help="pattern documents (.gdol)")
     sub.add_argument("--lib", action="append", type=Path, default=[],
                      help="directory of additional .gdol documents (repeatable)")
     sub.add_argument("--target", action="append", default=[],
                      help="restrict to this declaration (repeatable)")
-    sub.add_argument("--depth", type=int, default=DEFAULT_DEPTH_BUDGET,
+    sub.add_argument("--depth", type=_depth, default=DEFAULT_DEPTH_BUDGET,
                      help="instantiation depth budget")
 
 

@@ -16,12 +16,14 @@ with its expansion.
 
 Merge warnings are read off two sets of flat names, the stratified and the
 plain names of the values expansion kept: a name in both is a stratified
-name that merges with a plain one.  A value's names are queued while it is
-built and recorded only once it is kept, so the names of an axiom an empty
-binding deletes never warn.  An expansion keeps these names, and the
-warnings of its local parameters shadowing outer bindings, to itself until
-it closes, so one that failed leaves no warning behind.  `diagnostics`
-lists these warnings sorted, the same under any hash seed.
+name that merges with a plain one.  Substitution logs each name it builds
+on one of two lists of the environment, and drops what it logged for an
+axiom an empty binding deletes, so those names never warn; warnings of
+local parameters shadowing outer bindings go on a third.  A run notes the
+lengths of the three logs when it opens, and when it closes moves what
+lies past them into the environment's sets, so an expansion that failed
+leaves no warning behind.  `diagnostics` lists these warnings sorted, the
+same under any hash seed.
 
 A let's scope is a dict of the local patterns in force: a copy of the
 enclosing let's, then this let's own, which close over that same dict so
@@ -37,16 +39,16 @@ An argument written `h :: t` stays a cons under substitution; `_as_list`,
 binding it to a list parameter, is the one place a cons becomes a list.
 An element's kind is checked in one place too, where a frame declares it,
 so a binding error comes first however a list is written.
-A list parameter is bound to a view (`ListView`): the tuple its list was
-given in, shared, and the offset of its first element.  List recursion
-consumes one element per frame and binds its tail as a view of the same
-tuple one element on, so handing the tail on copies nothing, and a frame
-recognises tails an earlier frame of the same expansion has seen by that
-tuple and offset: their items are declared once, and a frame whose
-obligations provably repeat an earlier frame's is not asked for them again.
-A tail is copied only where a cons builds a new list in front of it or its
-items are spliced into a value.  That keeps the work per frame proportional
-to what the frame adds.
+A list parameter is bound to the `ListArg` its list was given as: a tuple
+and the offset of its first element.  List recursion consumes one element
+per frame and binds its tail as a `ListArg` of the same tuple one element
+on, so handing the tail on copies nothing, and a frame recognises tails an
+earlier frame of the same expansion has seen by that tuple and offset:
+their items are declared once, and a frame whose obligations provably
+repeat an earlier frame's is not asked for them again.  A tail is copied
+only where a cons builds a new list in front of it or its items are
+spliced into a value.  That keeps the work per frame proportional to what
+the frame adds.
 
 What depends only on a pattern is worked out once per environment and
 kept on it: each pattern's shape (whether it has constraints, its list and
@@ -87,7 +89,7 @@ from .errors import (
 )
 from .model import (
     Argument, Axiom, BasicSpec, ConsArg, Decl, Document, EmptyArg, EmptySpec,
-    ExtensionSpec, InstSpec, LetSpec, ListArg, ListView, Name, Node, Obligation, Ontology,
+    ExtensionSpec, InstSpec, LetSpec, ListArg, Name, Node, Obligation, Ontology,
     OntologyBuilder, OntologyDef, Parameter, PatternDef, Spec, SymbolArg,
     SymbolKind, TopDecl, UnionSpec, _strings, plan_axiom, stratify,
     subst_arguments, subst_axiom, subst_decls,
@@ -111,26 +113,23 @@ class Binding(Node):
     """Result of matching arguments against a parameter list."""
 
     mapping: dict[str, Argument]  # param and tail names -> bound arguments
-    lists: dict[str, ListView]  # full element lists per list param
+    lists: dict[str, ListArg]  # full element lists per list param
     exhausted: bool  # every list parameter received an empty list
 
 
-def _as_list(pattern: str, param: Parameter, arg: Argument) -> ListView:
-    """The elements of an argument bound to a list parameter: a view of a
-    list's own tuple, a view as it is, or a cons's heads in a new tuple in
-    front of the list its tail ends in.  The elements' kinds are checked
-    where a frame declares them."""
+def _as_list(pattern: str, param: Parameter, arg: Argument) -> ListArg:
+    """The elements of an argument bound to a list parameter: a list as it
+    is, or a cons's heads in a new tuple in front of the list its tail ends
+    in.  The elements' kinds are checked where a frame declares them."""
     heads: list[Argument] = []
     while type(arg) is ConsArg:
         heads.append(arg.head)
         arg = arg.tail
     t = type(arg)
-    if t is ListView:
-        return ListView((*heads, *islice(arg.items, arg.start, None))) if heads else arg
     if t is ListArg:
-        return ListView((*heads, *arg.items) if heads else arg.items)  # a list as given keeps its tuple
+        return ListArg((*heads, *islice(arg.items, arg.start, None))) if heads else arg
     if t is EmptyArg:
-        return ListView(tuple(heads))
+        return ListArg(tuple(heads))
     if t is SymbolArg:
         raise SubstitutionError(f"{pattern}: parameter {param.name!r} needs a list, got name {arg.name}")
     raise TypeError(f"not an argument: {arg!r}")
@@ -140,19 +139,19 @@ def bind_arguments(pdef: PatternDef, args: tuple[Argument, ...]) -> Binding:
     if len(args) != len(pdef.params):
         raise ArityMismatch(pdef.name, len(pdef.params), len(args))
     mapping: dict[str, Argument] = {}
-    lists: dict[str, ListView] = {}
+    lists: dict[str, ListArg] = {}
     for param, arg in zip(pdef.params, args):
         t = type(arg)
         if t is SymbolArg and arg.kind is not None and arg.kind is not param.kind:
             raise KindMismatch(pdef.name, param.name, param.kind.value, arg.kind.value)
         if param.list_tail is not None:
-            view = lists[param.name] = _as_list(pdef.name, param, arg)
-            if len(view):
-                mapping[param.name] = view.items[view.start]
-                mapping[param.list_tail] = ListView(view.items, view.start + 1)
+            elements = lists[param.name] = _as_list(pdef.name, param, arg)
+            if len(elements):
+                mapping[param.name] = elements.items[elements.start]
+                mapping[param.list_tail] = ListArg(elements.items, elements.start + 1)
             else:
                 mapping[param.name] = EmptyArg()
-                mapping[param.list_tail] = view
+                mapping[param.list_tail] = elements
         elif t is SymbolArg:
             mapping[param.name] = arg
         elif t is EmptyArg:
@@ -161,7 +160,7 @@ def bind_arguments(pdef: PatternDef, args: tuple[Argument, ...]) -> Binding:
             mapping[param.name] = arg
         else:
             raise SubstitutionError(f"{pdef.name}: parameter {param.name!r} needs a single name")
-    lengths = {len(view) for view in lists.values()}
+    lengths = {len(elements) for elements in lists.values()}
     if len(lengths) > 1:
         detail = ", ".join(f"{k}={len(v)}" for k, v in sorted(lists.items()))
         raise ListLengthMismatch(pdef.name, detail)
@@ -181,36 +180,33 @@ class _Closure:
         self.pdef, self.scope, self.binding = pdef, scope, binding
 
 
-def _key(view: ListView) -> tuple[int, int]:
-    """Which list a view shows: the id of the tuple it shares, and its start."""
-    return id(view.items), view.start
+def _key(elements: ListArg) -> tuple[int, int]:
+    """Which list a bound list shows: the id of its tuple, and its start."""
+    return id(elements.items), elements.start
 
 
 class _Run:
     """State of one named-ontology or standalone-spec expansion: its name,
     the builder its nodes go into, its obligations (where each axiom was
-    first raised), and what its warnings are read from: the plain and the
-    stratified flat names of the values it kept, and its shadowing
-    warnings, which reach the environment when the run closes.
+    first raised), and the lengths of the environment's logs when it
+    opened: what lies past them when it closes is its own.
 
-    `declared` and `frames` remember list tails as views, by the id of the
-    tuple a view shares and its start; each entry keeps the tuples (and
-    closure) it is keyed by alive, so no other object can take their ids.
-    Every tail of one list shares that list's tuple, so what they keep alive
-    grows with the list, not with its square.
+    `declared` and `frames` remember list tails by the id of the tuple a
+    tail shares with its list and its start; each entry keeps the tuples
+    (and closure) it is keyed by alive, so no other object can take their
+    ids.  Every tail of one list shares that list's tuple, so what they keep
+    alive grows with the list, not with its square.
     """
 
-    def __init__(self, name: str | None) -> None:
+    def __init__(self, name: str | None, marks: tuple[int, ...]) -> None:
         self.name = name  # None for a standalone spec
+        self.marks = marks
         self.out = OntologyBuilder()
         self.sink: dict[Axiom, _Found] = {}
         self.declared: dict[tuple[tuple[int, int], SymbolKind], tuple[Argument, ...]] = {}
         self.frames: dict[tuple, tuple] = {}
-        self.plain: list[str] = []
-        self.stratified: list[str] = []
-        self.shadowing: list[str] = []
 
-    def undeclared(self, kind: SymbolKind, items: ListView, tail: ListView) -> bool:
+    def undeclared(self, kind: SymbolKind, items: ListArg, tail: ListArg) -> bool:
         """Whether a frame still has to declare items as kind: not when they
         are the tail of a list an earlier frame declared.  Marks tail."""
         self.declared[_key(tail), kind] = tail.items
@@ -254,32 +250,33 @@ class ExpansionEnv:
     """Shared state for expanding one set of documents."""
 
     def __init__(self, library: Mapping[str, TopDecl], depth_budget: int = DEFAULT_DEPTH_BUDGET):
+        if type(depth_budget) is not int or depth_budget < 1:  # not isinstance: True is no budget
+            raise ValueError(f"depth_budget must be a positive int, got {depth_budget!r}")
         self.depth_budget = depth_budget
-        self._shadowing: set[str] = set()  # warnings of local parameters shadowing outer ones
         # every top-level name, a pattern as a closure over no locals
         self._global: dict[str, _Closure | TopDecl] = {
             name: _Closure(decl, {}, {}) if isinstance(decl, PatternDef) else decl
             for name, decl in library.items()}
         self._cache: dict[str, tuple[Ontology, tuple[Obligation, ...]]] = {}
-        # the flat names of kept values, stratified and plain; a name in both
-        # is a merge warning
-        self._stratified: set[str] = set()
-        self._plain: set[str] = set()
-        # the names of the value being built, plain and stratified, for _note
-        self._queued: list[str] = []
-        self._queued_flat: list[str] = []
+        # what the open runs logged, each past its marks: the plain and the
+        # stratified flat names of the values they kept, and the warnings
+        # of local parameters shadowing outer ones
+        self._logs: tuple[list[str], list[str], list[str]] = ([], [], [])
+        # the same three, of every run that closed; a name both plain and
+        # stratified is a merge warning
+        self._kept: tuple[set[str], set[str], set[str]] = (set(), set(), set())
         # worked out once per environment; an id-keyed entry holds its key's
         # object, so no other object can take the id
         self._flat: dict[Name, Name] = {}  # parameterized name -> stratified name
         self._plans: dict[int, tuple[Axiom, Callable]] = {}  # axiom id -> (axiom, its plan)
         self._shapes: dict[int, _Shape] = {}  # pattern id -> its frames' shape
-        flat_names, plain, flat = self._flat, self._queued, self._queued_flat
+        flat_names, (plain, flat, _) = self._flat, self._logs
 
         def strat(n: Name) -> Name:
-            """Stratify a name of a value under substitution; queue its flat
-            name for `_note`.  Plans hold this function, and it holds no
-            reference to the environment, so a dropped environment, with
-            every expansion it caches, is freed at once."""
+            """Stratify a name of a value under substitution; log its flat
+            name.  Plans hold this function, and it holds no reference to
+            the environment, so a dropped environment, with every expansion
+            it caches, is freed at once."""
             if not n.args:
                 plain.append(n.base)
                 return n
@@ -306,15 +303,10 @@ class ExpansionEnv:
         """The warnings so far, sorted: each local parameter shadowing an
         outer binding, and each flat name that is both a stratified and a
         plain name of kept values, which merge."""
+        plain, stratified, shadowing = self._kept
         merged = (f"stratified name {name!r} coincides with a plain name; the two merge"
-                  for name in self._stratified & self._plain)
-        return sorted([*self._shadowing, *merged])
-
-    def _note(self) -> None:
-        """Record the queued names of a kept value in the innermost run."""
-        run = self._runs[-1]
-        run.plain += self._queued
-        run.stratified += self._queued_flat
+                  for name in stratified & plain)
+        return sorted([*shadowing, *merged])
 
     # --- named ontologies ---
 
@@ -342,6 +334,8 @@ class ExpansionEnv:
         """
         # the current walk's items and its open runs, innermost last
         work, runs = self._work, self._runs = [], []
+        for log in self._logs:  # a failed walk leaves its names behind
+            log.clear()
         if name is None:
             assert spec is not None
             self._open(None, spec, (), 0)
@@ -356,9 +350,9 @@ class ExpansionEnv:
                 self._reference(*item[1:])
             else:
                 run = runs.pop()
-                self._plain.update(run.plain)
-                self._stratified.update(run.stratified)
-                self._shadowing.update(run.shadowing)
+                for log, kept, mark in zip(self._logs, self._kept, run.marks):
+                    kept.update(islice(log, mark, None))
+                    del log[mark:]
                 result = run.out.freeze()
                 obligations = tuple(Obligation(axiom, run.name or "", *found, result)
                                     for axiom, found in run.sink.items())
@@ -370,7 +364,7 @@ class ExpansionEnv:
 
     def _open(self, name: str | None, spec: Spec, imports: tuple[str, ...], depth: int) -> None:
         """Start a run: its spec, then its imports, then its closing item."""
-        self._runs.append(_Run(name))
+        self._runs.append(_Run(name, tuple(map(len, self._logs))))
         work = self._work
         work.append((_CLOSE,))
         for imp in reversed(imports):
@@ -413,7 +407,7 @@ class ExpansionEnv:
             for p in spec.locals:
                 shadowed = sorted(p.param_names & binding.keys())
                 if shadowed:
-                    self._runs[-1].shadowing.append(
+                    self._logs[2].append(  # the shadowing log
                         f"parameters {shadowed} of local pattern {p.name!r} shadow outer bindings")
                 inner[p.name] = _Closure(p, inner, binding)
             self._work.append((_SPEC, spec.body, inner, binding, depth))
@@ -425,9 +419,9 @@ class ExpansionEnv:
         through the axiom's plan: under a binding one built once per
         environment, and with none (a named ontology's own axioms, walked
         once) one built for that use.  One deleted by an empty binding
-        leaves none of its names queued."""
+        leaves none of its names logged."""
         kept = []
-        plain, flat, plans = self._queued, self._queued_flat, self._plans
+        (plain, flat, _), plans = self._logs, self._plans
         for a in axioms:
             mark, flat_mark = len(plain), len(flat)
             if binding:
@@ -446,15 +440,10 @@ class ExpansionEnv:
     def _add(self, decls: Iterable[Decl], axioms: Iterable[Axiom],
              binding: Mapping[str, Argument]) -> None:
         """Substitute, stratify and canonicalize one node into the innermost
-        run's builder, then record its names.  A declaration that
-        contradicts the builder raises the KindClash of the least clashing
-        flat name."""
-        self._queued.clear()
-        self._queued_flat.clear()
+        run's builder.  A declaration that contradicts the builder raises
+        the KindClash of the least clashing flat name."""
         decls = subst_decls(decls, binding, self._strat)
-        axioms = self._subst_axioms(axioms, binding)
-        self._runs[-1].out.extend(decls, axioms)
-        self._note()
+        self._runs[-1].out.extend(decls, self._subst_axioms(axioms, binding))
 
     def _instantiate(self, spec: InstSpec, args: tuple[Argument, ...],
                      scope: dict[str, _Closure], depth: int) -> None:
@@ -486,16 +475,16 @@ class ExpansionEnv:
         decls: list[Decl] = []
         for param in pdef.params:
             if param.list_tail is not None:
-                view = binding.lists[param.name]
+                bound = binding.lists[param.name]
                 if oblige and param.constraints:
-                    for i in range(len(view)):
+                    for i in range(len(bound)):
                         # every list runs in parallel: element i of each
                         element_view = dict(mapping)
                         for other, elements in binding.lists.items():
                             element_view[other] = elements.items[elements.start + i]
                         self._oblige(pdef.name, param, i, element_view)
-                if run.undeclared(param.kind, view, binding.mapping[param.list_tail]):
-                    for item in islice(view.items, view.start, None):
+                if run.undeclared(param.kind, bound, binding.mapping[param.list_tail]):
+                    for item in islice(bound.items, bound.start, None):
                         if isinstance(item, SymbolArg):
                             if item.kind is not None and item.kind is not param.kind:
                                 raise KindMismatch(pdef.name, param.name, param.kind.value,
@@ -516,12 +505,9 @@ class ExpansionEnv:
                 view: Mapping[str, Argument]) -> None:
         """Raise param's constraints, substituted under view, as obligations
         of the innermost run."""
-        self._queued.clear()
-        self._queued_flat.clear()
         sink = self._runs[-1].sink
         for ax in self._subst_axioms(param.constraints, view):
             sink.setdefault(ax, (pattern, param.name, index))
-        self._note()
 
 
 # --- public entry points -----------------------------------------------------

@@ -453,17 +453,12 @@ class SymbolArg(Node):
 
 
 class ListArg(Node):
+    """The list `items[start:]`.  The parser builds one with start 0; the
+    expander binds a list's tail to the same tuple one element on, so list
+    recursion hands its tail on and copies nothing.  Substitution copies
+    the items only where it splices them into a value."""
+
     items: tuple["Argument", ...] = ()
-
-
-class ListView(Node):
-    """The list `items[start:]`, bound without copying: the expander binds a
-    list parameter to a view and its tail to a view of the same tuple one
-    element on, so list recursion hands its tail on and copies nothing.
-    Only the expander builds one; substitution reads it as the list it
-    shows, and copies its items only where it splices them into a value."""
-
-    items: tuple["Argument", ...]
     start: int = 0
 
     def __len__(self) -> int:
@@ -482,7 +477,7 @@ class ConsArg(Node):
     tail: "Argument"
 
 
-Argument = Union[SymbolArg, ListArg, ListView, EmptyArg, ConsArg]
+Argument = Union[SymbolArg, ListArg, EmptyArg, ConsArg]
 
 
 # --- parameters, specs, declarations --------------------------------------
@@ -612,7 +607,7 @@ def _subst_name(n: Name, binding: Mapping[str, Argument], fn: NameFn = _same) ->
         return fn(Name(repl.base, repl.args + new_args) if new_args else repl)
     if t is EmptyArg:
         raise _MentionsEmpty
-    if t is ListArg or t is ListView or t is ConsArg:
+    if t is ListArg or t is ConsArg:
         raise SubstitutionError(
             f"list argument bound to {n.base!r} used where a single name is expected"
         )
@@ -622,12 +617,7 @@ def _subst_name(n: Name, binding: Mapping[str, Argument], fn: NameFn = _same) ->
 def _spliced(arg: Argument | None) -> tuple[Argument, ...] | None:
     """The items a list argument splices into a value, None for any other
     argument."""
-    t = type(arg)
-    if t is ListArg:
-        return arg.items
-    if t is ListView:
-        return arg.items[arg.start:]
-    return None
+    return arg.items[arg.start:] if type(arg) is ListArg else None
 
 
 def _subst_members(members: tuple[Name, ...], binding: Mapping[str, Argument],
@@ -746,7 +736,7 @@ def subst_argument(arg: Argument, binding: Mapping[str, Argument]) -> Argument:
         return SymbolArg(_subst_name(n, binding), arg.kind)
     if t is ListArg:
         out: list[Argument] = []
-        for item in arg.items:
+        for item in arg.items[arg.start:]:
             sub = subst_argument(item, binding)
             items = _spliced(sub)
             if items is None:

@@ -167,6 +167,14 @@ def test_depth_budget_is_adjustable(tmp_path, capsys):
     assert "depth budget" in capsys.readouterr().err
 
 
+def test_a_depth_that_is_not_positive_is_a_usage_error(tmp_path, capsys):
+    rc = main(["expand", str(CORPUS / "logs" / "driver.gdol"), *LIBS,
+               "--depth", "-5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "argument --depth: must be a positive integer, got '-5'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_refine_reports_holding_chain(capsys):
     rc = main(["refine", str(CORPUS / "refinements" / "scoped_chain.gdol"),
                "--lib", PATTERNS])

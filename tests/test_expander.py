@@ -60,9 +60,9 @@ def S(n: str) -> SymbolArg:
     return SymbolArg(Name(n))
 
 
-def shown(view) -> tuple:
-    """The items a bound list view shows."""
-    return view.items[view.start:]
+def shown(bound: ListArg) -> tuple:
+    """The items a bound list shows."""
+    return bound.items[bound.start:]
 
 
 def names_of(o: Ontology) -> set[str]:
@@ -197,8 +197,8 @@ def test_a_binding_error_comes_before_an_items_kind_error_however_the_list_is_wr
 
 
 def test_a_list_argument_is_bound_as_its_own_tuple():
-    """A list literal binds a view of its own tuple, and its tail a view of
-    the same tuple, which later frames recognise; a cons builds a new one."""
+    """A list literal is bound as it is, and its tail as a ListArg of the
+    same tuple, which later frames recognise; a cons builds a new one."""
     from gdol import ConsArg
 
     (pdef,) = parse_document("pattern L [ Class: x :: xs ] = Class: x\n").decls
@@ -249,6 +249,55 @@ def test_a_bound_tail_reaches_every_place_a_list_can_go():
         errors.append(str(info.value))
     assert errors == ["list argument bound to 'xs' used where a single name is expected",
                       "One: parameter 'y' needs a single name"]
+
+
+def test_a_hand_built_list_with_a_start_is_the_list_it_shows():
+    """ListArg(items, start), written as an argument, expands as
+    ListArg(items[start:]) does: bound, consed onto, held in a list
+    literal, spliced into `{v0, vs}` and DifferentIndividuals, and in a
+    single-name position."""
+    from gdol import ConsArg
+
+    doc = parse_document(
+        "pattern Mark [ Class: K; Individual: i :: is ] = Individual: i Types: K then Mark[K; is]\n"
+        "pattern Tail [ Individual: v :: vs ] =\n"
+        "    Class: After[v] EquivalentTo: {vs}\n"
+        "    DifferentIndividuals: v, vs\n"
+        "then Tail[vs] and Mark[Consed[v]; z :: vs] and Mark[Listed[v]; [vs, z]]\n"
+        "pattern One [ Class: y ] = Class: y\n"
+        "pattern InName [ Class: x :: xs ] = Class: xs\n")
+    tail = doc.pattern_defs()["Tail"]
+    enum = EquivalentClasses(Named(Name("Val")), OneOf((Name("v0"), Name("vs"))))
+    different = DifferentIndividuals((Name("v0"), Name("vs")))
+    single = SubClassOf(Named(Name("vs")), Named(Name("Val")))
+
+    def outcome(arg) -> list:
+        """What each path makes of one list argument: the text or error of
+        each expansion, and the bound, consed and substituted lists."""
+        env = ExpansionEnv.from_documents([doc])
+        out: list = []
+        for pattern, head in (("Tail", ()), ("InName", ()), ("One", ()), ("Mark", (S("K"),))):
+            for written in (arg, ConsArg(S("c"), arg)):
+                try:
+                    o, _ = expand_spec_standalone(env, InstSpec(pattern, (*head, written)))
+                    out.append(emitter.emit_manchester(o))
+                except GdolError as exc:
+                    out.append((type(exc), str(exc)))
+        b = bind_arguments(tail, (arg,))
+        consed = bind_arguments(tail, (ConsArg(S("c"), arg),))
+        out += [shown(b.lists["v"]), b.mapping["v"], shown(b.mapping["vs"]),
+                shown(consed.lists["v"]), shown(consed.mapping["vs"])]
+        binding = {"v0": S("v0"), "vs": arg}
+        held = model.subst_argument(ListArg((S("w"), S("vs"), arg, S("z"))), binding)
+        out += [held, model.subst_argument(ConsArg(S("w"), S("vs")), binding).tail is arg,
+                model.subst_axiom(enum, binding), model.subst_axiom(different, binding)]
+        with pytest.raises(SubstitutionError) as info:
+            model.subst_axiom(single, binding)
+        return [*out, str(info.value)]
+
+    items = tuple(S(n) for n in ("x", "a", "b", "c"))
+    for start in range(len(items) + 1):
+        assert outcome(ListArg(items, start)) == outcome(ListArg(items[start:])), start
 
 
 # --- whole-ontology expansion ----------------------------------------------
@@ -407,6 +456,14 @@ def test_depth_budget_stops_unfounded_recursion():
         env.expand_named("Bad")
 
 
+@pytest.mark.parametrize("budget", [-5, 0, True])
+def test_a_depth_budget_must_be_a_positive_int(budget):
+    """As for the prover's step limit, True is not taken for 1."""
+    with pytest.raises(ValueError) as info:
+        ExpansionEnv.from_documents([], depth_budget=budget)
+    assert str(info.value) == f"depth_budget must be a positive int, got {budget!r}"
+
+
 def test_depth_budget_counts_frames_across_given_imports():
     # Inner takes four frames (the last one exhausted); imported by a Wrap
     # frame, they run one level deeper
@@ -527,11 +584,15 @@ _LEAK = (
 @pytest.mark.parametrize("failed", ["Bad", "BadQueue", "BadLet"])
 def test_a_failed_expansion_leaves_no_warning_in_its_environment(failed):
     """Good alone warns of nothing; an expansion that raised before it, in
-    the same environment, adds none of its names or shadowing warnings."""
+    the same environment, adds none of its names or shadowing warnings.
+    The failed walk leaves what it logged behind; the next walk starts from
+    empty logs, and a completed walk leaves them empty."""
     env = ExpansionEnv.from_documents([parse_document(_LEAK)])
     with pytest.raises(KindClash):
         env.expand_named(failed)
+    assert any(env._logs)
     env.expand_named("Good")
+    assert env._logs == ([], [], [])
     assert env.diagnostics == []
 
 
@@ -543,7 +604,10 @@ def test_an_ontology_expanded_inside_a_failed_one_keeps_its_warnings():
     env = ExpansionEnv.from_documents([doc])
     with pytest.raises(KindClash):
         env.expand_named("BadRef")
+    assert any(env._logs)
     env.expand_named("Shadow")
+    env.expand_named("Good")
+    assert env._logs == ([], [], [])
     assert env.diagnostics == ["parameters ['X'] of local pattern 'L' shadow outer bindings"]
 
 
@@ -703,12 +767,8 @@ def test_named_ontologies_sharing_a_list_each_get_every_obligation(list_env):
 # --- expansion work -------------------------------------------------------------
 
 def _expansion_work(corpus_docs, monkeypatch, n):
-    counts = {"strat": 0, "noted": 0, "construct": 0, "checked_decls": 0}
-    note, init = ExpansionEnv._note, Ontology.__init__
-
-    def counting_note(self):
-        counts["noted"] += len(self._queued) + len(self._queued_flat)
-        note(self)
+    counts = {"strat": 0, "construct": 0, "checked_decls": 0}
+    init = Ontology.__init__
 
     def counting_init(self, *args, **kwargs):
         counts["construct"] += 1
@@ -726,7 +786,6 @@ def _expansion_work(corpus_docs, monkeypatch, n):
 
     with monkeypatch.context() as m:
         m.setattr(env, "_strat", counting_strat)
-        m.setattr(ExpansionEnv, "_note", counting_note)
         m.setattr(Ontology, "__init__", counting_init)
         env.expand_named("Deep")
     return counts
@@ -735,12 +794,12 @@ def _expansion_work(corpus_docs, monkeypatch, n):
 def test_list_recursion_work_grows_linearly(corpus_docs, monkeypatch):
     small = _expansion_work(corpus_docs, monkeypatch, 40)
     large = _expansion_work(corpus_docs, monkeypatch, 160)
-    for what in ("strat", "noted", "construct", "checked_decls"):
+    for what in ("strat", "construct", "checked_decls"):
         assert large[what] <= 4.5 * small[what], (what, small, large)
 
 
 def test_list_recursion_copies_linearly_many_elements(corpus_docs, monkeypatch):
-    """Each frame binds its list, and its tail, as views of the tuple the
+    """Each frame binds its list, and its tail, as ListArgs of the tuple the
     list was given in, so the list elements that frames' bindings hold,
     counted once per distinct tuple, grow with the list and not with its
     square."""
