@@ -42,13 +42,16 @@ so a binding error comes first however a list is written.
 A list parameter is bound to the `ListArg` its list was given as: a tuple
 and the offset of its first element.  List recursion consumes one element
 per frame and binds its tail as a `ListArg` of the same tuple one element
-on, so handing the tail on copies nothing, and a frame recognises tails an
-earlier frame of the same expansion has seen by that tuple and offset:
-their items are declared once, and a frame whose obligations provably
-repeat an earlier frame's is not asked for them again.  A tail is copied
-only where a cons builds a new list in front of it or its items are
-spliced into a value.  That keeps the work per frame proportional to what
-the frame adds.
+on, so handing the tail on copies nothing.  Substitution hands a bound
+argument on as it is, and `_as_list` a list without cons heads, so a frame
+recognises a tail the frame instantiating it bound by identity: its items
+were declared there, and when both frames are of the same closure, with
+every list the other's tail and equal other arguments, its obligations
+repeat the other's and are not raised again.  A tail handed on through a
+frame that does not bind it is not recognised, and its items are declared
+again.  A tail is copied only where a cons builds a new list in front of
+it or its items are spliced into a value.  That keeps the work per frame
+proportional to what the frame adds.
 
 What depends only on a pattern is worked out once per environment and
 kept on it: each pattern's shape (whether it has constraints, its list and
@@ -69,10 +72,11 @@ The walk is one loop over an explicit stack of work items, so no nesting of
 patterns, unions or references is too deep for it.  Union operands, let and
 pattern bodies, a frame's `given` imports and references to other named
 ontologies are items, pushed so that they pop in the pre-order of the spec
-tree; the order obligations are found in, which error is raised first and
-the frame order list tails are recognised in all follow from that.  Each
-item carries the instantiation depth it is expanded at, so the budget
-counts nested instantiation frames.  A named ontology that is not cached
+tree; the order obligations are found in and which error is raised first
+follow from that.  A spec item carries the frame it is walked in, a record
+of one instantiation (a run's outermost spec gets one with no closure),
+and a reference item the depth it is met at, so the budget counts nested
+instantiation frames.  A named ontology that is not cached
 opens a run with a builder of its own, and a closing item freezes it,
 caches it and adds it to the builder of the run below.  Items carry no
 builder: every node goes into the innermost open run's.
@@ -91,8 +95,8 @@ from .model import (
     Argument, Axiom, BasicSpec, ConsArg, Decl, Document, EmptyArg, EmptySpec,
     ExtensionSpec, InstSpec, LetSpec, ListArg, Name, Node, Obligation, Ontology,
     OntologyBuilder, OntologyDef, Parameter, PatternDef, Spec, SymbolArg,
-    SymbolKind, TopDecl, UnionSpec, _strings, plan_axiom, stratify,
-    subst_arguments, subst_axiom, subst_decls,
+    SymbolKind, TopDecl, UnionSpec, _strings, decl_key, node_key, plan_axiom,
+    stratify, subst_arguments, subst_axiom, subst_decls,
 )
 
 _Found = tuple[str, str, int]  # where an obligation was raised: pattern, param, index
@@ -171,8 +175,8 @@ def bind_arguments(pdef: PatternDef, args: tuple[Argument, ...]) -> Binding:
 
 class _Closure:
     """A pattern, the local patterns its body sees and the binding in force
-    where its let is walked ({} both at top level); hashed by identity, as a
-    key of _Run.frames."""
+    where its let is walked ({} both at top level).  Frames of one closure
+    share that binding, which `_Frame.repeats` relies on."""
 
     __slots__ = ("pdef", "scope", "binding")
 
@@ -180,57 +184,23 @@ class _Closure:
         self.pdef, self.scope, self.binding = pdef, scope, binding
 
 
-def _key(elements: ListArg) -> tuple[int, int]:
-    """Which list a bound list shows: the id of its tuple, and its start."""
-    return id(elements.items), elements.start
-
-
 class _Run:
     """State of one named-ontology or standalone-spec expansion: its name,
     the builder its nodes go into, its obligations (where each axiom was
     first raised), and the lengths of the environment's logs when it
-    opened: what lies past them when it closes is its own.
-
-    `declared` and `frames` remember list tails by the id of the tuple a
-    tail shares with its list and its start; each entry keeps the tuples
-    (and closure) it is keyed by alive, so no other object can take their
-    ids.  Every tail of one list shares that list's tuple, so what they keep
-    alive grows with the list, not with its square.
-    """
+    opened: what lies past them when it closes is its own."""
 
     def __init__(self, name: str | None, marks: tuple[int, ...]) -> None:
         self.name = name  # None for a standalone spec
         self.marks = marks
         self.out = OntologyBuilder()
         self.sink: dict[Axiom, _Found] = {}
-        self.declared: dict[tuple[tuple[int, int], SymbolKind], tuple[Argument, ...]] = {}
-        self.frames: dict[tuple, tuple] = {}
-
-    def undeclared(self, kind: SymbolKind, items: ListArg, tail: ListArg) -> bool:
-        """Whether a frame still has to declare items as kind: not when they
-        are the tail of a list an earlier frame declared.  Marks tail."""
-        self.declared[_key(tail), kind] = tail.items
-        return (_key(items), kind) not in self.declared
-
-    def repeats(self, closure: _Closure, binding: Binding, shape: _Shape) -> bool:
-        """Whether every obligation of this frame was already raised by an
-        earlier frame of the same closure (so under the same outer binding)
-        that bound each list to one more element and every other parameter
-        alike.  Element i here then sees what element i + 1 saw there; the
-        caller asks only when `shape.may_repeat`, as no constraint mentions
-        a tail, nor a scalar parameter's constraint a list head."""
-        mapping = binding.mapping
-        scalars = tuple(mapping[p.name] for p in shape.scalars)
-        tails = [mapping[p.list_tail] for p in shape.lists]
-        seen = self.frames.get((closure, *[_key(binding.lists[p.name]) for p in shape.lists]))
-        self.frames[(closure, *map(_key, tails))] = ([v.items for v in tails], scalars)
-        return seen is not None and seen[1] == scalars
 
 
 class _Shape:
     """What every frame of one pattern shares: whether any parameter has
     constraints, the list and the scalar parameters, and whether a frame
-    can repeat an earlier frame's obligations (see `_Run.repeats`)."""
+    can repeat an earlier frame's obligations (see `_Frame.repeats`)."""
 
     __slots__ = ("pdef", "constrained", "lists", "scalars", "may_repeat")
 
@@ -244,6 +214,40 @@ class _Shape:
         self.may_repeat = bool(self.lists) and not any(
             not (tails if p.list_tail is not None else heads).isdisjoint(_strings(p.constraints))
             for p in pdef.params)
+
+
+class _Frame:
+    """One instantiation: its closure, its pattern's shape, the mapping its
+    body is walked under (where its own arguments shadow outer ones) and
+    its depth.  A run's outermost spec is walked in a frame with no
+    closure, which binds nothing."""
+
+    __slots__ = ("closure", "shape", "mapping", "depth")
+
+    def __init__(self, closure: _Closure | None, shape: _Shape | None,
+                 mapping: Mapping[str, Argument], depth: int) -> None:
+        self.closure, self.shape, self.mapping, self.depth = closure, shape, mapping, depth
+
+    def bound_tail(self, kind: SymbolKind, elements: ListArg) -> bool:
+        """Whether elements is the tail this frame bound to a list
+        parameter of kind, so this frame declared its items as kind."""
+        for p in self.shape.lists if self.shape is not None else ():
+            if p.kind is kind and self.mapping[p.list_tail] is elements:
+                return True
+        return False
+
+    def repeats(self, closure: _Closure, binding: Binding) -> bool:
+        """Whether a frame of closure under binding, instantiated in this
+        one, repeats every obligation this frame raised: it is of the same
+        closure (so under the same outer binding), each of its lists is the
+        tail this frame bound to that parameter and its other arguments are
+        equal.  Element i there then sees what element i + 1 saw here; the
+        caller asks only when its shape's `may_repeat`, as no constraint
+        mentions a tail, nor a scalar parameter's constraint a list head."""
+        if closure is not self.closure:
+            return False
+        return (all(binding.lists[p.name] is self.mapping[p.list_tail] for p in self.shape.lists)
+                and all(binding.mapping[p.name] == self.mapping[p.name] for p in self.shape.scalars))
 
 
 class ExpansionEnv:
@@ -327,7 +331,8 @@ class ExpansionEnv:
         obligations.
 
         Items, by their first field:
-            _SPEC, spec, scope, binding, depth: expand spec into the innermost run
+            _SPEC, spec, scope, frame: expand spec, walked in frame, into the
+                innermost run
             _NAMED, name, depth: add a named ontology to the innermost run
             _CLOSE: the innermost run has expanded its spec and imports; its
                 result goes into the run below, or is returned if none is left
@@ -369,7 +374,7 @@ class ExpansionEnv:
         work.append((_CLOSE,))
         for imp in reversed(imports):
             work.append((_NAMED, imp, depth))
-        work.append((_SPEC, spec, {}, {}, depth))
+        work.append((_SPEC, spec, {}, _Frame(None, None, {}, depth)))
 
     def _reference(self, name: str, depth: int) -> None:
         """Add a named ontology to the innermost run, opening a run for it
@@ -388,29 +393,28 @@ class ExpansionEnv:
             raise GdolError(f"{name!r} is a pattern; a reference must name an ontology")
         self._open(name, decl.spec, decl.imports, depth)
 
-    def _spec(self, spec: Spec, scope: dict[str, _Closure],
-              binding: Mapping[str, Argument], depth: int) -> None:
-        """Expand one spec node into the innermost run with binding
+    def _spec(self, spec: Spec, scope: dict[str, _Closure], frame: _Frame) -> None:
+        """Expand one spec node into the innermost run with frame's mapping
         substituted into it on the way; queue its children."""
         cls = spec.__class__
         if cls is BasicSpec:
-            self._add(spec.ontology.decls, spec.ontology.axioms, binding)
+            self._add(spec.ontology.decls, spec.ontology.axioms, frame.mapping)
         elif cls is UnionSpec or cls is ExtensionSpec:
             for op in reversed(spec.operands):
-                self._work.append((_SPEC, op, scope, binding, depth))
+                self._work.append((_SPEC, op, scope, frame))
         elif cls is InstSpec:
-            args = subst_arguments(spec.args, binding)
+            args = subst_arguments(spec.args, frame.mapping)
             if args is not None:  # else an argument mentions an empty-bound name
-                self._instantiate(spec, args, scope, depth)
+                self._instantiate(spec, args, scope, frame)
         elif cls is LetSpec:
             inner = dict(scope)  # the locals share it, so siblings see each other
             for p in spec.locals:
-                shadowed = sorted(p.param_names & binding.keys())
+                shadowed = sorted(p.param_names & frame.mapping.keys())
                 if shadowed:
                     self._logs[2].append(  # the shadowing log
                         f"parameters {shadowed} of local pattern {p.name!r} shadow outer bindings")
-                inner[p.name] = _Closure(p, inner, binding)
-            self._work.append((_SPEC, spec.body, inner, binding, depth))
+                inner[p.name] = _Closure(p, inner, frame.mapping)
+            self._work.append((_SPEC, spec.body, inner, frame))
         elif cls is not EmptySpec:
             raise TypeError(f"not a spec: {spec!r}")
 
@@ -441,37 +445,47 @@ class ExpansionEnv:
              binding: Mapping[str, Argument]) -> None:
         """Substitute, stratify and canonicalize one node into the innermost
         run's builder.  A declaration that contradicts the builder raises
-        the KindClash of the least clashing flat name."""
-        decls = subst_decls(decls, binding, self._strat)
-        self._runs[-1].out.extend(decls, self._subst_axioms(axioms, binding))
+        the KindClash of the least clashing flat name.  A node's decls and
+        axioms are sets, walked in hash order, so a substitution error is
+        raised as the first in key order, declarations before axioms: the
+        same under any hash seed."""
+        try:
+            new_decls = subst_decls(decls, binding, self._strat)
+            new_axioms = self._subst_axioms(axioms, binding)
+        except SubstitutionError:
+            subst_decls(sorted(decls, key=decl_key), binding, self._strat)
+            self._subst_axioms(sorted(axioms, key=node_key), binding)
+            raise
+        self._runs[-1].out.extend(new_decls, new_axioms)
 
     def _instantiate(self, spec: InstSpec, args: tuple[Argument, ...],
-                     scope: dict[str, _Closure], depth: int) -> None:
-        """Open a frame one level deeper: one pass over the parameters raises
-        their obligations and gathers their declarations, added after all
-        the obligations; then the given imports and the body in order."""
+                     scope: dict[str, _Closure], parent: _Frame) -> None:
+        """Open a frame one level below parent: one pass over the parameters
+        raises their obligations and gathers their declarations, added after
+        all the obligations; then the given imports and the body in order.
+        Items of a list that is a tail parent bound are not declared again,
+        nor obligations that repeat parent's raised."""
         target = scope.get(spec.pattern) or self._global.get(spec.pattern)
         if target is None:
             raise UnknownPattern(spec.pattern)
         if isinstance(target, OntologyDef):
             if spec.bracketed:
                 raise GdolError(f"{spec.pattern!r} names an ontology and takes no arguments")
-            self._reference(spec.pattern, depth)
+            self._reference(spec.pattern, parent.depth)
             return
         assert isinstance(target, _Closure)
         pdef = target.pdef
-        depth += 1
+        depth = parent.depth + 1
         if depth > self.depth_budget:
             raise DepthExceeded(self.depth_budget, pdef.name)
         binding = bind_arguments(pdef, args)
         if binding.exhausted:
             return
         mapping = {**target.binding, **binding.mapping}  # own names shadow outer ones
-        run = self._runs[-1]
         shape = self._shapes.get(id(pdef))
         if shape is None:
             shape = self._shapes[id(pdef)] = _Shape(pdef)
-        oblige = shape.constrained and not (shape.may_repeat and run.repeats(target, binding, shape))
+        oblige = shape.constrained and not (shape.may_repeat and parent.repeats(target, binding))
         decls: list[Decl] = []
         for param in pdef.params:
             if param.list_tail is not None:
@@ -483,7 +497,7 @@ class ExpansionEnv:
                         for other, elements in binding.lists.items():
                             element_view[other] = elements.items[elements.start + i]
                         self._oblige(pdef.name, param, i, element_view)
-                if run.undeclared(param.kind, bound, binding.mapping[param.list_tail]):
+                if not parent.bound_tail(param.kind, bound):
                     for item in islice(bound.items, bound.start, None):
                         if isinstance(item, SymbolArg):
                             if item.kind is not None and item.kind is not param.kind:
@@ -497,7 +511,7 @@ class ExpansionEnv:
                         self._oblige(pdef.name, param, 0, mapping)
                     decls.append((param.kind, bound.name))
         self._add(decls, (), {})
-        self._work.append((_SPEC, pdef.body, target.scope, mapping, depth))
+        self._work.append((_SPEC, pdef.body, target.scope, _Frame(target, shape, mapping, depth)))
         for imp in reversed(pdef.imports):
             self._work.append((_NAMED, imp, depth))
 

@@ -364,11 +364,16 @@ def canon_expr(e: ClassExpr) -> ClassExpr:
 Decl = tuple[SymbolKind, Name]
 
 
+def decl_key(d: Decl):
+    """Ordering key of a declaration: its name's key, then its kind keyword."""
+    return name_key(d[1]), d[0].value
+
+
 def _kind_clash(decls: Iterable[Decl]) -> KindClash:
     """The clash a scan of decls in (name, kind keyword) order meets first.
     Only called once a clash is known to exist."""
     kinds: dict[Name, SymbolKind] = {}
-    for kind, name in sorted(decls, key=lambda d: (name_key(d[1]), d[0].value)):
+    for kind, name in sorted(decls, key=decl_key):
         prev = kinds.setdefault(name, kind)
         if prev is not kind:
             return KindClash(str(name), (prev.value, kind.value))
@@ -460,6 +465,11 @@ class ListArg(Node):
 
     items: tuple["Argument", ...] = ()
     start: int = 0
+
+    def __post_init__(self) -> None:
+        n = len(self.items)
+        if type(self.start) is not int or not 0 <= self.start <= n:  # not isinstance: True is no start
+            raise ValueError(f"ListArg start must be an int in 0..{n}, got {self.start!r}")
 
     def __len__(self) -> int:
         return len(self.items) - self.start

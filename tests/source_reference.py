@@ -65,7 +65,7 @@ def _spec_text(s: Spec, indent: str = "  ") -> str:
         case InstSpec(pattern, args, bracketed, _):
             if not bracketed:
                 return indent + pattern
-            inner = "; ".join(_argument_text(a) if not isinstance(a, EmptyArg) else "" for a in args)
+            inner = "; ".join(_argument_text(a) for a in args)
             return f"{indent}{pattern}[{inner}]"
         case LetSpec(locals_, body):
             defs = "\n".join(_pattern_text(p) for p in locals_)

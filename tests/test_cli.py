@@ -460,7 +460,9 @@ def test_an_unused_local_is_not_expanded(tmp_path, capsys):
     assert (tmp_path / "O.omn").read_text() == "Class: a\n"
 
 
-def test_kind_clash_is_the_same_under_any_hash_seed(tmp_path):
+def test_an_expansion_error_is_the_same_under_any_hash_seed(tmp_path):
+    two_tails = "pattern P [ Class: x :: xs; Class: y :: ys ] = "
+    misplaced = "error: list argument bound to 'xs' used where a single name is expected\n"
     cases = [
         ("pattern Q [ Class: X; ObjectProperty: r ] = Class: X SubClassOf: r some X\n"
          "ontology O = Q[B; A] and Q[A; B] and Q[D; C] and Q[C; D]\n",
@@ -469,9 +471,14 @@ def test_kind_clash_is_the_same_under_any_hash_seed(tmp_path):
         ("pattern K [ Class: x; ObjectProperty: y ] = Class: x\n"
          "ontology O = K[f[a]; f[a]]\n",
          "error: 'f_a' declared both as Class and as ObjectProperty\n"),
+        # a basic spec's declarations and axioms are sets: the first
+        # substitution error in key order is raised
+        (two_tails + "Class: A SubClassOf: xs  Class: B SubClassOf: ys\n"
+         "ontology O = P[[a]; [b]]\n", misplaced),
+        (two_tails + "Class: xs  Class: ys\nontology O = P[[a]; [b]]\n", misplaced),
     ]
     for i, (text, expected) in enumerate(cases):
-        src = tmp_path / f"clash{i}.gdol"
+        src = tmp_path / f"error{i}.gdol"
         src.write_text(text)
         results = set()
         for seed in ("0", "1", "2"):

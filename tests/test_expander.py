@@ -198,7 +198,8 @@ def test_a_binding_error_comes_before_an_items_kind_error_however_the_list_is_wr
 
 def test_a_list_argument_is_bound_as_its_own_tuple():
     """A list literal is bound as it is, and its tail as a ListArg of the
-    same tuple, which later frames recognise; a cons builds a new one."""
+    same tuple, which a frame it instantiates recognises; a cons builds a
+    new one."""
     from gdol import ConsArg
 
     (pdef,) = parse_document("pattern L [ Class: x :: xs ] = Class: x\n").decls
@@ -210,6 +211,13 @@ def test_a_list_argument_is_bound_as_its_own_tuple():
     consed = bind_arguments(pdef, (ConsArg(S("c"), ListArg(items)),)).lists["x"]
     assert shown(consed) == (S("c"), *items) and consed.items is not items
     assert shown(bind_arguments(pdef, (ConsArg(S("c"), EmptyArg()),)).lists["x"]) == (S("c"),)
+
+
+@pytest.mark.parametrize("start", [-1, 5, True])
+def test_a_list_start_outside_its_items_is_rejected(start):
+    items = (S("a"), S("b"))
+    with pytest.raises(ValueError, match=rf"ListArg start must be an int in 0\.\.2, got {start!r}"):
+        ListArg(items, start)
 
 
 def test_a_bound_tail_reaches_every_place_a_list_can_go():
@@ -749,10 +757,31 @@ def test_a_list_head_inside_a_parameterized_name_is_no_repeat(monkeypatch):
         "ontology O = H[[a, b, c]; z]\n")
     env = ExpansionEnv.from_documents([doc])
     assert obligation_rows(env, "O") == [(f"z Types: f_{v}", "H", "y", 0) for v in "abc"]
-    monkeypatch.setattr(expander._Run, "repeats", lambda self, *frame: False)
+    monkeypatch.setattr(expander._Frame, "repeats", lambda self, closure, binding: False)
     reference = ExpansionEnv.from_documents([doc])
     assert (reference.expand_named("O"), reference.obligations("O")) == \
         (env.expand_named("O"), env.obligations("O"))
+
+
+def test_repeated_obligations_are_raised_once_over_a_long_list(corpus_docs, monkeypatch):
+    """Each AND_nRels frame repeats the obligations of the frame that
+    instantiated it, on its tail, so only the first raises any: the
+    obligation calls grow with the list, not with its square."""
+    calls = []
+    oblige = ExpansionEnv._oblige
+
+    def counting(self, *args):
+        calls[-1] += 1
+        oblige(self, *args)
+
+    monkeypatch.setattr(ExpansionEnv, "_oblige", counting)
+    for n in (40, 160):
+        calls.append(0)
+        props = ", ".join(f"q{i}" for i in range(n))
+        doc = parse_document(f"ontology Shared = AND_nRels[S; T; r; [{props}]]\n")
+        assert len(ExpansionEnv.from_documents([*corpus_docs, doc]).obligations("Shared")) == 2 * n
+    small, large = calls
+    assert large <= 4.5 * small, calls
 
 
 def test_named_ontologies_sharing_a_list_each_get_every_obligation(list_env):
@@ -1155,6 +1184,172 @@ def _fuzz_document(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fuzz_patterns_document(seed: int) -> str:
+    """A document whose patterns are random too: scalar, optional and list
+    parameters with constraints on any of them, given imports, empty
+    arguments, let locals whose parameters shadow outer ones and whose
+    bodies capture outer names, and bodies that instantiate earlier
+    patterns.  A pattern instantiates itself, directly or from a local, only
+    on its own list tails, so every document ends."""
+    import random
+
+    rng = random.Random(seed)
+    consts = {"Class": ["A", "B", "Top"], "ObjectProperty": ["r", "s"],
+              "Individual": ["a", "b", "f_a"]}
+    names = {"Class": ["C", "D", "E"], "ObjectProperty": ["p", "q", "t"],
+             "Individual": ["x", "y", "z"]}
+    patterns: list[tuple[str, list]] = []  # name, params as (kind, name, tail, optional)
+    lines = ["ontology G0 = Class: A SubClassOf: Top",
+             "ontology G1 = ObjectProperty: r Domain: A"]
+
+    def single(kind, scope):
+        """A name of kind: mostly one in scope, and now and then a tail,
+        which substitution refuses where one name goes."""
+        own = scope.get(kind, [])
+        roll = rng.random()
+        if roll < 0.1:
+            return f"f[{rng.choice(own or consts[kind])}]"
+        if own and roll < 0.7:
+            return rng.choice(own)
+        if roll < 0.715 and scope["tails"]:
+            return rng.choice(scope["tails"])[1]
+        return rng.choice(consts[kind])
+
+    def tail_of(kind, scope):
+        tails = [t for k, t in scope["tails"] if k == kind or rng.random() < 0.1]
+        return rng.choice(tails) if tails else None
+
+    def clause(kind, scope, constraint=False):
+        if kind == "ObjectProperty":
+            return f"{rng.choice(['Domain', 'Range'])}: {single('Class', scope)}"
+        if kind == "Individual":
+            roll, tail = rng.random(), tail_of("Individual", scope)
+            if tail and roll < 0.3:
+                return f"Types: {{{single('Individual', scope)}, {tail}}}"
+            if roll < 0.6:
+                return f"Facts: {single('ObjectProperty', scope)} {single('Individual', scope)}"
+            return f"Types: {single('Class', scope)}"
+        if constraint:
+            return None  # no constraint keyword has a class subject
+        value = single("Class", scope)
+        if rng.random() < 0.2:
+            value = f"{single('ObjectProperty', scope)} some {value}"
+        return f"SubClassOf: {value}"
+
+    def frame(scope):
+        tail = tail_of("Individual", scope)
+        if tail and rng.random() < 0.1:
+            return f"DifferentIndividuals: {single('Individual', scope)}, {tail}"
+        kind = rng.choice(list(consts))
+        return f"{kind}: {single(kind, scope)} {clause(kind, scope)}"
+
+    def arguments(params, scope):
+        length = rng.randint(0, 3)  # every list alike, mostly
+        out = []
+        for kind, _, tail, _ in params:
+            roll, given = rng.random(), tail_of(kind, scope)
+            if roll < 0.07:
+                out.append("{}")
+            elif tail is None:
+                out.append(single(kind, scope))
+            elif given and roll < 0.35:
+                out.append(given)
+            elif given and roll < 0.5:
+                out.append(f"{single(kind, scope)} :: {given}")
+            else:
+                n = length if rng.random() < 0.85 else rng.randint(0, 3)
+                out.append("[" + ", ".join("{}" if rng.random() < 0.05 else single(kind, scope)
+                                           for _ in range(n)) + "]")
+        return "; ".join(out)
+
+    def call(callees, scope):
+        name, params = rng.choice(callees)
+        return f"{name}[{arguments(params, scope)}]"
+
+    def recurse(name, params, scope):
+        """name again on every list's tail: a shorter list each time."""
+        return f"{name}[" + "; ".join(tail or single(kind, scope)
+                                      for kind, _, tail, _ in params) + "]"
+
+    def make_params(taken, shadow):
+        params = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(list(consts))
+            free = [n for n in names[kind] if n not in taken]
+            pool = [n for n in shadow.get(kind, []) if n not in taken] if rng.random() < 0.5 else []
+            name = rng.choice(pool or free or [f"{names[kind][0]}{len(taken)}"])
+            roll = rng.random()
+            tail = f"{name}s" if roll < 0.4 and f"{name}s" not in taken else None
+            params.append((kind, name, tail, tail is None and roll > 0.85))
+            taken |= {name, tail}
+        return params
+
+    def scope_of(params, outer=None):
+        scope = {k: list(v) for k, v in (outer or {}).items()}
+        scope.setdefault("tails", [])
+        for kind, name, tail, _ in params:
+            scope.setdefault(kind, []).append(name)
+            if tail:
+                scope["tails"].append((kind, tail))
+        return scope
+
+    def param_text(param, scope):
+        kind, name, tail, optional = param
+        core = f"{kind}: {name}"
+        if rng.random() < 0.35:
+            constraint = clause(kind, scope, constraint=True)
+            if constraint:
+                core = f"{{{core} {constraint}}}"
+        return ("? " if optional else "") + core + (f" :: {tail}" if tail else "")
+
+    def body(name, params, scope, callees):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.3 and callees:
+                parts.append(call(callees, scope))
+            elif roll < 0.4 and any(t for _, _, t, _ in params):
+                parts.append(recurse(name, params, scope))
+            elif roll < 0.43:
+                parts.append("{}")
+            else:
+                parts.append(frame(scope))
+        text = f" {rng.choice(['and', 'then'])} ".join(parts)
+        if rng.random() < 0.25:  # a let, last, whose body is greedy
+            local = make_params(set(), {k: v for k, v in scope.items() if k != "tails"})
+            inner = scope_of(local, scope)
+            ps = "; ".join(param_text(q, inner) for q in local)
+            parts = [frame(inner)]
+            if rng.random() < 0.3 and callees:
+                parts.append(call(callees, inner))
+            shadowed = {n for _, n, _, _ in local} | {t for _, _, t, _ in local}
+            tails = {t for _, _, t, _ in params if t}
+            if rng.random() < 0.2 and tails and not tails & shadowed:
+                parts.append(recurse(name, params, scope))  # the tails the local captures
+            text += (f" and let pattern L [ {ps} ] = {' and '.join(parts)}"
+                     f" in L[{arguments(local, scope)}]")
+        return text
+
+    for i in range(rng.randint(1, 4)):
+        params = make_params(set(), {})
+        scope = scope_of(params)
+        given = f" given {', '.join(rng.sample(['G0', 'G1'], rng.randint(1, 2)))}" \
+            if rng.random() < 0.2 else ""
+        ps = "; ".join(param_text(q, scope) for q in params)
+        lines.append(f"pattern P{i} [ {ps} ]{given} = {body(f'P{i}', params, scope, patterns)}")
+        patterns.append((f"P{i}", params))
+    top = {"tails": []}
+    for k in range(rng.randint(1, 3)):
+        parts = [call(patterns, top) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.3:
+            parts.append(frame(top))
+        if k and rng.random() < 0.3:
+            parts.append(f"O{rng.randrange(k)}")
+        given = " given G1" if rng.random() < 0.2 else ""
+        lines.append(f"ontology O{k}{given} = " + " and ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
 def _expand_all(corpus_docs, doc):
     env = ExpansionEnv.from_documents([*corpus_docs, doc])
     out = []
@@ -1171,16 +1366,35 @@ def test_shortcuts_match_one_union_per_spec_node(corpus_docs, monkeypatch, seed)
     """Declaring a list's items once and skipping repeated obligations
     change nothing against every frame declaring its items and raising its
     obligations: not the ontologies, the obligations, the diagnostics, nor
-    which kind clash is reported."""
-    from gdol.expander import _Run
+    which kind clash is reported; over both generators' documents."""
+    from gdol.expander import _Frame
 
-    doc = parse_document(_fuzz_document(seed))
-    fast = _expand_all(corpus_docs, doc)
-    with monkeypatch.context() as m:
-        m.setattr(_Run, "undeclared", lambda self, kind, items, tail: True)
-        m.setattr(_Run, "repeats", lambda self, *frame: False)
-        reference = _expand_all(corpus_docs, doc)
-    assert fast == reference
+    for text in (_fuzz_document(seed), _fuzz_patterns_document(seed)):
+        doc = parse_document(text)
+        fast = _expand_all(corpus_docs, doc)
+        with monkeypatch.context() as m:
+            m.setattr(_Frame, "bound_tail", lambda self, kind, elements: False)
+            m.setattr(_Frame, "repeats", lambda self, closure, binding: False)
+            reference = _expand_all(corpus_docs, doc)
+        assert fast == reference, text
+
+
+def test_generated_patterns_expand_or_raise_a_gdol_error_and_round_trip(corpus_docs):
+    """Every document of the pattern-writing generator prints back to
+    source that parses to the same tree, and each of its ontologies either
+    expands or raises a GdolError, never another exception."""
+    from source_reference import render_document
+
+    outcomes: Counter = Counter()
+    for seed in range(300):
+        text = _fuzz_patterns_document(seed)
+        doc = parse_document(text)
+        assert parse_document(render_document(doc)) == doc, text
+        for result in _expand_all(corpus_docs, doc)[0]:
+            outcomes[result[0] if type(result[0]) is str else "expanded"] += 1
+    # most ontologies expand, and the binding and substitution errors occur
+    assert outcomes["expanded"] > 2 * sum(outcomes.values()) / 3, outcomes
+    assert {"SubstitutionError", "EmptyForRequired", "ListLengthMismatch"} <= outcomes.keys()
 
 
 def test_every_obligation_is_canonical(corpus_docs):

@@ -503,6 +503,8 @@ def _sample(cls: type, tag: str = ""):
                         frozenset({SubClassOf(Named(Name("n" + tag)), Named(Name("m")))}))
     if cls is RuleEngineConfig:
         return RuleEngineConfig(frozenset({"R2" if tag else "R1"}), 2 if tag else 1)
+    if cls is ListArg:
+        return ListArg(("items" + tag, "more"), 2 if tag else 1)
     return cls(*(f"{f}{tag}" for f in cls.__match_args__))
 
 

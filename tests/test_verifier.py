@@ -244,6 +244,16 @@ def test_a_goals_own_conjunction_is_introduced_with_r3_off():
     assert proven(theory, SubClassOf(N("D"), N("B")))
 
 
+def test_an_empty_conjunction_is_never_introduced():
+    """As the README states: no parser or canonical constructor builds
+    And(()), and a walk reaches a conjunction only when popping a conjunct
+    counts it down to none left, so a goal naming the empty one is unproven
+    under every rule subset."""
+    theory = "Class: A SubClassOf: B\nClass: B\n"
+    for rules in RULE_SUBSETS:
+        assert not proven(theory, SubClassOf(N("A"), And(())), rules=rules)
+
+
 def test_entailment_is_monotone_under_union(env):
     theory = parse_manchester_fragment(SUBCLASS_THEORY)
     goal = SubClassOf(N("A"), N("C"))
